@@ -17,6 +17,19 @@ cmake -B "${prefix}" -S . "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
+echo "==> layering guard: RC queue pairs stay below the conduit"
+# Upper layers issue RMA through Conduit::rma (DESIGN.md §5.18); a
+# QueuePair named above src/core means a data path bypassed it.
+if grep -rn "QueuePair" src/shmem src/mpi src/apps src/check; then
+  echo "ci.sh: QueuePair named above src/core; use Conduit::rma" >&2
+  exit 1
+fi
+
+echo "==> repository benchmark self-test (about two minutes)"
+# Pins the per-layer counters (bulk_tier_*, credit_stalls, reg_*) the
+# benchmark reads, and its run-to-run determinism.
+python3 perfbench/test_perfbench.py
+
 echo "==> perf smoke (label: perf-smoke)"
 ctest --test-dir "${prefix}" --output-on-failure -L perf-smoke
 

@@ -228,8 +228,11 @@ TortureResult run_case(const TortureCase& c) {
         co_await conduit.am_send(dst, 20, std::vector<std::byte>(16));
       } else {
         ++adds_sent[dst];
-        fabric::Completion wc = co_await conduit.atomic_fetch_add(
-            dst, mrs[dst].addr, mrs[dst].rkey, 1);
+        fabric::Completion wc = co_await conduit.rma(
+            dst, {.kind = core::RmaKind::kFetchAdd,
+                  .raddr = mrs[dst].addr,
+                  .operand = 1,
+                  .rkey = mrs[dst].rkey});
         if (!wc.ok() && body_failure.empty()) {
           body_failure = "atomic_fetch_add failed toward rank " +
                          std::to_string(dst);
@@ -241,7 +244,7 @@ TortureResult run_case(const TortureCase& c) {
         // sequential per PE, so the neighbor's final image is exactly the
         // last round's pattern). Same-node peers under the shm transport
         // carry no rendezvous — the tiers only exist on the RC path — so
-        // those rides go over shm_put and the audit stays byte-exact.
+        // those rides go over shm and the audit stays byte-exact.
         const auto right = static_cast<fabric::RankId>((self + 1) % c.ranks);
         std::vector<std::byte> big =
             bulk_pattern(self, round, /*salt=*/1, kBulkRdvLen);
@@ -251,36 +254,33 @@ TortureResult run_case(const TortureCase& c) {
             spaces[right]->base() + kBulkRdvOffset;
         const fabric::VirtAddr pipe_addr =
             spaces[right]->base() + kBulkPipeOffset;
-        if (conduit.shm_routes(right)) {
-          fabric::Completion w0 = co_await conduit.shm_put(right, rdv_addr,
-                                                           big);
-          fabric::Completion w1 = co_await conduit.shm_put(right, pipe_addr,
-                                                           mid);
-          if ((!w0.ok() || !w1.ok()) && body_failure.empty()) {
-            body_failure = "bulk shm_put failed toward rank " +
-                           std::to_string(right);
-          }
-        } else {
-          const bool ok = co_await conduit.rendezvous_put(right, rdv_addr,
-                                                          big);
-          if (!ok && body_failure.empty()) {
-            body_failure = "rendezvous_put aborted toward rank " +
-                           std::to_string(right) +
-                           " with no on_cts veto installed";
-          }
-          co_await conduit.put_fragmented(right, pipe_addr, mrs[right].rkey,
-                                          mid);
-          if (traffic.chance(0.25)) {
-            // Read-back audit mid-run: the stream above drained before
-            // returning, so a fragmented get must see exactly what we put.
-            std::vector<std::byte> back(kBulkPipeLen);
-            co_await conduit.get_fragmented(right, pipe_addr,
-                                            mrs[right].rkey, back);
-            if (back != mid && body_failure.empty()) {
-              body_failure = "pipelined read-back mismatch at rank " +
-                             std::to_string(self) + " round " +
-                             std::to_string(round);
-            }
+        const fabric::RKey rkey = mrs[right].rkey;
+        fabric::Completion w0 = co_await conduit.rma(
+            right, {.kind = core::RmaKind::kPut,
+                    .raddr = rdv_addr,
+                    .src = big,
+                    .rkey = rkey});
+        fabric::Completion w1 = co_await conduit.rma(
+            right, {.kind = core::RmaKind::kPut,
+                    .raddr = pipe_addr,
+                    .src = mid,
+                    .rkey = rkey});
+        if ((!w0.ok() || !w1.ok()) && body_failure.empty()) {
+          body_failure = "bulk put failed toward rank " +
+                         std::to_string(right);
+        }
+        if (!conduit.shm_routes(right) && traffic.chance(0.25)) {
+          // Read-back audit mid-run: the stream above drained before
+          // returning, so a pipelined get must see exactly what we put.
+          std::vector<std::byte> back(kBulkPipeLen);
+          (void)co_await conduit.rma(right, {.kind = core::RmaKind::kGet,
+                                             .raddr = pipe_addr,
+                                             .dest = back,
+                                             .rkey = rkey});
+          if (back != mid && body_failure.empty()) {
+            body_failure = "pipelined read-back mismatch at rank " +
+                           std::to_string(self) + " round " +
+                           std::to_string(round);
           }
         }
       }

@@ -15,18 +15,18 @@ namespace odcm::core {
 
 // ---- credit-based flow control ----
 
-sim::Task<std::optional<std::uint32_t>> Conduit::acquire_credit(RankId dst) {
+sim::Task<CreditLease> Conduit::acquire_credit(RankId dst) {
   if (config().qp_credits == 0 || shm_routes(dst)) {
-    // Flow control disabled (or a connectionless transport): hand out a
-    // dummy epoch without suspending, so the default config's event stream
-    // is untouched.
-    co_return 0;
+    // Flow control disabled (or a connectionless transport): grant at once,
+    // without suspending, a lease whose release is a no-op, so the default
+    // config's event stream is untouched.
+    co_return CreditLease(*this, dst, 0);
   }
   Peer& p = peer(dst);
   const std::uint32_t epoch = p.credit_epoch;
   while (p.credit_pool == 0) {
     if (p.phase != Peer::Phase::kConnected || p.credit_epoch != epoch) {
-      co_return std::nullopt;
+      co_return CreditLease{};
     }
     if (!p.credit_free) {
       p.credit_free = std::make_unique<sim::Trigger>(engine());
@@ -43,10 +43,10 @@ sim::Task<std::optional<std::uint32_t>> Conduit::acquire_credit(RankId dst) {
   if (p.phase != Peer::Phase::kConnected || p.credit_epoch != epoch) {
     // The connection this window belonged to was torn down while we
     // stalled; the caller's QP pointer is stale and must be re-resolved.
-    co_return std::nullopt;
+    co_return CreditLease{};
   }
   --p.credit_pool;
-  co_return epoch;
+  co_return CreditLease(*this, dst, epoch);
 }
 
 void Conduit::release_credit(RankId dst, std::uint32_t epoch) {
@@ -65,6 +65,12 @@ void Conduit::release_credit(RankId dst, std::uint32_t epoch) {
   // pool (eviction or finalize). Account the return directly so the
   // conservation audit (credits_granted == credits_returned) still closes.
   stats_.add("credits_returned");
+}
+
+void CreditLease::release() noexcept {
+  if (owner_ != nullptr) {
+    std::exchange(owner_, nullptr)->release_credit(dst_, epoch_);
+  }
 }
 
 // ---- fragment streamer (pipelined + rendezvous data phase) ----
@@ -126,7 +132,7 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
       // checker's no-reordering invariant — and an eviction mid-stream
       // just re-establishes before the next fragment.
       fabric::QueuePair* qp = nullptr;
-      std::optional<std::uint32_t> credit;
+      CreditLease credit;
       while (true) {
         qp = co_await connected_qp(dst);
         credit = co_await acquire_credit(dst);
@@ -143,8 +149,7 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
           [](Conduit& c, RankId dst, fabric::QueuePair* qp, bool is_get,
              fabric::VirtAddr va, fabric::RKey rkey,
              std::span<const std::byte> src, std::span<std::byte> dest,
-             std::uint32_t credit_epoch, std::uint32_t frag,
-             std::uint32_t seq,
+             CreditLease credit, std::uint32_t frag, std::uint32_t seq,
              std::shared_ptr<StreamState> state) -> sim::Task<> {
             try {
               fabric::Completion wc =
@@ -160,7 +165,7 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
             } catch (...) {
               if (!state->error) state->error = std::current_exception();
             }
-            c.release_credit(dst, credit_epoch);
+            credit.release();
             c.notify({.kind = ProtocolEvent::Kind::kBulkFragmentDelivered,
                       .peer = dst,
                       .attempt = frag,
@@ -173,7 +178,7 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
             is_get ? std::span<const std::byte>{}
                    : src_data.subspan(offset, flen),
             is_get ? dest_data.subspan(offset, flen) : std::span<std::byte>{},
-            *credit, frag, seq, state));
+            std::move(credit), frag, seq, state));
       ++frag;
       offset += flen;
     }
@@ -185,26 +190,6 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
   if (state->error) {
     std::rethrow_exception(state->error);
   }
-}
-
-sim::Task<> Conduit::put_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                    fabric::RKey rkey,
-                                    std::span<const std::byte> data) {
-  if (data.empty()) co_return;
-  const std::uint32_t seq = ++rdv_seq_;
-  std::vector<RdvRange> ranges{RdvRange{raddr, data.size(), rkey}};
-  co_await stream_fragments(dst, /*is_get=*/false, seq, std::move(ranges),
-                            data, {});
-}
-
-sim::Task<> Conduit::get_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                    fabric::RKey rkey,
-                                    std::span<std::byte> dest) {
-  if (dest.empty()) co_return;
-  const std::uint32_t seq = ++rdv_seq_;
-  std::vector<RdvRange> ranges{RdvRange{raddr, dest.size(), rkey}};
-  co_await stream_fragments(dst, /*is_get=*/true, seq, std::move(ranges), {},
-                            dest);
 }
 
 // ---- rendezvous (RTS/CTS) ----
@@ -256,13 +241,9 @@ sim::Task<> Conduit::handle_rendezvous(RankId src,
   it->second.gate->open();
 }
 
-sim::Task<bool> Conduit::rendezvous_put(RankId dst, fabric::VirtAddr raddr,
-                                        std::span<const std::byte> data,
-                                        OnCts on_cts) {
-  if (shm_routes(dst)) {
-    throw std::logic_error(
-        "Conduit::rendezvous_put: shm peers need no rendezvous");
-  }
+sim::Task<bool> Conduit::rendezvous(RankId dst, const RmaOp& op) {
+  const bool is_get = op.kind == RmaKind::kGet;
+  const std::uint64_t len = op.len();
   // Establish before announcing: the RTS event must be observed on an
   // established pair (checker rule), and the RTS itself rides the RC AM
   // channel anyway.
@@ -271,75 +252,43 @@ sim::Task<bool> Conduit::rendezvous_put(RankId dst, fabric::VirtAddr raddr,
   notify({.kind = ProtocolEvent::Kind::kRtsIssued,
           .peer = dst,
           .attempt = seq,
-          .detail = data.size()});
+          .detail = len});
   stats_.add("rdv_rts_sent");
   auto [it, inserted] = rdv_pending_.try_emplace(seq, engine());
   RendezvousPacket rts;
   rts.type = RdvMsgType::kRts;
-  rts.op = RdvOp::kPut;
+  rts.op = is_get ? RdvOp::kGet : RdvOp::kPut;
   rts.seq = seq;
-  rts.raddr = raddr;
-  rts.len = data.size();
+  rts.raddr = op.raddr;
+  rts.len = len;
   co_await am_send(dst, kRendezvousHandler, rts.encode());
   co_await it->second.gate->wait();
   std::vector<RdvRange> ranges = std::move(it->second.ranges);
   rdv_pending_.erase(it);
-  if (on_cts && !on_cts(ranges)) {
-    stats_.add("rdv_aborted");
-    // Close the stream for the checker: an aborted rendezvous moved no
-    // fragments (detail=1 marks the abort) and will retry under a new seq.
-    notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
-            .peer = dst,
-            .attempt = seq,
-            .detail = 1});
-    co_return false;
+  // Adopt every granted rkey before any data moves; the leases keep them
+  // alive across the whole fragment stream.
+  std::vector<fabric::reg::RkeyLease> leases;
+  if (rkey_hook_ != nullptr) {
+    for (const RdvRange& range : ranges) {
+      std::optional<RkeyGrant> grant = rkey_hook_->accept_cts(dst, range);
+      if (!grant) {
+        stats_.add("rdv_aborted");
+        // Close the stream for the checker: an aborted rendezvous moved no
+        // fragments (detail=1 marks the abort) and retries under a new seq.
+        notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
+                .peer = dst,
+                .attempt = seq,
+                .detail = 1});
+        co_return false;
+      }
+      report_rkey_used(dst, *grant);
+      leases.push_back(std::move(grant->lease));
+    }
   }
-  co_await stream_fragments(dst, /*is_get=*/false, seq, std::move(ranges),
-                            data, {});
-  notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
-          .peer = dst,
-          .attempt = seq});
-  stats_.add("rdv_done");
-  co_return true;
-}
-
-sim::Task<bool> Conduit::rendezvous_get(RankId dst, fabric::VirtAddr raddr,
-                                        std::span<std::byte> dest,
-                                        OnCts on_cts) {
-  if (shm_routes(dst)) {
-    throw std::logic_error(
-        "Conduit::rendezvous_get: shm peers need no rendezvous");
-  }
-  (void)co_await connected_qp(dst);
-  const std::uint32_t seq = ++rdv_seq_;
-  notify({.kind = ProtocolEvent::Kind::kRtsIssued,
-          .peer = dst,
-          .attempt = seq,
-          .detail = dest.size()});
-  stats_.add("rdv_rts_sent");
-  auto [it, inserted] = rdv_pending_.try_emplace(seq, engine());
-  RendezvousPacket rts;
-  rts.type = RdvMsgType::kRts;
-  rts.op = RdvOp::kGet;
-  rts.seq = seq;
-  rts.raddr = raddr;
-  rts.len = dest.size();
-  co_await am_send(dst, kRendezvousHandler, rts.encode());
-  co_await it->second.gate->wait();
-  std::vector<RdvRange> ranges = std::move(it->second.ranges);
-  rdv_pending_.erase(it);
-  if (on_cts && !on_cts(ranges)) {
-    stats_.add("rdv_aborted");
-    // Close the stream for the checker: an aborted rendezvous moved no
-    // fragments (detail=1 marks the abort) and will retry under a new seq.
-    notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
-            .peer = dst,
-            .attempt = seq,
-            .detail = 1});
-    co_return false;
-  }
-  co_await stream_fragments(dst, /*is_get=*/true, seq, std::move(ranges), {},
-                            dest);
+  co_await stream_fragments(
+      dst, is_get, seq, std::move(ranges),
+      is_get ? std::span<const std::byte>{} : op.src,
+      is_get ? op.dest : std::span<std::byte>{});
   notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
           .peer = dst,
           .attempt = seq});

@@ -1,4 +1,4 @@
-// Conduit lifecycle, listeners, active messages and RMA wrappers.
+// Conduit lifecycle, listeners, active messages and the RMA data path.
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
@@ -10,7 +10,54 @@ namespace odcm::core {
 
 namespace {
 constexpr const char* kUdKeyPrefix = "odcm-ud:";
+
+// Per-kind tables, indexed by RmaKind.
+constexpr const char* kRmaCounter[] = {"rma_put", "rma_get", "rma_atomic",
+                                       "rma_atomic", "rma_atomic"};
+constexpr const char* kRmaShmCounter[] = {"rma_put_shm", "rma_get_shm",
+                                          "rma_atomic_shm", "rma_atomic_shm",
+                                          "rma_atomic_shm"};
+constexpr fabric::WcOpcode kRmaOpcode[] = {
+    fabric::WcOpcode::kRdmaWrite, fabric::WcOpcode::kRdmaRead,
+    fabric::WcOpcode::kFetchAdd, fabric::WcOpcode::kSwap,
+    fabric::WcOpcode::kCompareSwap};
+constexpr std::size_t kind_index(RmaKind kind) {
+  return static_cast<std::size_t>(kind);
 }
+
+// Indexed by BulkTier.
+constexpr const char* kTierCounter[] = {
+    "bulk_tier_eager", "bulk_tier_pipelined", "bulk_tier_rendezvous"};
+
+/// Dead-grant retries before a rendezvous degrades to the pipelined tier.
+/// A transfer spanning more registration chunks than the target's pin cap
+/// holds evicts its own earliest chunk while the sink resolves, so the
+/// invalidation beats the CTS on every attempt — retrying forever would
+/// livelock. The pipelined tier pins one chunk at a time and always fits.
+constexpr int kRdvMaxRetries = 4;
+
+/// Post the RC work request of `op`'s bytes `[offset, offset + len)`.
+sim::Task<fabric::Completion> post(fabric::QueuePair& qp, const RmaOp& op,
+                                   std::uint64_t offset, std::uint64_t len,
+                                   fabric::RKey rkey) {
+  const fabric::VirtAddr va = op.raddr + offset;
+  switch (op.kind) {
+    case RmaKind::kPut: {
+      std::span<const std::byte> bytes = op.src.subspan(offset, len);
+      return qp.rdma_write(va, rkey, {bytes.begin(), bytes.end()});
+    }
+    case RmaKind::kGet:
+      return qp.rdma_read(va, rkey, op.dest.subspan(offset, len));
+    case RmaKind::kFetchAdd:
+      return qp.fetch_add(va, rkey, op.operand);
+    case RmaKind::kSwap:
+      return qp.swap(va, rkey, op.operand);
+    case RmaKind::kCompareSwap:
+      return qp.compare_swap(va, rkey, op.expect, op.operand);
+  }
+  throw std::logic_error("Conduit: bad RMA kind");
+}
+}  // namespace
 
 Conduit::Conduit(ConduitJob& job, RankId rank)
     : job_(job), rank_(rank), node_(job.node_of(rank)) {}
@@ -261,22 +308,14 @@ sim::Task<> Conduit::am_send(RankId dst, std::uint16_t handler,
     // protocol traffic (barrier, disconnect notice/ack, rendezvous RTS/CTS)
     // is exempt so eviction drains and rendezvous handshakes can always
     // make progress even with the data window exhausted.
-    std::optional<std::uint32_t> credit;
+    CreditLease credit;
     if (handler >= kFirstUserHandler) {
       credit = co_await acquire_credit(dst);
       if (!credit) continue;  // connection torn down during the stall
     }
     AmPacket packet{handler, rank_, std::move(payload)};
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->send(packet.encode());
-    } catch (...) {
-      // Return the credit on exceptional completion too, or the peer's
-      // window shrinks forever and the finalize conservation audit fails.
-      if (credit) release_credit(dst, *credit);
-      throw;
-    }
-    if (credit) release_credit(dst, *credit);
+    const fabric::Completion wc = co_await qp->send(packet.encode());
+    credit.release();
     if (!wc.ok()) {
       throw std::runtime_error("Conduit::am_send: send failed");
     }
@@ -335,121 +374,48 @@ sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
       fabric::RcMessage{.src_lid = hca().lid(), .payload = std::move(bytes)});
 }
 
-sim::Task<fabric::Completion> Conduit::shm_put(RankId dst,
-                                               fabric::VirtAddr raddr,
-                                               std::vector<std::byte> data) {
+sim::Task<fabric::Completion> Conduit::shm_rma(RankId dst, const RmaOp& op) {
   const fabric::FabricConfig& fcfg = job_.fabric().config();
   const sim::Time start = engine().now();
+  const std::uint64_t len = op.len();
   mark_shm_peer(dst);
-  stats_.add("rma_put");
-  stats_.add("rma_put_shm");
+  stats_.add(kRmaCounter[kind_index(op.kind)]);
+  stats_.add(kRmaShmCounter[kind_index(op.kind)]);
   notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
+  // A put's source is captured at issue, like an RC work request's.
+  const std::vector<std::byte> data(op.src.begin(), op.src.end());
   co_await engine().delay(
-      fcfg.shm_copy_latency +
-      static_cast<sim::Time>(static_cast<double>(data.size()) /
-                             fcfg.shm_bytes_per_ns));
+      op.atomic() ? fcfg.shm_atomic_latency
+                  : fcfg.shm_copy_latency +
+                        static_cast<sim::Time>(static_cast<double>(len) /
+                                               fcfg.shm_bytes_per_ns));
   fabric::Completion wc;
-  wc.opcode = fabric::WcOpcode::kRdmaWrite;
-  wc.byte_len = static_cast<std::uint32_t>(data.size());
-  auto window = shm_domain().resolve(dst, raddr, data.size());
+  wc.opcode = kRmaOpcode[kind_index(op.kind)];
+  wc.byte_len = static_cast<std::uint32_t>(len);
+  auto window = shm_domain().resolve(dst, op.raddr, len);
   if (!window) {
     wc.status = fabric::WcStatus::kRemoteAccessError;
-  } else {
+  } else if (op.kind == RmaKind::kPut) {
     std::copy(data.begin(), data.end(), window->begin());
-  }
-  stats_.add_time("rma_shm_time", engine().now() - start);
-  co_return wc;
-}
-
-sim::Task<fabric::Completion> Conduit::shm_get(RankId dst,
-                                               fabric::VirtAddr raddr,
-                                               std::span<std::byte> dest) {
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
-  const sim::Time start = engine().now();
-  mark_shm_peer(dst);
-  stats_.add("rma_get");
-  stats_.add("rma_get_shm");
-  notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
-  co_await engine().delay(
-      fcfg.shm_copy_latency +
-      static_cast<sim::Time>(static_cast<double>(dest.size()) /
-                             fcfg.shm_bytes_per_ns));
-  fabric::Completion wc;
-  wc.opcode = fabric::WcOpcode::kRdmaRead;
-  wc.byte_len = static_cast<std::uint32_t>(dest.size());
-  auto window = shm_domain().resolve(dst, raddr, dest.size());
-  if (!window) {
-    wc.status = fabric::WcStatus::kRemoteAccessError;
+  } else if (op.kind == RmaKind::kGet) {
+    std::copy(window->begin(), window->end(), op.dest.begin());
   } else {
-    std::copy(window->begin(), window->end(), dest.begin());
-  }
-  stats_.add_time("rma_shm_time", engine().now() - start);
-  co_return wc;
-}
-
-sim::Task<fabric::Completion> Conduit::shm_atomic(RankId dst,
-                                                  fabric::VirtAddr raddr,
-                                                  fabric::WcOpcode opcode,
-                                                  std::uint64_t operand,
-                                                  std::uint64_t expect) {
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
-  const sim::Time start = engine().now();
-  mark_shm_peer(dst);
-  stats_.add("rma_atomic");
-  stats_.add("rma_atomic_shm");
-  notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
-  co_await engine().delay(fcfg.shm_atomic_latency);
-  // The read-modify-write happens atomically at this single simulated
-  // instant, on the same AddressSpace bytes RC atomics resolve to through
-  // the HCA registration table — which is the whole coherence argument
-  // (DESIGN.md §5.14).
-  fabric::Completion wc;
-  wc.opcode = opcode;
-  wc.byte_len = 8;
-  auto window = shm_domain().resolve(dst, raddr, 8);
-  if (!window) {
-    wc.status = fabric::WcStatus::kRemoteAccessError;
-  } else {
+    // The read-modify-write happens atomically at this single simulated
+    // instant, on the same AddressSpace bytes RC atomics resolve to through
+    // the HCA registration table — which is the whole coherence argument
+    // (DESIGN.md §5.14).
     std::uint64_t value = 0;
     std::memcpy(&value, window->data(), 8);
     wc.atomic_old = value;
-    switch (opcode) {
-      case fabric::WcOpcode::kFetchAdd:
-        value += operand;
-        break;
-      case fabric::WcOpcode::kCompareSwap:
-        if (value == expect) value = operand;
-        break;
-      case fabric::WcOpcode::kSwap:
-        value = operand;
-        break;
-      default:
-        throw std::logic_error("Conduit::shm_atomic: bad opcode");
+    if (op.kind == RmaKind::kFetchAdd) {
+      value += op.operand;
+    } else if (op.kind == RmaKind::kSwap || value == op.expect) {
+      value = op.operand;
     }
     std::memcpy(window->data(), &value, 8);
   }
   stats_.add_time("rma_shm_time", engine().now() - start);
   co_return wc;
-}
-
-sim::Task<fabric::Completion> Conduit::shm_fetch_add(RankId dst,
-                                                     fabric::VirtAddr raddr,
-                                                     std::uint64_t add) {
-  return shm_atomic(dst, raddr, fabric::WcOpcode::kFetchAdd, add, 0);
-}
-
-sim::Task<fabric::Completion> Conduit::shm_compare_swap(RankId dst,
-                                                        fabric::VirtAddr raddr,
-                                                        std::uint64_t expect,
-                                                        std::uint64_t desired) {
-  return shm_atomic(dst, raddr, fabric::WcOpcode::kCompareSwap, desired,
-                    expect);
-}
-
-sim::Task<fabric::Completion> Conduit::shm_swap(RankId dst,
-                                                fabric::VirtAddr raddr,
-                                                std::uint64_t value) {
-  return shm_atomic(dst, raddr, fabric::WcOpcode::kSwap, value, 0);
 }
 
 // ---- RMA ----
@@ -470,136 +436,96 @@ sim::Task<fabric::QueuePair*> Conduit::connected_qp(RankId dst) {
   co_return p.qp;
 }
 
-sim::Task<fabric::Completion> Conduit::put(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::RKey rkey,
-                                           std::vector<std::byte> data) {
+sim::Task<fabric::Completion> Conduit::rma(RankId dst, RmaOp op) {
+  // 1. Route: same-node peers under the shm transport need no connection,
+  //    rkey or credit.
   if (shm_routes(dst)) {
-    co_return co_await shm_put(dst, raddr, std::move(data));
+    co_return co_await shm_rma(dst, op);
   }
   const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_put");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    // Credits return on every completion path, exceptional included
-    // (conservation audit; same guard as stream_fragments).
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->rdma_write(raddr, rkey, std::move(data));
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
+  const std::uint64_t len = op.len();
+  fabric::Completion wc;
+  wc.opcode = kRmaOpcode[kind_index(op.kind)];
+  wc.byte_len = static_cast<std::uint32_t>(len);
+
+  // 2. Tier: atomics are always a single eager op.
+  BulkTier tier = BulkTier::kEager;
+  if (!op.atomic()) {
+    tier = select_tier(len);
+    if (config().tiering_enabled()) {
+      stats_.add(kTierCounter[static_cast<std::size_t>(tier)]);
     }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
   }
+  if (tier == BulkTier::kRendezvous) {
+    for (int attempt = 0; attempt < kRdvMaxRetries; ++attempt) {
+      if (co_await rendezvous(dst, op)) co_return wc;
+      stats_.add("rendezvous_retries");
+    }
+    stats_.add("rendezvous_fallbacks");
+    tier = BulkTier::kPipelined;
+  }
+
+  // 3. Rkeys: the hook splits the transfer into rkey-covered pieces (one
+  //    per registration chunk under on-demand registration).
+  const bool is_get = op.kind == RmaKind::kGet;
+  for (std::uint64_t offset = 0; offset < len;) {
+    RkeyGrant grant;
+    if (rkey_hook_ != nullptr) {
+      grant = co_await rkey_hook_->resolve(dst, op.raddr + offset,
+                                           len - offset);
+    } else {
+      grant = RkeyGrant{.len = len - offset, .rkey = op.rkey};
+    }
+    if (op.atomic() && grant.len != len) {
+      throw std::invalid_argument(
+          "Conduit::rma: atomic straddles an rkey boundary");
+    }
+    // 4. Connect, and take the credit of a single RC op (a fragment stream
+    //    takes one per fragment instead).
+    fabric::QueuePair* qp = co_await connected_qp(dst);
+    CreditLease credit;
+    while (tier == BulkTier::kEager) {
+      credit = co_await acquire_credit(dst);
+      if (credit) break;
+      qp = co_await connected_qp(dst);  // torn down during the stall
+    }
+    if (!grant.lease.current(grant.rkey)) {
+      // An invalidation landed while we suspended. Dropping the lease lets
+      // its deferred ack proceed; resolve afresh.
+      stats_.add("reg_rkey_races");
+      continue;
+    }
+    report_rkey_used(dst, grant);
+    if (tier == BulkTier::kPipelined) {
+      const std::uint32_t seq = ++rdv_seq_;
+      std::vector<RdvRange> ranges{
+          RdvRange{op.raddr + offset, grant.len, grant.rkey}};
+      co_await stream_fragments(
+          dst, is_get, seq, std::move(ranges),
+          is_get ? std::span<const std::byte>{}
+                 : op.src.subspan(offset, grant.len),
+          is_get ? op.dest.subspan(offset, grant.len) : std::span<std::byte>{});
+    } else {
+      stats_.add(kRmaCounter[kind_index(op.kind)]);
+      notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
+      const fabric::Completion piece =
+          co_await post(*qp, op, offset, grant.len, grant.rkey);
+      credit.release();
+      if (op.atomic() || !piece.ok()) wc = piece;
+      if (!piece.ok()) break;
+    }
+    offset += grant.len;
+  }
+  stats_.add_time("rma_rc_time", engine().now() - start);
+  co_return wc;
 }
 
-sim::Task<fabric::Completion> Conduit::get(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::RKey rkey,
-                                           std::span<std::byte> dest) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_get(dst, raddr, dest);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_get");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->rdma_read(raddr, rkey, dest);
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
-  }
-}
-
-sim::Task<fabric::Completion> Conduit::atomic_fetch_add(
-    RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-    std::uint64_t add) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_fetch_add(dst, raddr, add);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_atomic");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->fetch_add(raddr, rkey, add);
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
-  }
-}
-
-sim::Task<fabric::Completion> Conduit::atomic_compare_swap(
-    RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-    std::uint64_t expect, std::uint64_t desired) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_compare_swap(dst, raddr, expect, desired);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_atomic");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->compare_swap(raddr, rkey, expect, desired);
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
-  }
-}
-
-sim::Task<fabric::Completion> Conduit::atomic_swap(RankId dst,
-                                                   fabric::VirtAddr raddr,
-                                                   fabric::RKey rkey,
-                                                   std::uint64_t value) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_swap(dst, raddr, value);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_atomic");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->swap(raddr, rkey, value);
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
+void Conduit::report_rkey_used(RankId dst, const RkeyGrant& grant) {
+  if (grant.lease.held()) {
+    notify({.kind = ProtocolEvent::Kind::kRegRkeyUsed,
+            .peer = dst,
+            .attempt = grant.lease.chunk(),
+            .detail = grant.rkey});
   }
 }
 

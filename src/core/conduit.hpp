@@ -33,6 +33,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -40,6 +41,7 @@
 #include "core/observer.hpp"
 #include "core/wire.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/reg/rkey_table.hpp"
 #include "pmi/pmi.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
@@ -96,11 +98,105 @@ struct RdvRange {
 using RendezvousSink = std::function<sim::Task<std::vector<RdvRange>>(
     RankId src, RdvOp op, fabric::VirtAddr raddr, std::uint64_t len)>;
 
-/// Initiator-side hook run when the CTS arrives, before any data moves.
-/// Returning false aborts the transfer (rendezvous_put/get return false and
-/// the caller retries with a fresh RTS) — the on-demand registration mode
-/// uses this to reject a CTS whose rkeys lost a race with an invalidation.
-using OnCts = std::function<bool(const std::vector<RdvRange>& ranges)>;
+// ---- the RMA data path (DESIGN.md §5.18) ----
+
+enum class RmaKind : std::uint8_t {
+  kPut,
+  kGet,
+  kFetchAdd,
+  kSwap,
+  kCompareSwap
+};
+
+/// One request of `Conduit::rma`.
+struct RmaOp {
+  RmaKind kind = RmaKind::kPut;
+  fabric::VirtAddr raddr = 0;
+  std::span<const std::byte> src{};  ///< put: the bytes to write
+  std::span<std::byte> dest{};       ///< get: where the bytes land
+  /// Fetch-add addend, swap value, compare-swap desired value.
+  std::uint64_t operand = 0;
+  std::uint64_t expect = 0;  ///< compare-swap: the expected value
+  /// The remote key when the caller resolves it itself; unused once an
+  /// rkey hook is installed.
+  fabric::RKey rkey = 0;
+
+  [[nodiscard]] bool atomic() const noexcept {
+    return kind != RmaKind::kPut && kind != RmaKind::kGet;
+  }
+  [[nodiscard]] std::uint64_t len() const noexcept {
+    return kind == RmaKind::kPut   ? src.size()
+           : kind == RmaKind::kGet ? dest.size()
+                                   : sizeof(std::uint64_t);
+  }
+};
+
+/// The rkey covering a prefix of an RC transfer.
+struct RkeyGrant {
+  std::uint64_t len = 0;  ///< bytes of the request the rkey covers
+  fabric::RKey rkey = 0;
+  /// On-demand registration: defers the rkey's invalidation ack until the
+  /// RMA completed. Empty under eager registration.
+  fabric::reg::RkeyLease lease{};
+};
+
+/// How the conduit learns remote keys: the one hook an upper layer installs
+/// (`set_rkey_hook`). Without a hook, `RmaOp::rkey` is used as given.
+class RkeyHook {
+ public:
+  virtual ~RkeyHook() = default;
+  /// The rkey covering a prefix of `[raddr, raddr + len)` at `dst`. May
+  /// suspend: on a registration fault, or on the handshake that carries
+  /// the peer's segment keys.
+  [[nodiscard]] virtual sim::Task<RkeyGrant> resolve(RankId dst,
+                                                     fabric::VirtAddr raddr,
+                                                     std::uint64_t len) = 0;
+  /// Adopt the rkey a rendezvous CTS granted for `range`; nullopt when the
+  /// grant already lost a race with an invalidation (the conduit then
+  /// re-issues the RTS).
+  [[nodiscard]] virtual std::optional<RkeyGrant> accept_cts(
+      RankId dst, const RdvRange& range) = 0;
+};
+
+class Conduit;
+
+/// One flow-control credit toward a peer. The holder calls `release()`
+/// when its send completed; the destructor returns the credit on every
+/// other exit (an exception out of the issue), so the finalize audit
+/// `credits_granted == credits_returned` always closes.
+class [[nodiscard]] CreditLease {
+ public:
+  CreditLease() = default;
+  CreditLease(CreditLease&& other) noexcept
+      : owner_(std::exchange(other.owner_, nullptr)),
+        dst_(other.dst_),
+        epoch_(other.epoch_) {}
+  CreditLease& operator=(CreditLease&& other) noexcept {
+    if (this != &other) {
+      release();
+      owner_ = std::exchange(other.owner_, nullptr);
+      dst_ = other.dst_;
+      epoch_ = other.epoch_;
+    }
+    return *this;
+  }
+  CreditLease(const CreditLease&) = delete;
+  CreditLease& operator=(const CreditLease&) = delete;
+  ~CreditLease() { release(); }
+
+  /// False when the connection was torn down while the acquirer stalled.
+  explicit operator bool() const noexcept { return owner_ != nullptr; }
+  void release() noexcept;
+
+ private:
+  friend class Conduit;
+  CreditLease(Conduit& owner, RankId dst, std::uint32_t epoch)
+      : owner_(&owner), dst_(dst), epoch_(epoch) {}
+
+  Conduit* owner_ = nullptr;
+  RankId dst_ = 0;
+  std::uint32_t epoch_ = 0;
+};
 
 class Conduit {
  public:
@@ -168,91 +264,28 @@ class Conduit {
                                        fabric::VirtAddr base,
                                        std::uint64_t len);
 
-  // Explicit shm data path (put/get/atomic_* below route here on their
-  // own; these entry points let upper layers that resolve addresses
-  // without an rkey — the shm path needs none — call in directly).
-  [[nodiscard]] sim::Task<fabric::Completion> shm_put(
-      RankId dst, fabric::VirtAddr raddr, std::vector<std::byte> data);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_get(
-      RankId dst, fabric::VirtAddr raddr, std::span<std::byte> dest);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_fetch_add(
-      RankId dst, fabric::VirtAddr raddr, std::uint64_t add);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_compare_swap(
-      RankId dst, fabric::VirtAddr raddr, std::uint64_t expect,
-      std::uint64_t desired);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_swap(
-      RankId dst, fabric::VirtAddr raddr, std::uint64_t value);
-
   // ---- RMA (extended API) ----
 
   /// RC QP connected to `dst`, establishing the connection if needed.
   [[nodiscard]] sim::Task<fabric::QueuePair*> connected_qp(RankId dst);
 
-  [[nodiscard]] sim::Task<fabric::Completion> put(
-      RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::vector<std::byte> data);
-  [[nodiscard]] sim::Task<fabric::Completion> get(RankId dst,
-                                                  fabric::VirtAddr raddr,
-                                                  fabric::RKey rkey,
-                                                  std::span<std::byte> dest);
-  [[nodiscard]] sim::Task<fabric::Completion> atomic_fetch_add(
-      RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::uint64_t add);
-  [[nodiscard]] sim::Task<fabric::Completion> atomic_compare_swap(
-      RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::uint64_t expect, std::uint64_t desired);
-  [[nodiscard]] sim::Task<fabric::Completion> atomic_swap(
-      RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::uint64_t value);
+  /// The one RMA entry point (DESIGN.md §5.18): route (shm or RC), select
+  /// the tier, resolve rkeys through the hook, and issue every RC op under
+  /// a credit lease. `op`'s spans must stay valid until the task completes.
+  /// Returns the first failed completion, else a successful one (atomics
+  /// carry the prior value in `atomic_old`).
+  [[nodiscard]] sim::Task<fabric::Completion> rma(RankId dst, RmaOp op);
 
-  // ---- large-message tiering + flow control (DESIGN.md §5.17) ----
+  /// Install the upper layer's rkey hook; it must outlive the conduit's
+  /// traffic.
+  void set_rkey_hook(RkeyHook* hook) noexcept { rkey_hook_ = hook; }
 
-  /// The tier a transfer of `len` bytes takes under the current config.
-  /// With both thresholds 0 (the default) everything is kEager.
-  [[nodiscard]] BulkTier select_tier(std::uint64_t len) const noexcept {
-    const ConduitConfig& cfg = config();
-    if (cfg.rendezvous_threshold != 0 && len > cfg.rendezvous_threshold) {
-      return BulkTier::kRendezvous;
-    }
-    if (cfg.eager_threshold != 0 && len > cfg.eager_threshold) {
-      return BulkTier::kPipelined;
-    }
-    return BulkTier::kEager;
-  }
+  // ---- large-message tiering (DESIGN.md §5.17) ----
 
   /// Install the target-side rendezvous sink resolver (upper layer).
   void set_rendezvous_sink(RendezvousSink sink) {
     rendezvous_sink_ = std::move(sink);
   }
-
-  /// Rendezvous put/get: RTS → (target posts sink) → CTS → fragment stream.
-  /// Returns false when `on_cts` rejected the grant (caller retries).
-  [[nodiscard]] sim::Task<bool> rendezvous_put(RankId dst,
-                                               fabric::VirtAddr raddr,
-                                               std::span<const std::byte> data,
-                                               OnCts on_cts = {});
-  [[nodiscard]] sim::Task<bool> rendezvous_get(RankId dst,
-                                               fabric::VirtAddr raddr,
-                                               std::span<std::byte> dest,
-                                               OnCts on_cts = {});
-
-  /// Pipelined (mid-tier) transfer: split into `bulk_chunk_bytes` fragments
-  /// streamed under the credit window (no RTS/CTS round trip).
-  [[nodiscard]] sim::Task<> put_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::RKey rkey,
-                                           std::span<const std::byte> data);
-  [[nodiscard]] sim::Task<> get_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::RKey rkey,
-                                           std::span<std::byte> dest);
-
-  /// Acquire one flow-control credit toward `dst`, suspending while the
-  /// window is exhausted. Returns the credit epoch to pass to
-  /// `release_credit`, or nullopt when the connection was torn down during
-  /// the stall (the caller must loop back through `connected_qp`). With
-  /// `qp_credits == 0` this returns immediately without suspending.
-  [[nodiscard]] sim::Task<std::optional<std::uint32_t>> acquire_credit(
-      RankId dst);
-  void release_credit(RankId dst, std::uint32_t epoch);
 
   // ---- barriers ----
 
@@ -434,13 +467,21 @@ class Conduit {
   /// shm cost model — dispatch stays transport-independent.
   sim::Task<> shm_am_send(RankId dst, std::uint16_t handler,
                           std::vector<std::byte> payload);
-  /// Shared body of the three shm atomics (`opcode` selects the RMW).
-  sim::Task<fabric::Completion> shm_atomic(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::WcOpcode opcode,
-                                           std::uint64_t operand,
-                                           std::uint64_t expect);
+  /// The shm leg of `rma`: a CMA-style copy or a node-local atomic.
+  sim::Task<fabric::Completion> shm_rma(RankId dst, const RmaOp& op);
   /// First-contact accounting for the shm path (Table I peer counts).
   void mark_shm_peer(RankId dst);
+
+  /// Report the rkey an RMA is about to use when a lease pins it.
+  void report_rkey_used(RankId dst, const RkeyGrant& grant);
+
+  /// Acquire one flow-control credit toward `dst`, suspending while the
+  /// window is exhausted. The lease is empty when the connection was torn
+  /// down during the stall (the caller loops back through `connected_qp`).
+  /// With `qp_credits == 0` this returns at once without suspending.
+  [[nodiscard]] sim::Task<CreditLease> acquire_credit(RankId dst);
+  friend class CreditLease;
+  void release_credit(RankId dst, std::uint32_t epoch);
 
   // Static mesh setup.
   sim::Task<> static_connect_all();
@@ -449,8 +490,23 @@ class Conduit {
   fabric::QueuePair* materialize_bulk(RankId dst);
 
   // Large-message tiering internals (core/bulk.cpp).
+  /// The tier a transfer of `len` bytes takes under the current config.
+  /// With both thresholds 0 (the default) everything is kEager.
+  [[nodiscard]] BulkTier select_tier(std::uint64_t len) const noexcept {
+    const ConduitConfig& cfg = config();
+    if (cfg.rendezvous_threshold != 0 && len > cfg.rendezvous_threshold) {
+      return BulkTier::kRendezvous;
+    }
+    if (cfg.eager_threshold != 0 && len > cfg.eager_threshold) {
+      return BulkTier::kPipelined;
+    }
+    return BulkTier::kEager;
+  }
   /// Target/initiator halves of the RTS/CTS exchange (AM kRendezvousHandler).
   sim::Task<> handle_rendezvous(RankId src, std::vector<std::byte> payload);
+  /// Rendezvous put/get: RTS → (target posts sink) → CTS → fragment stream.
+  /// False when the rkey hook rejected a CTS grant (the caller retries).
+  sim::Task<bool> rendezvous(RankId dst, const RmaOp& op);
   /// Shared fragment streamer of the pipelined and rendezvous tiers:
   /// fragments `ranges` into `bulk_chunk_bytes` pieces issued strictly in
   /// order under the credit/window bound; put streams from `src_data`, get
@@ -557,6 +613,8 @@ class Conduit {
   std::uint32_t listener_count_ = 0;
   std::uint64_t pending_evictions_ = 0;
   std::unique_ptr<sim::Trigger> evictions_settled_{};
+
+  RkeyHook* rkey_hook_ = nullptr;
 
   // Large-message tiering state.
   RendezvousSink rendezvous_sink_{};

@@ -182,6 +182,17 @@ class [[nodiscard]] RkeyLease {
     }
   }
 
+  /// True while this lease pins an entry.
+  [[nodiscard]] bool held() const noexcept { return table_ != nullptr; }
+  [[nodiscard]] std::uint32_t chunk() const noexcept { return chunk_; }
+
+  /// Whether the leased entry still maps to `rkey`. False once an
+  /// invalidation notice landed while the holder was suspended; an empty
+  /// lease pins nothing and is always current.
+  [[nodiscard]] bool current(RKey rkey) const {
+    return table_ == nullptr || table_->rkey(peer_, chunk_) == rkey;
+  }
+
  private:
   RkeyTable* table_ = nullptr;
   RankId peer_ = 0;

@@ -4,9 +4,17 @@
 #include <utility>
 
 #include "core/wire.hpp"
+#include "shmem/pe.hpp"
 #include "sim/time.hpp"
 
 namespace odcm::mpi {
+
+// Hybrid jobs run OpenSHMEM and MPI over one conduit, so their AM handler
+// ids must never collide.
+static_assert(kMpiHandler != shmem::detail::kCollDataHandler &&
+                  kMpiHandler != shmem::detail::kSegInfoHandler &&
+                  kMpiHandler != shmem::detail::kRegHandler,
+              "MPI and OpenSHMEM AM handler ids clash");
 
 MpiComm::MpiComm(core::Conduit& conduit) : conduit_(conduit) {
   conduit_.register_handler(

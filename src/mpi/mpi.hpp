@@ -43,7 +43,8 @@ namespace odcm::mpi {
 using RankId = fabric::RankId;
 using ReduceOp = shmem::ReduceOp;
 
-/// AM handler id used by the MPI layer (distinct from the SHMEM ids).
+/// AM handler id used by the MPI layer (distinct from the SHMEM ids, which
+/// share the conduit in hybrid jobs; mpi.cpp asserts it).
 inline constexpr std::uint16_t kMpiHandler = core::kFirstUserHandler + 2;
 
 class MpiComm {

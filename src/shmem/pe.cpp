@@ -93,11 +93,14 @@ sim::Task<> ShmemPe::start_pes() {
     }
   }
 
-  // Rendezvous target hook: maps an incoming RTS to postable sink ranges
-  // (whole-heap rkey under eager registration, per-chunk pin faults under
-  // on-demand). A plain std::function install — no events, so the default
-  // (tiering-off) trace is unchanged.
-  bulk_init();
+  // The RMA data path's rkey answers, initiator and target side (plain
+  // installs — no events, so the default trace is unchanged).
+  conduit_.set_rkey_hook(this);
+  conduit_.set_rendezvous_sink(
+      [this](RankId src, core::RdvOp, fabric::VirtAddr raddr,
+             std::uint64_t len) -> sim::Task<std::vector<core::RdvRange>> {
+        return rendezvous_sink(src, raddr, len);
+      });
 
   const bool on_demand =
       conduit_.config().connection_mode == core::ConnectionMode::kOnDemand;
@@ -225,13 +228,20 @@ const SegmentInfo& ShmemPe::peer_segment(RankId dst) {
   return *segments_[dst];
 }
 
-std::pair<fabric::VirtAddr, fabric::RKey> ShmemPe::remote_addr(
-    RankId dst, SymAddr addr, std::size_t len) {
-  const SegmentInfo& segment = peer_segment(dst);
-  if (addr + len > segment.size) {
+void ShmemPe::check_heap_range(SymAddr addr, std::uint64_t len) const {
+  const std::uint64_t size = config().heap_bytes;
+  if (len > size || addr > size - len) {
     throw std::out_of_range("ShmemPe: symmetric address out of heap");
   }
-  return {segment.addr + addr, segment.rkey};
+}
+
+fabric::VirtAddr ShmemPe::remote_va(RankId dst, SymAddr addr,
+                                    std::uint64_t len) const {
+  if (dst >= n_pes()) {
+    throw std::out_of_range("ShmemPe: bad rank " + std::to_string(dst));
+  }
+  check_heap_range(addr, len);
+  return fabric::make_va_base(dst) + addr;
 }
 
 // ---- local fast paths ----
@@ -258,23 +268,13 @@ sim::Task<> ShmemPe::local_copy_out(SymAddr src, std::span<std::byte> dest) {
 }
 
 sim::Task<std::uint64_t> ShmemPe::local_atomic(SymAddr addr,
-                                               std::uint64_t operand,
-                                               std::uint64_t expect,
-                                               int kind) {
+                                               const core::RmaOp& op) {
   co_await engine().delay(config().local_copy_latency);
   std::uint64_t old = local_read<std::uint64_t>(addr);
-  switch (kind) {
-    case 0:  // fetch-add
-      local_write<std::uint64_t>(addr, old + operand);
-      break;
-    case 1:  // swap
-      local_write<std::uint64_t>(addr, operand);
-      break;
-    case 2:  // compare-swap
-      if (old == expect) local_write<std::uint64_t>(addr, operand);
-      break;
-    default:
-      throw std::logic_error("ShmemPe::local_atomic: bad kind");
+  if (op.kind == core::RmaKind::kFetchAdd) {
+    local_write<std::uint64_t>(addr, old + op.operand);
+  } else if (op.kind == core::RmaKind::kSwap || old == op.expect) {
+    local_write<std::uint64_t>(addr, op.operand);
   }
   co_return old;
 }
@@ -289,64 +289,15 @@ sim::Task<> ShmemPe::put(RankId dst, SymAddr dest,
     // connection, no registration fault, no credit, no modeled latency.
     co_return;
   }
+  const fabric::VirtAddr va = remote_va(dst, dest, data.size());
   if (dst == rank_) {
     co_await local_copy_in(dest, data);
     co_return;
   }
-  if (conduit_.shm_routes(dst)) {
-    // Same-node peer over the shm transport: CMA-style copy into the
-    // cross-mapped segment; resolution is by rank, no rkey involved.
-    auto [va, rkey] = remote_addr(dst, dest, data.size());
-    fabric::Completion wc = co_await conduit_.shm_put(
-        dst, va, std::vector<std::byte>(data.begin(), data.end()));
-    if (!wc.ok()) {
-      throw std::runtime_error("ShmemPe::put: shm write failed");
-    }
-    co_return;
-  }
-  const core::BulkTier tier = conduit_.select_tier(data.size());
-  if (conduit_.config().tiering_enabled()) {
-    switch (tier) {
-      case core::BulkTier::kEager: stats().add("bulk_tier_eager"); break;
-      case core::BulkTier::kPipelined:
-        stats().add("bulk_tier_pipelined");
-        break;
-      case core::BulkTier::kRendezvous:
-        stats().add("bulk_tier_rendezvous");
-        break;
-    }
-  }
-  if (tier == core::BulkTier::kRendezvous) {
-    co_await bulk_rendezvous_put(dst, dest, data);
-    co_return;
-  }
-  if (reg_on_demand()) {
-    co_await reg_put(dst, dest,
-                     std::vector<std::byte>(data.begin(), data.end()),
-                     tier == core::BulkTier::kPipelined);
-    co_return;
-  }
-  if (tier == core::BulkTier::kPipelined) {
-    // Segment info may ride the connection handshake; establish first.
-    (void)co_await conduit_.connected_qp(dst);
-    auto [va, rkey] = remote_addr(dst, dest, data.size());
-    co_await conduit_.put_fragmented(dst, va, rkey, data);
-    co_return;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, dest, data.size());
-  std::optional<std::uint32_t> credit;
-  while (true) {
-    credit = co_await conduit_.acquire_credit(dst);
-    if (credit) break;
-    // Connection torn down while stalled on credits; re-establish.
-    qp = co_await conduit_.connected_qp(dst);
-  }
-  fabric::Completion wc = co_await qp->rdma_write(
-      va, rkey, std::vector<std::byte>(data.begin(), data.end()));
-  conduit_.release_credit(dst, *credit);
+  const fabric::Completion wc = co_await conduit_.rma(
+      dst, {.kind = core::RmaKind::kPut, .raddr = va, .src = data});
   if (!wc.ok()) {
-    throw std::runtime_error("ShmemPe::put: RDMA write failed");
+    throw std::runtime_error("ShmemPe::put: remote write failed");
   }
 }
 
@@ -367,56 +318,15 @@ sim::Task<> ShmemPe::get(RankId dst, SymAddr src, std::span<std::byte> dest) {
   if (dest.empty()) {
     co_return;  // zero-length: no-op, mirrors put()
   }
+  const fabric::VirtAddr va = remote_va(dst, src, dest.size());
   if (dst == rank_) {
     co_await local_copy_out(src, dest);
     co_return;
   }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, src, dest.size());
-    fabric::Completion wc = co_await conduit_.shm_get(dst, va, dest);
-    if (!wc.ok()) {
-      throw std::runtime_error("ShmemPe::get: shm read failed");
-    }
-    co_return;
-  }
-  const core::BulkTier tier = conduit_.select_tier(dest.size());
-  if (conduit_.config().tiering_enabled()) {
-    switch (tier) {
-      case core::BulkTier::kEager: stats().add("bulk_tier_eager"); break;
-      case core::BulkTier::kPipelined:
-        stats().add("bulk_tier_pipelined");
-        break;
-      case core::BulkTier::kRendezvous:
-        stats().add("bulk_tier_rendezvous");
-        break;
-    }
-  }
-  if (tier == core::BulkTier::kRendezvous) {
-    co_await bulk_rendezvous_get(dst, src, dest);
-    co_return;
-  }
-  if (reg_on_demand()) {
-    co_await reg_get(dst, src, dest, tier == core::BulkTier::kPipelined);
-    co_return;
-  }
-  if (tier == core::BulkTier::kPipelined) {
-    (void)co_await conduit_.connected_qp(dst);
-    auto [va, rkey] = remote_addr(dst, src, dest.size());
-    co_await conduit_.get_fragmented(dst, va, rkey, dest);
-    co_return;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, src, dest.size());
-  std::optional<std::uint32_t> credit;
-  while (true) {
-    credit = co_await conduit_.acquire_credit(dst);
-    if (credit) break;
-    qp = co_await conduit_.connected_qp(dst);
-  }
-  fabric::Completion wc = co_await qp->rdma_read(va, rkey, dest);
-  conduit_.release_credit(dst, *credit);
+  const fabric::Completion wc = co_await conduit_.rma(
+      dst, {.kind = core::RmaKind::kGet, .raddr = va, .dest = dest});
   if (!wc.ok()) {
-    throw std::runtime_error("ShmemPe::get: RDMA read failed");
+    throw std::runtime_error("ShmemPe::get: remote read failed");
   }
 }
 
@@ -435,28 +345,21 @@ void ShmemPe::get_nbi(RankId dst, SymAddr src, std::span<std::byte> dest) {
 
 // ---- atomics ----
 
-sim::Task<std::uint64_t> ShmemPe::atomic_fetch_add(RankId dst, SymAddr addr,
-                                                   std::uint64_t v) {
+sim::Task<std::uint64_t> ShmemPe::atomic(RankId dst, SymAddr addr,
+                                         core::RmaOp op) {
   stats().add("shmem_atomic");
+  op.raddr = remote_va(dst, addr, sizeof(std::uint64_t));
   if (dst == rank_) {
-    co_return co_await local_atomic(addr, v, 0, 0);
+    co_return co_await local_atomic(addr, op);
   }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-    fabric::Completion wc = co_await conduit_.shm_fetch_add(dst, va, v);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  if (reg_on_demand()) {
-    fabric::Completion wc = co_await reg_atomic(dst, addr, 0, v, 0);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-  fabric::Completion wc = co_await qp->fetch_add(va, rkey, v);
+  const fabric::Completion wc = co_await conduit_.rma(dst, op);
   if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
   co_return wc.atomic_old;
+}
+
+sim::Task<std::uint64_t> ShmemPe::atomic_fetch_add(RankId dst, SymAddr addr,
+                                                   std::uint64_t v) {
+  return atomic(dst, addr, {.kind = core::RmaKind::kFetchAdd, .operand = v});
 }
 
 sim::Task<std::uint64_t> ShmemPe::atomic_fetch_inc(RankId dst, SymAddr addr) {
@@ -473,53 +376,16 @@ sim::Task<> ShmemPe::atomic_inc(RankId dst, SymAddr addr) {
 
 sim::Task<std::uint64_t> ShmemPe::atomic_swap(RankId dst, SymAddr addr,
                                               std::uint64_t v) {
-  stats().add("shmem_atomic");
-  if (dst == rank_) {
-    co_return co_await local_atomic(addr, v, 0, 1);
-  }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-    fabric::Completion wc = co_await conduit_.shm_swap(dst, va, v);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  if (reg_on_demand()) {
-    fabric::Completion wc = co_await reg_atomic(dst, addr, 1, v, 0);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-  fabric::Completion wc = co_await qp->swap(va, rkey, v);
-  if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-  co_return wc.atomic_old;
+  return atomic(dst, addr, {.kind = core::RmaKind::kSwap, .operand = v});
 }
 
 sim::Task<std::uint64_t> ShmemPe::atomic_compare_swap(RankId dst, SymAddr addr,
                                                       std::uint64_t expect,
                                                       std::uint64_t desired) {
-  stats().add("shmem_atomic");
-  if (dst == rank_) {
-    co_return co_await local_atomic(addr, desired, expect, 2);
-  }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-    fabric::Completion wc =
-        co_await conduit_.shm_compare_swap(dst, va, expect, desired);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  if (reg_on_demand()) {
-    fabric::Completion wc =
-        co_await reg_atomic(dst, addr, 2, expect, desired);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-  fabric::Completion wc = co_await qp->compare_swap(va, rkey, expect, desired);
-  if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-  co_return wc.atomic_old;
+  return atomic(dst, addr,
+                {.kind = core::RmaKind::kCompareSwap,
+                 .operand = desired,
+                 .expect = expect});
 }
 
 // ---- strided transfers / local pointers ----

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,8 +40,6 @@
 
 namespace odcm::fabric::reg {
 class RegistrationCache;
-class RkeyLease;
-class RkeyTable;
 }  // namespace odcm::fabric::reg
 
 namespace odcm::shmem {
@@ -48,12 +47,14 @@ namespace odcm::shmem {
 class ShmemJob;
 
 namespace detail {
-/// Conduit AM handler ids used by the OpenSHMEM layer.
+/// Conduit AM handler ids used by the OpenSHMEM layer. `kFirstUserHandler
+/// + 2` belongs to MPI (`mpi::kMpiHandler`), which shares the conduit in
+/// hybrid jobs.
 inline constexpr std::uint16_t kCollDataHandler = core::kFirstUserHandler;
 inline constexpr std::uint16_t kSegInfoHandler = core::kFirstUserHandler + 1;
 /// On-demand registration protocol (rkey faults / invalidations); only
 /// registered when `ShmemConfig::registration == kOnDemand`.
-inline constexpr std::uint16_t kRegHandler = core::kFirstUserHandler + 2;
+inline constexpr std::uint16_t kRegHandler = core::kFirstUserHandler + 3;
 /// Collective kinds multiplexed over kCollDataHandler.
 inline constexpr std::uint8_t kBcastKind = 1;
 inline constexpr std::uint8_t kCollectKind = 2;
@@ -65,10 +66,13 @@ constexpr std::uint64_t coll_key(std::uint8_t kind, std::uint64_t seq) {
 }
 }  // namespace detail
 
-class ShmemPe {
+/// Implements the conduit's rkey hook (`resolve`, `accept_cts`): the
+/// heap-wide rkey under eager registration, per-chunk faults and leases
+/// under on-demand registration.
+class ShmemPe : private core::RkeyHook {
  public:
   ShmemPe(ShmemJob& job, RankId rank);
-  ~ShmemPe();
+  ~ShmemPe() override;
   ShmemPe(const ShmemPe&) = delete;
   ShmemPe& operator=(const ShmemPe&) = delete;
 
@@ -276,14 +280,19 @@ class ShmemPe {
   friend class ShmemJob;
 
   [[nodiscard]] const SegmentInfo& peer_segment(RankId dst);
-  /// Resolve a peer symmetric address to (VA, rkey); validates bounds.
-  std::pair<fabric::VirtAddr, fabric::RKey> remote_addr(RankId dst,
-                                                        SymAddr addr,
-                                                        std::size_t len);
+  /// Throw std::out_of_range unless `[addr, addr + len)` lies inside the
+  /// symmetric heap (written so `addr + len` cannot wrap).
+  void check_heap_range(SymAddr addr, std::uint64_t len) const;
+  /// Remote VA of a symmetric address: the heap lives at a
+  /// rank-deterministic base on every PE, so no segment info is needed.
+  /// Validates the rank and the bounds.
+  [[nodiscard]] fabric::VirtAddr remote_va(RankId dst, SymAddr addr,
+                                           std::uint64_t len) const;
   sim::Task<> local_copy_in(SymAddr dest, std::span<const std::byte> data);
   sim::Task<> local_copy_out(SymAddr src, std::span<std::byte> dest);
-  sim::Task<std::uint64_t> local_atomic(SymAddr addr, std::uint64_t operand,
-                                        std::uint64_t expect, int kind);
+  /// Shared body of the atomics: `op` carries the kind and operands.
+  sim::Task<std::uint64_t> atomic(RankId dst, SymAddr addr, core::RmaOp op);
+  sim::Task<std::uint64_t> local_atomic(SymAddr addr, const core::RmaOp& op);
   sim::Task<> broadcast_am_segments();
 
   // On-demand registration plumbing (implemented in pe_registration.cpp).
@@ -300,47 +309,23 @@ class ShmemPe {
   /// Resolve the rkey of `dst`'s chunk, faulting it in if cold. Coalesces
   /// concurrent faults on the same chunk.
   sim::Task<fabric::RKey> reg_rkey(RankId dst, std::uint32_t chunk);
-  /// Remote VA of a symmetric address, computed from the rank-deterministic
-  /// heap base (no segment-info exchange needed on this path).
-  fabric::VirtAddr reg_remote_va(RankId dst, SymAddr addr,
-                                 std::size_t len) const;
-  // Chunk-splitting RC data paths used when registration == kOnDemand.
-  // `fragmented` streams each chunk's bytes through the conduit's pipelined
-  // window instead of one large RDMA (DESIGN.md §5.17).
-  sim::Task<> reg_put(RankId dst, SymAddr dest, std::vector<std::byte> data,
-                      bool fragmented = false);
-  sim::Task<> reg_get(RankId dst, SymAddr src, std::span<std::byte> dest,
-                      bool fragmented = false);
-  /// kind: 0 = fetch-add(a), 1 = swap(a), 2 = compare-swap(expect=a, b).
-  sim::Task<fabric::Completion> reg_atomic(RankId dst, SymAddr addr, int kind,
-                                           std::uint64_t a, std::uint64_t b);
   void reg_report(core::ProtocolEvent::Kind kind, RankId peer,
                   std::uint32_t chunk, std::uint64_t rkey);
   /// Wait for in-flight chunk registrations / eviction drains to settle.
   sim::Task<> reg_quiesce();
 
-  // Large-message tier glue (implemented in pe_bulk.cpp, DESIGN.md §5.17).
-  /// Install the conduit's rendezvous sink: the target-side hook that maps
-  /// an RTS (VA, len) to postable ranges — whole-heap rkey under eager
-  /// registration, per-chunk pin faults under on-demand registration.
-  void bulk_init();
-  /// RTS/CTS rendezvous transfers; retry internally when a granted rkey
-  /// dies to a racing invalidation before the transfer starts.
-  sim::Task<> bulk_rendezvous_put(RankId dst, SymAddr dest,
-                                  std::span<const std::byte> data);
-  sim::Task<> bulk_rendezvous_get(RankId dst, SymAddr src,
-                                  std::span<std::byte> dest);
-  /// Target half: map [raddr, raddr+len) to sink ranges, pinning chunks
-  /// on demand (a rendezvous RTS can trigger registration faults).
-  sim::Task<std::vector<core::RdvRange>> bulk_sink(RankId src, core::RdvOp op,
-                                                   fabric::VirtAddr raddr,
-                                                   std::uint64_t len);
-  /// Initiator half (on-demand registration only): install the CTS rkey
-  /// set into the rkey table and take a lease per chunk. False when a
-  /// granted rkey was already tombstoned — caller re-issues the RTS.
-  bool bulk_accept_ranges(RankId dst,
-                          const std::vector<core::RdvRange>& ranges,
-                          std::vector<fabric::reg::RkeyLease>& leases);
+  // Rkey resolution for the conduit's RMA data path (DESIGN.md §5.18).
+  /// Initiator: the rkey hook.
+  sim::Task<core::RkeyGrant> resolve(RankId dst, fabric::VirtAddr raddr,
+                                     std::uint64_t len) override;
+  std::optional<core::RkeyGrant> accept_cts(
+      RankId dst, const core::RdvRange& range) override;
+  /// Target: the rendezvous sink. Maps an RTS's [raddr, raddr+len) to
+  /// postable ranges — the whole-heap rkey under eager registration, one
+  /// pinned chunk per range under on-demand registration (the RTS doubles
+  /// as a batched registration fault).
+  sim::Task<std::vector<core::RdvRange>> rendezvous_sink(
+      RankId src, fabric::VirtAddr raddr, std::uint64_t len);
 
   // Collective plumbing (implemented in collectives.cpp).
   CollectState& collect_state(std::uint64_t key);

@@ -1,12 +1,14 @@
-// On-demand memory registration: the shmem-side glue of the rkey-fault
-// protocol (DESIGN.md §5.15).
+// Rkey resolution for the RMA data path (DESIGN.md §5.18) and the
+// shmem-side glue of the on-demand rkey-fault protocol (DESIGN.md §5.15).
 //
 // Roles per PE:
 //  * target  — owns a `fabric::reg::RegistrationCache` over its symmetric
-//    heap; serves rkey faults (registering chunks lazily) and runs the
-//    epoch-guarded invalidation drain when the LRU pin cap evicts a chunk.
-//  * initiator — keeps granted rkeys in a `fabric::reg::RkeyTable`; splits
-//    RC RMAs at chunk boundaries and faults cold chunks in on first use.
+//    heap; serves rkey faults (registering chunks lazily), answers
+//    rendezvous RTSs with pinned sink ranges, and runs the epoch-guarded
+//    invalidation drain when the LRU pin cap evicts a chunk.
+//  * initiator — keeps granted rkeys in a `fabric::reg::RkeyTable`; as the
+//    conduit's rkey hook it splits RC RMAs at chunk boundaries, faults cold
+//    chunks in on first use, and adopts the rkeys a CTS grants.
 //
 // Safety argument for eviction (mirrors the conduit's disconnect notices):
 // the target defers `deregister_memory` until every sharer acked the
@@ -101,40 +103,29 @@ sim::Task<> ShmemPe::reg_quiesce() { return reg_cache_->quiesce(); }
 // ---- handshake piggyback ------------------------------------------------
 
 std::vector<std::byte> ShmemPe::reg_piggyback_payload(RankId peer) {
-  // Segment triplet (rkey 0: "fault for it") followed by the hot-chunk
-  // table: u32 count, then count × (u32 chunk, u64 rkey). Handing a chunk
-  // out makes `peer` a sharer — it must see any later invalidation.
-  std::vector<std::byte> out = segments_[rank_]->serialize();
-  std::size_t count_pos = out.size();
-  core::wire::put_int<std::uint32_t>(out, 0);
-  std::uint32_t count = 0;
+  // Handing a chunk out makes `peer` a sharer — it must see any later
+  // invalidation.
+  RegHandshakePayload payload{.segment = *segments_[rank_]};
   reg_cache_->for_each_pinned([&](std::uint32_t chunk, fabric::RKey rkey) {
-    core::wire::put_int<std::uint32_t>(out, chunk);
-    core::wire::put_int<std::uint64_t>(out, rkey);
+    payload.hot_chunks.emplace_back(chunk, rkey);
     reg_cache_->add_sharer(chunk, peer);
-    ++count;
   });
-  std::memcpy(out.data() + count_pos, &count, sizeof(count));
-  return out;
+  return payload.encode();
 }
 
 void ShmemPe::reg_consume_payload(RankId peer,
-                                  std::span<const std::byte> payload) {
+                                  std::span<const std::byte> bytes) {
+  const RegHandshakePayload payload = RegHandshakePayload::decode(bytes);
   if (!segments_[peer]) {
-    segments_[peer] = SegmentInfo::deserialize(payload);
+    segments_[peer] = payload.segment;
   }
-  core::wire::Reader reader(payload.subspan(24));
-  auto count = reader.read_int<std::uint32_t>();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto chunk = reader.read_int<std::uint32_t>();
-    auto rkey = reader.read_int<std::uint64_t>();
+  for (const auto& [chunk, rkey] : payload.hot_chunks) {
     if (!rkey_table_->install(peer, chunk, rkey)) {
       // The handshake payload raced an invalidation notice (lossy UD can
       // deliver a cached reply arbitrarily late); the tombstone wins.
       stats().add("reg_dead_grants");
     }
   }
-  reader.expect_end();
 }
 
 // ---- protocol messages --------------------------------------------------
@@ -213,133 +204,75 @@ sim::Task<fabric::RKey> ShmemPe::reg_rkey(RankId dst, std::uint32_t chunk) {
   }
 }
 
-fabric::VirtAddr ShmemPe::reg_remote_va(RankId dst, SymAddr addr,
-                                        std::size_t len) const {
-  // The symmetric heap lives at a rank-deterministic base on every PE, so
-  // the initiator can name remote chunks before any segment-info exchange
-  // — the whole point of faulting rkeys in lazily.
-  if (addr + len > config().heap_bytes) {
-    throw std::out_of_range("ShmemPe: symmetric address out of heap");
+// ---- rkey resolution for the conduit's RMA data path -------------------
+
+sim::Task<core::RkeyGrant> ShmemPe::resolve(RankId dst, fabric::VirtAddr raddr,
+                                            std::uint64_t len) {
+  if (!reg_on_demand()) {
+    // One rkey covers the whole heap. It rides the peer's segment triplet,
+    // which on-demand connections carry in the handshake (§IV-C).
+    if (!segments_[dst]) {
+      (void)co_await conduit_.connected_qp(dst);
+    }
+    co_return core::RkeyGrant{.len = len, .rkey = peer_segment(dst).rkey};
   }
-  return fabric::make_va_base(dst) + addr;
+  // One rkey per chunk: fault it in if cold, and lease it so a racing
+  // invalidation defers its ack until the RMA completed.
+  const std::uint64_t chunk_bytes = config().reg_chunk_bytes;
+  const std::uint64_t offset = raddr - fabric::make_va_base(dst);
+  const auto chunk = static_cast<std::uint32_t>(offset / chunk_bytes);
+  const std::uint64_t take =
+      std::min<std::uint64_t>(len, (chunk + 1) * chunk_bytes - offset);
+  const fabric::RKey rkey = co_await reg_rkey(dst, chunk);
+  co_return core::RkeyGrant{
+      .len = take, .rkey = rkey, .lease = RkeyLease(*rkey_table_, dst, chunk)};
 }
 
-sim::Task<> ShmemPe::reg_put(RankId dst, SymAddr dest,
-                             std::vector<std::byte> data, bool fragmented) {
-  const std::uint64_t chunk_bytes = config().reg_chunk_bytes;
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    SymAddr at = dest + offset;
-    auto chunk = static_cast<std::uint32_t>(at / chunk_bytes);
-    std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(data.size() - offset,
-                                (chunk + 1) * chunk_bytes - at));
-    fabric::VirtAddr va = reg_remote_va(dst, at, take);
-    for (;;) {
-      fabric::RKey rkey = co_await reg_rkey(dst, chunk);
-      RkeyLease lease(*rkey_table_, dst, chunk);
-      fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-      if (rkey_table_->rkey(dst, chunk) != rkey) {
-        // An invalidation notice landed while we waited for the connection.
-        // Dropping the lease lets the deferred ack proceed; resolve afresh.
-        stats().add("reg_rkey_races");
-        continue;
-      }
-      reg_report(ProtocolEvent::Kind::kRegRkeyUsed, dst, chunk, rkey);
-      if (fragmented) {
-        // Pipelined tier: stream this chunk's bytes through the conduit's
-        // bounded-window fragmenter. The lease is held across the whole
-        // stream, so a racing invalidation defers its ack (and the
-        // target's deregistration) until every fragment completed.
-        co_await conduit_.put_fragmented(
-            dst, va, rkey,
-            std::span<const std::byte>(data).subspan(offset, take));
-        lease.release();
-        break;
-      }
-      fabric::Completion wc = co_await qp->rdma_write(
-          va, rkey,
-          std::vector<std::byte>(
-              data.begin() + static_cast<std::ptrdiff_t>(offset),
-              data.begin() + static_cast<std::ptrdiff_t>(offset + take)));
-      lease.release();
-      if (!wc.ok()) {
-        throw std::runtime_error("ShmemPe::put: RDMA write failed");
-      }
-      break;
-    }
-    offset += take;
+std::optional<core::RkeyGrant> ShmemPe::accept_cts(
+    RankId dst, const core::RdvRange& range) {
+  if (!reg_on_demand()) {
+    return core::RkeyGrant{.len = range.len, .rkey = range.rkey};
   }
+  const auto chunk = static_cast<std::uint32_t>(
+      (range.va - fabric::make_va_base(dst)) / config().reg_chunk_bytes);
+  if (!rkey_table_->install(dst, chunk, range.rkey)) {
+    // The CTS raced an invalidation notice for the same rkey; the
+    // tombstone wins and the conduit re-issues the RTS.
+    stats().add("reg_dead_grants");
+    return std::nullopt;
+  }
+  return core::RkeyGrant{.len = range.len,
+                         .rkey = range.rkey,
+                         .lease = RkeyLease(*rkey_table_, dst, chunk)};
 }
 
-sim::Task<> ShmemPe::reg_get(RankId dst, SymAddr src,
-                             std::span<std::byte> dest, bool fragmented) {
+sim::Task<std::vector<core::RdvRange>> ShmemPe::rendezvous_sink(
+    RankId src, fabric::VirtAddr raddr, std::uint64_t len) {
+  const fabric::VirtAddr base = heap_space_.base();
+  if (raddr < base) {
+    throw std::out_of_range("ShmemPe: rendezvous RTS outside symmetric heap");
+  }
+  check_heap_range(raddr - base, len);
+  std::vector<core::RdvRange> ranges;
+  if (!reg_on_demand()) {
+    ranges.push_back({raddr, len, heap_region_.rkey});
+    co_return ranges;
+  }
+  // The RTS doubles as a batched rkey fault: pin every chunk the transfer
+  // touches. `acquire` coalesces with concurrent faults and records `src`
+  // as a sharer for future invalidation drains.
   const std::uint64_t chunk_bytes = config().reg_chunk_bytes;
-  std::size_t offset = 0;
-  while (offset < dest.size()) {
-    SymAddr at = src + offset;
-    auto chunk = static_cast<std::uint32_t>(at / chunk_bytes);
-    std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(dest.size() - offset,
-                                (chunk + 1) * chunk_bytes - at));
-    fabric::VirtAddr va = reg_remote_va(dst, at, take);
-    for (;;) {
-      fabric::RKey rkey = co_await reg_rkey(dst, chunk);
-      RkeyLease lease(*rkey_table_, dst, chunk);
-      fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-      if (rkey_table_->rkey(dst, chunk) != rkey) {
-        stats().add("reg_rkey_races");
-        continue;
-      }
-      reg_report(ProtocolEvent::Kind::kRegRkeyUsed, dst, chunk, rkey);
-      if (fragmented) {
-        co_await conduit_.get_fragmented(dst, va, rkey,
-                                         dest.subspan(offset, take));
-        lease.release();
-        break;
-      }
-      fabric::Completion wc =
-          co_await qp->rdma_read(va, rkey, dest.subspan(offset, take));
-      lease.release();
-      if (!wc.ok()) {
-        throw std::runtime_error("ShmemPe::get: RDMA read failed");
-      }
-      break;
-    }
-    offset += take;
+  std::uint64_t off = raddr - base;
+  const std::uint64_t end = off + len;
+  while (off < end) {
+    auto chunk = static_cast<std::uint32_t>(off / chunk_bytes);
+    std::uint64_t take = std::min<std::uint64_t>(
+        end - off, (chunk + 1) * chunk_bytes - off);
+    fabric::MemoryRegion region = co_await reg_cache_->acquire(chunk, src);
+    ranges.push_back({base + off, take, region.rkey});
+    off += take;
   }
-}
-
-sim::Task<fabric::Completion> ShmemPe::reg_atomic(RankId dst, SymAddr addr,
-                                                  int kind, std::uint64_t a,
-                                                  std::uint64_t b) {
-  const std::uint64_t chunk_bytes = config().reg_chunk_bytes;
-  auto chunk = static_cast<std::uint32_t>(addr / chunk_bytes);
-  // chunk_bytes is a multiple of 8 and atomics are naturally aligned, so
-  // an 8-byte operand cannot straddle a chunk boundary.
-  if ((chunk + 1) * chunk_bytes - addr < sizeof(std::uint64_t)) {
-    throw std::invalid_argument("ShmemPe: atomic straddles a chunk boundary");
-  }
-  fabric::VirtAddr va = reg_remote_va(dst, addr, sizeof(std::uint64_t));
-  for (;;) {
-    fabric::RKey rkey = co_await reg_rkey(dst, chunk);
-    RkeyLease lease(*rkey_table_, dst, chunk);
-    fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-    if (rkey_table_->rkey(dst, chunk) != rkey) {
-      stats().add("reg_rkey_races");
-      continue;
-    }
-    reg_report(ProtocolEvent::Kind::kRegRkeyUsed, dst, chunk, rkey);
-    fabric::Completion wc;
-    switch (kind) {
-      case 0: wc = co_await qp->fetch_add(va, rkey, a); break;
-      case 1: wc = co_await qp->swap(va, rkey, a); break;
-      case 2: wc = co_await qp->compare_swap(va, rkey, a, b); break;
-      default: throw std::logic_error("ShmemPe::reg_atomic: bad kind");
-    }
-    lease.release();
-    co_return wc;
-  }
+  co_return ranges;
 }
 
 }  // namespace odcm::shmem

@@ -2,10 +2,11 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/wire.hpp"
 #include "fabric/types.hpp"
 
 namespace odcm::shmem {
@@ -23,21 +24,67 @@ struct SegmentInfo {
   std::uint64_t size = 0;
   fabric::RKey rkey = 0;
 
+  static constexpr std::size_t kWireBytes = 24;
+
   [[nodiscard]] std::vector<std::byte> serialize() const {
-    std::vector<std::byte> out(24);
-    std::memcpy(out.data(), &addr, 8);
-    std::memcpy(out.data() + 8, &size, 8);
-    std::memcpy(out.data() + 16, &rkey, 8);
+    std::vector<std::byte> out;
+    out.reserve(kWireBytes);
+    core::wire::put_int<std::uint64_t>(out, addr);
+    core::wire::put_int<std::uint64_t>(out, size);
+    core::wire::put_int<std::uint64_t>(out, rkey);
     return out;
   }
 
-  static SegmentInfo deserialize(std::span<const std::byte> data) {
+  /// Read a triplet off the front of `reader`; throws on a short buffer.
+  static SegmentInfo read(core::wire::Reader& reader) {
     SegmentInfo info;
-    if (data.size() < 24) return info;
-    std::memcpy(&info.addr, data.data(), 8);
-    std::memcpy(&info.size, data.data() + 8, 8);
-    std::memcpy(&info.rkey, data.data() + 16, 8);
+    info.addr = reader.read_int<std::uint64_t>();
+    info.size = reader.read_int<std::uint64_t>();
+    info.rkey = reader.read_int<std::uint64_t>();
     return info;
+  }
+
+  /// Decode exactly one triplet; throws unless `data` is `kWireBytes` long.
+  static SegmentInfo deserialize(std::span<const std::byte> data) {
+    core::wire::Reader reader(data);
+    SegmentInfo info = read(reader);
+    reader.expect_end();
+    return info;
+  }
+};
+
+/// Connection-handshake payload under on-demand registration: the segment
+/// triplet (rkey 0: "fault for it") followed by the target's hot-chunk
+/// rkeys, so warmed peers skip the fault round trip.
+struct RegHandshakePayload {
+  SegmentInfo segment{};
+  std::vector<std::pair<std::uint32_t, fabric::RKey>> hot_chunks{};
+
+  [[nodiscard]] std::vector<std::byte> encode() const {
+    std::vector<std::byte> out = segment.serialize();
+    core::wire::put_int<std::uint32_t>(
+        out, static_cast<std::uint32_t>(hot_chunks.size()));
+    for (const auto& [chunk, rkey] : hot_chunks) {
+      core::wire::put_int<std::uint32_t>(out, chunk);
+      core::wire::put_int<std::uint64_t>(out, rkey);
+    }
+    return out;
+  }
+
+  /// Throws on truncation (including a count the bytes do not back) and on
+  /// trailing bytes.
+  static RegHandshakePayload decode(std::span<const std::byte> data) {
+    core::wire::Reader reader(data);
+    RegHandshakePayload payload;
+    payload.segment = SegmentInfo::read(reader);
+    const auto count = reader.read_int<std::uint32_t>();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const auto chunk = reader.read_int<std::uint32_t>();
+      payload.hot_chunks.emplace_back(chunk,
+                                      reader.read_int<std::uint64_t>());
+    }
+    reader.expect_end();
+    return payload;
   }
 };
 

@@ -236,21 +236,27 @@ TEST(Conduit, RmaThroughConduit) {
       std::vector<std::byte> data(8);
       std::uint64_t value = 7;
       std::memcpy(data.data(), &value, 8);
-      fabric::Completion put_wc = co_await c.put(1, mr.addr, mr.rkey, data);
+      fabric::Completion put_wc = co_await c.rma(
+          1, {.kind = RmaKind::kPut, .raddr = mr.addr, .src = data,
+              .rkey = mr.rkey});
       EXPECT_TRUE(put_wc.ok());
       // get
       std::vector<std::byte> back(8);
-      fabric::Completion get_wc = co_await c.get(1, mr.addr, mr.rkey, back);
+      fabric::Completion get_wc = co_await c.rma(
+          1, {.kind = RmaKind::kGet, .raddr = mr.addr, .dest = back,
+              .rkey = mr.rkey});
       EXPECT_TRUE(get_wc.ok());
       std::uint64_t got = 0;
       std::memcpy(&got, back.data(), 8);
       EXPECT_EQ(got, 7u);
       // atomics
-      fabric::Completion fa =
-          co_await c.atomic_fetch_add(1, mr.addr + 8, mr.rkey, 1);
+      fabric::Completion fa = co_await c.rma(
+          1, {.kind = RmaKind::kFetchAdd, .raddr = mr.addr + 8, .operand = 1,
+              .rkey = mr.rkey});
       EXPECT_EQ(fa.atomic_old, 99u);
-      fabric::Completion cs = co_await c.atomic_compare_swap(
-          1, mr.addr + 8, mr.rkey, 100, 200);
+      fabric::Completion cs = co_await c.rma(
+          1, {.kind = RmaKind::kCompareSwap, .raddr = mr.addr + 8,
+              .operand = 200, .expect = 100, .rkey = mr.rkey});
       EXPECT_EQ(cs.atomic_old, 100u);
     }
     co_await c.barrier_global();

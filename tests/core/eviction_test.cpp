@@ -105,8 +105,9 @@ TEST(Eviction, DataIntegrityAcrossEvictionCycles) {
         // Touch other peers to force churn on rank's connection table.
         co_await c.am_send((c.rank() + 1) % 5, 0 + 20, {});
         std::uint64_t value = 1;
-        fabric::Completion wc = co_await c.atomic_fetch_add(
-            5, mr.addr, mr.rkey, value);
+        fabric::Completion wc = co_await c.rma(
+            5, {.kind = RmaKind::kFetchAdd, .raddr = mr.addr,
+                .operand = value, .rkey = mr.rkey});
         EXPECT_TRUE(wc.ok());
       }
     }

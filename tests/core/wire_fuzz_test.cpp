@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/wire.hpp"
+#include "shmem/types.hpp"
 #include "sim/random.hpp"
 
 namespace odcm::core {
@@ -504,6 +505,55 @@ TEST(EndpointCodec, RoundTrips) {
     addr.qpn = static_cast<fabric::Qpn>(rng.next_u64());
     EXPECT_EQ(decode_endpoint(encode_endpoint(addr)), addr);
   }
+}
+
+// ---- OpenSHMEM segment payloads (connection-handshake piggyback) ----
+
+TEST(SegmentPayload, TruncationAndTrailingGarbageThrow) {
+  const shmem::SegmentInfo info{0x1000, 65536, 42};
+  const std::vector<std::byte> bytes = info.serialize();
+  ASSERT_EQ(bytes.size(), shmem::SegmentInfo::kWireBytes);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(shmem::SegmentInfo::deserialize(
+                     std::span<const std::byte>(bytes).first(len)),
+                 std::runtime_error)
+        << "truncated triplet of " << len << " bytes accepted";
+  }
+  std::vector<std::byte> trailing = bytes;
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW(shmem::SegmentInfo::deserialize(trailing), std::runtime_error);
+  const shmem::SegmentInfo back = shmem::SegmentInfo::deserialize(bytes);
+  EXPECT_EQ(back.addr, info.addr);
+  EXPECT_EQ(back.size, info.size);
+  EXPECT_EQ(back.rkey, info.rkey);
+}
+
+TEST(RegHandshakePayload, TruncationAndTrailingGarbageThrow) {
+  shmem::RegHandshakePayload payload;
+  payload.segment = {0x2000, 1 << 20, 0};
+  payload.hot_chunks = {{0, 7}, {3, 9}};
+  const std::vector<std::byte> bytes = payload.encode();
+  // Every strict prefix is short somewhere: in the triplet, the count, or
+  // an entry the count promises.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(shmem::RegHandshakePayload::decode(
+                     std::span<const std::byte>(bytes).first(len)),
+                 std::runtime_error)
+        << "truncated payload of " << len << " bytes accepted";
+  }
+  std::vector<std::byte> trailing = bytes;
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW(shmem::RegHandshakePayload::decode(trailing),
+               std::runtime_error);
+  // A count larger than the entries present.
+  std::vector<std::byte> lying = bytes;
+  lying[shmem::SegmentInfo::kWireBytes] = std::byte{3};
+  EXPECT_THROW(shmem::RegHandshakePayload::decode(lying), std::runtime_error);
+
+  const shmem::RegHandshakePayload back =
+      shmem::RegHandshakePayload::decode(bytes);
+  EXPECT_EQ(back.segment.addr, payload.segment.addr);
+  EXPECT_EQ(back.hot_chunks, payload.hot_chunks);
 }
 
 }  // namespace

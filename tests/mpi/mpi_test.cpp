@@ -14,11 +14,15 @@ namespace {
 /// Environment with one MpiComm per rank over a shmem job's conduits
 /// (hybrid setting), or pure conduits.
 struct Env {
-  explicit Env(std::uint32_t ranks, std::uint32_t ppn) {
+  explicit Env(std::uint32_t ranks, std::uint32_t ppn,
+               shmem::RegistrationMode registration =
+                   shmem::RegistrationMode::kEager) {
     shmem::ShmemJobConfig config;
     config.job.ranks = ranks;
     config.job.ranks_per_node = ppn;
     config.shmem.heap_bytes = 1 << 16;
+    config.shmem.registration = registration;
+    config.shmem.reg_chunk_bytes = 4096;
     config.shmem.shared_memory_base = 100 * sim::usec;
     config.shmem.shared_memory_per_pe = 10 * sim::usec;
     config.shmem.init_misc = 10 * sim::usec;
@@ -218,6 +222,28 @@ TEST(Hybrid, ShmemAndMpiShareConnections) {
   env.engine.run();
   EXPECT_EQ(env.job->pe(0).stats().counter("connections_established"), 1);
   EXPECT_EQ(env.job->pe(0).communicating_peers(), 1u);
+}
+
+TEST(Hybrid, MpiCoexistsWithOnDemandRegistration) {
+  // On-demand registration registers OpenSHMEM's rkey-fault AM handler in
+  // start_pes, next to the MPI handler on the same conduit. The two ids
+  // used to be equal, so start_pes threw "duplicate id".
+  Env env(4, 2, shmem::RegistrationMode::kOnDemand);
+  env.job->spawn_all([&env](shmem::ShmemPe& pe) -> sim::Task<> {
+    co_await pe.start_pes();
+    MpiComm& comm = *env.comms[pe.rank()];
+    const shmem::SymAddr slot = pe.heap().allocate(8);
+    co_await pe.barrier_all();
+    // A cross-node put faults the target's chunk in over the handler.
+    co_await pe.put_value<std::uint64_t>((pe.rank() + 2) % pe.n_pes(), slot,
+                                         pe.rank());
+    std::vector<std::int64_t> sum{static_cast<std::int64_t>(pe.rank())};
+    co_await comm.allreduce<std::int64_t>(sum, ReduceOp::kSum);
+    EXPECT_EQ(sum[0], 6);  // 0+1+2+3
+    co_await pe.finalize();
+  });
+  env.engine.run();
+  EXPECT_GT(env.job->pe(0).stats().counter("reg_rkey_misses"), 0);
 }
 
 TEST(Mpi, MatchboxesAreReclaimedWhenDrained) {
