@@ -1,12 +1,10 @@
-// Shared helpers for the figure/table reproduction benches.
+// Job helpers for the figure/table/ablation benches registered in run_all.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "shmem/job.hpp"
 #include "sim/time.hpp"
@@ -71,29 +69,22 @@ inline double mean_peers(shmem::ShmemJob& job) {
   return total / job.n_pes();
 }
 
-/// Run `program` on a fresh job; returns the wall (makespan) seconds and
-/// leaves the job available for stat queries through `out_job`.
-inline double run_job(shmem::ShmemJobConfig config,
-                      std::function<sim::Task<>(shmem::ShmemPe&)> program,
-                      std::unique_ptr<shmem::ShmemJob>* out_job = nullptr,
-                      sim::Engine* external_engine = nullptr) {
-  auto engine = std::make_unique<sim::Engine>();
-  sim::Engine& eng = external_engine != nullptr ? *external_engine : *engine;
-  auto job = std::make_unique<shmem::ShmemJob>(eng, config);
-  sim::Time makespan = job->run(std::move(program));
-  double seconds = sim::to_seconds(makespan);
-  if (out_job != nullptr) {
-    *out_job = std::move(job);
-    // Keep the engine alive alongside the job.
-    static std::vector<std::unique_ptr<sim::Engine>> retained;
-    if (external_engine == nullptr) retained.push_back(std::move(engine));
-  }
-  return seconds;
-}
+/// A finished job together with the engine it ran on, kept for stat
+/// queries after the run.
+struct JobRun {
+  std::unique_ptr<sim::Engine> engine;
+  std::unique_ptr<shmem::ShmemJob> job;
+  double wall_s = 0;  ///< makespan, virtual seconds
+};
 
-inline void print_rule(int width = 78) {
-  for (int i = 0; i < width; ++i) std::putchar('-');
-  std::putchar('\n');
+/// Run `program` on a fresh job.
+inline JobRun run_job(shmem::ShmemJobConfig config,
+                      std::function<sim::Task<>(shmem::ShmemPe&)> program) {
+  JobRun run;
+  run.engine = std::make_unique<sim::Engine>();
+  run.job = std::make_unique<shmem::ShmemJob>(*run.engine, config);
+  run.wall_s = sim::to_seconds(run.job->run(std::move(program)));
+  return run;
 }
 
 }  // namespace odcm::bench

@@ -1,13 +1,12 @@
-// run_all: single driver for every figure/table/ablation bench, emitting
-// machine-readable results.
+// run_all: the one definition of every figure, table and ablation bench.
 //
-// Each registered bench runs behind a common interface and writes one
+// Each registered bench runs behind a common interface, writes one
 // `BENCH_<name>.json` ("odcm-bench" schema v1, see
-// src/telemetry/bench_report.hpp) into --out. Two parameter sets per bench:
+// src/telemetry/bench_report.hpp) into --out and prints the same rows as a
+// text table on stdout. Two parameter sets per bench:
 //
 //   --quick   CI-sized (PE counts <= 256, trimmed sweeps; seconds per bench)
-//   --full    paper-scale (the same shapes the standalone fig*/table* /
-//             ablation* binaries print)
+//   --full    paper-scale (the shapes EXPERIMENTS.md reports)
 //
 // The simulation is deterministic: the same mode + seed produce
 // byte-identical JSON, which CI relies on (ctest label `perf-smoke`).
@@ -45,9 +44,8 @@
 #include "apps/hello.hpp"
 #include "apps/mg.hpp"
 #include "bench_util.hpp"
-#include "intranode_util.hpp"
 #include "mpi/mpi.hpp"
-#include "registration_util.hpp"
+#include "sim/random.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/telemetry.hpp"
@@ -76,7 +74,7 @@ using Kernel =
     std::function<sim::Task<>(shmem::ShmemPe&, apps::KernelResult&)>;
 
 // ---------------------------------------------------------------------------
-// Shared measurement plumbing (mirrors the standalone fig* binaries).
+// Shared measurement plumbing.
 
 shmem::ShmemJobConfig seeded_job(const BenchContext& ctx, std::uint32_t pes,
                                  std::uint32_t ppn,
@@ -89,23 +87,38 @@ shmem::ShmemJobConfig seeded_job(const BenchContext& ctx, std::uint32_t pes,
   return config;
 }
 
+/// start_pes + finalize on every PE: the init barrier tree is the only
+/// traffic.
+sim::Task<> hello_program(shmem::ShmemPe& pe) {
+  co_await apps::hello_pe(pe, apps::HelloParams{});
+}
+
 struct HelloSample {
   double start_pes_s;
   double wall_s;
+  /// Mean start_pes phases per PE (Fig 5b columns).
+  std::vector<std::pair<std::string, double>> breakdown;
 };
 
 HelloSample hello_sample(
     const BenchContext& ctx, std::uint32_t pes, core::ConduitConfig conduit,
     shmem::RegistrationMode reg = shmem::RegistrationMode::kEager) {
-  std::unique_ptr<shmem::ShmemJob> job;
   shmem::ShmemJobConfig config = seeded_job(ctx, pes, 16, conduit);
   config.shmem.registration = reg;
-  double wall = run_job(config,
-                        [](shmem::ShmemPe& pe) -> sim::Task<> {
-                          co_await apps::hello_pe(pe, apps::HelloParams{});
-                        },
-                        &job);
-  return {mean_phase_s(*job, "start_pes_total"), wall};
+  JobRun run = run_job(config, hello_program);
+  shmem::ShmemJob& job = *run.job;
+  double total = mean_phase_s(job, "start_pes_total");
+  return {total,
+          run.wall_s,
+          {{"conn_setup_s", mean_phase_s(job, "connection_setup") +
+                                mean_phase_s(job, "segment_exchange")},
+           {"pmi_exchange_s",
+            mean_phase_s(job, "pmi_exchange") + mean_phase_s(job, "pmi_wait")},
+           {"mem_reg_s", mean_phase_s(job, "memory_registration")},
+           {"shmem_setup_s", mean_phase_s(job, "shared_memory_setup")},
+           {"init_barrier_s", mean_phase_s(job, "init_barrier")},
+           {"other_s", mean_phase_s(job, "init_other")},
+           {"total_s", total}}};
 }
 
 /// Mean one-way latency (us) of `op` on PE 0 of a 2-PE / 2-node job.
@@ -161,29 +174,23 @@ double collective_loop(const BenchContext& ctx, std::uint32_t pes,
   return latency_us;
 }
 
-/// Run `kernel` on every PE of a proposed-design job; returns the wall
-/// seconds and leaves the job in `out` for stat queries.
-double kernel_job(const BenchContext& ctx, std::uint32_t pes,
-                  core::ConduitConfig conduit, const Kernel& kernel,
-                  std::unique_ptr<sim::Engine>* out_engine,
-                  std::unique_ptr<shmem::ShmemJob>* out_job,
-                  bool* verified = nullptr) {
-  auto engine = std::make_unique<sim::Engine>();
-  auto job = std::make_unique<shmem::ShmemJob>(
-      *engine, seeded_job(ctx, pes, 8, conduit, 2ULL << 20));
+/// Run `kernel` on every PE of a `pes`-PE job with 2 MiB heaps; `verified`
+/// (optional) receives whether every PE verified its result.
+JobRun kernel_job(const BenchContext& ctx, std::uint32_t pes,
+                  std::uint32_t ppn, core::ConduitConfig conduit,
+                  const Kernel& kernel, bool* verified = nullptr) {
   std::vector<apps::KernelResult> results(pes);
-  sim::Time wall = job->run([&](shmem::ShmemPe& pe) -> sim::Task<> {
-    co_await pe.start_pes();
-    co_await kernel(pe, results[pe.rank()]);
-    co_await pe.finalize();
-  });
+  JobRun run = run_job(seeded_job(ctx, pes, ppn, conduit, 2ULL << 20),
+                       [&](shmem::ShmemPe& pe) -> sim::Task<> {
+                         co_await pe.start_pes();
+                         co_await kernel(pe, results[pe.rank()]);
+                         co_await pe.finalize();
+                       });
   if (verified != nullptr) {
     *verified = true;
     for (const auto& r : results) *verified = *verified && r.verified;
   }
-  *out_engine = std::move(engine);
-  *out_job = std::move(job);
-  return sim::to_seconds(wall);
+  return run;
 }
 
 /// The reduced-size NAS/Heat kernel zoo the resource benches share.
@@ -286,26 +293,22 @@ void bench_fig1(const BenchContext& ctx, telemetry::BenchReport& report) {
       if (on_demand) {
         config.shmem.registration = shmem::RegistrationMode::kOnDemand;
       }
-      std::unique_ptr<shmem::ShmemJob> job;
-      (void)run_job(config,
-                    [](shmem::ShmemPe& pe) -> sim::Task<> {
-                      co_await apps::hello_pe(pe, apps::HelloParams{});
-                    },
-                    &job);
-      double reg_s = mean_phase_s(*job, "memory_registration");
+      JobRun run = run_job(config, hello_program);
+      shmem::ShmemJob& job = *run.job;
+      double reg_s = mean_phase_s(job, "memory_registration");
       (on_demand ? ondemand_reg_s : eager_reg_s) = reg_s;
       report.add_row(
           on_demand ? "breakdown_ondemand_reg" : "breakdown", pes,
-          {{"conn_setup_s", mean_phase_s(*job, "connection_setup") +
-                                mean_phase_s(*job, "init_barrier") +
-                                mean_phase_s(*job, "segment_exchange")},
-           {"pmi_exchange_s", mean_phase_s(*job, "pmi_exchange") +
-                                  mean_phase_s(*job, "pmi_wait")},
+          {{"conn_setup_s", mean_phase_s(job, "connection_setup") +
+                                mean_phase_s(job, "init_barrier") +
+                                mean_phase_s(job, "segment_exchange")},
+           {"pmi_exchange_s", mean_phase_s(job, "pmi_exchange") +
+                                  mean_phase_s(job, "pmi_wait")},
            {"mem_reg_s", reg_s},
-           {"lazy_reg_s", mean_phase_s(*job, "lazy_registration")},
-           {"shmem_setup_s", mean_phase_s(*job, "shared_memory_setup")},
-           {"other_s", mean_phase_s(*job, "init_other")},
-           {"total_s", mean_phase_s(*job, "start_pes_total")}});
+           {"lazy_reg_s", mean_phase_s(job, "lazy_registration")},
+           {"shmem_setup_s", mean_phase_s(job, "shared_memory_setup")},
+           {"other_s", mean_phase_s(job, "init_other")},
+           {"total_s", mean_phase_s(job, "start_pes_total")}});
     }
   }
   // Acceptance anchor: on-demand registration removes the startup
@@ -325,6 +328,7 @@ void bench_fig5(const BenchContext& ctx, telemetry::BenchReport& report) {
   double start_ratio = 0;
   double hello_ratio = 0;
   double odreg_ratio = 0;
+  std::vector<std::pair<std::uint32_t, HelloSample>> proposed_runs;
   for (std::uint32_t pes : pes_list) {
     HelloSample current = hello_sample(ctx, pes, core::current_design());
     HelloSample proposed = hello_sample(ctx, pes, core::proposed_design());
@@ -345,6 +349,11 @@ void bench_fig5(const BenchContext& ctx, telemetry::BenchReport& report) {
                     {"hello_proposed_s", proposed.wall_s},
                     {"hello_odreg_s", odreg.wall_s},
                     {"hello_speedup", hello_ratio}});
+    proposed_runs.emplace_back(pes, std::move(proposed));
+  }
+  // Fig 5b: where the proposed design's start_pes time goes.
+  for (auto& [pes, proposed] : proposed_runs) {
+    report.add_row("breakdown_proposed", pes, std::move(proposed.breakdown));
   }
   // Paper anchors: ~3x / ~8.3x at the top of the sweep.
   report.set_metric("start_speedup_at_max_pes", start_ratio);
@@ -364,6 +373,16 @@ core::ConduitConfig tiered_design(std::uint64_t eager, std::uint64_t rdv,
   conduit.bulk_chunk_bytes = chunk;
   conduit.qp_credits = credits;
   return conduit;
+}
+
+/// The tier-engine knobs of `conduit`, for a report's config block.
+telemetry::JsonValue tier_config(const core::ConduitConfig& conduit) {
+  telemetry::JsonValue knobs = telemetry::JsonValue::object();
+  knobs.set("eager_threshold", conduit.eager_threshold);
+  knobs.set("rendezvous_threshold", conduit.rendezvous_threshold);
+  knobs.set("bulk_chunk_bytes", conduit.bulk_chunk_bytes);
+  knobs.set("qp_credits", conduit.qp_credits);
+  return knobs;
 }
 
 void bench_fig6(const BenchContext& ctx, telemetry::BenchReport& report) {
@@ -394,6 +413,7 @@ void bench_fig6(const BenchContext& ctx, telemetry::BenchReport& report) {
   // above 4 KiB (small transfers stay on the unchanged eager path).
   core::ConduitConfig rdv_conduit = tiered_design(/*eager=*/0,
                                                   /*rdv=*/4 << 10);
+  report.set_config("rendezvous_us_tiers", tier_config(rdv_conduit));
   for (std::uint32_t size : sizes) {
     std::uint32_t n = size >= (256 << 10) ? iters / 10 : iters;
     double stat = pt2pt_loop(ctx, core::current_design(), n, get_op(size));
@@ -550,14 +570,14 @@ void bench_fig8a(const BenchContext& ctx, telemetry::BenchReport& report) {
   auto zoo = kernel_zoo(ctx.quick, /*all_apps=*/!ctx.quick);
   for (std::size_t i = 0; i < zoo.size(); ++i) {
     const auto& [name, kernel] = zoo[i];
-    std::unique_ptr<sim::Engine> engine;
-    std::unique_ptr<shmem::ShmemJob> job;
     bool ok_static = false;
     bool ok_dynamic = false;
-    double stat = kernel_job(ctx, pes, core::current_design(), kernel,
-                             &engine, &job, &ok_static);
-    double dyn = kernel_job(ctx, pes, core::proposed_design(), kernel,
-                            &engine, &job, &ok_dynamic);
+    double stat =
+        kernel_job(ctx, pes, 8, core::current_design(), kernel, &ok_static)
+            .wall_s;
+    double dyn =
+        kernel_job(ctx, pes, 8, core::proposed_design(), kernel, &ok_dynamic)
+            .wall_s;
     report.add_row("wall", static_cast<double>(i),
                    {{"static_s", stat},
                     {"ondemand_s", dyn},
@@ -620,11 +640,9 @@ void bench_fig9(const BenchContext& ctx, telemetry::BenchReport& report) {
     const auto& [name, kernel] = zoo[i];
     std::vector<double> endpoints;
     for (double pes : sizes) {
-      std::unique_ptr<sim::Engine> engine;
-      std::unique_ptr<shmem::ShmemJob> job;
-      (void)kernel_job(ctx, static_cast<std::uint32_t>(pes),
-                       core::proposed_design(), kernel, &engine, &job);
-      endpoints.push_back(mean_endpoints(*job));
+      JobRun run = kernel_job(ctx, static_cast<std::uint32_t>(pes), 8,
+                              core::proposed_design(), kernel);
+      endpoints.push_back(mean_endpoints(*run.job));
     }
     double max_pes = sizes.back();
     // The static design creates N+1 endpoints per process.
@@ -657,14 +675,31 @@ void bench_table1(const BenchContext& ctx, telemetry::BenchReport& report) {
   auto zoo = kernel_zoo(ctx.quick, /*all_apps=*/!ctx.quick);
   for (std::size_t i = 0; i < zoo.size(); ++i) {
     const auto& [name, kernel] = zoo[i];
-    std::unique_ptr<sim::Engine> engine;
-    std::unique_ptr<shmem::ShmemJob> job;
-    (void)kernel_job(ctx, pes, core::proposed_design(), kernel, &engine,
-                     &job);
-    double peers = mean_peers(*job);
+    JobRun run = kernel_job(ctx, pes, 8, core::proposed_design(), kernel);
+    double peers = mean_peers(*run.job);
     report.add_row("peers", static_cast<double>(i),
                    {{"measured", peers}, {"paper_at_256", paper[i].paper}},
                    name);
+  }
+
+  // With the intra-node shm transport a process's peers split into RC
+  // (cross-node) and shm (same-node); only the former cost QPs and LRU
+  // slots. 2DHeat, the zoo's first kernel, at PPN 2/4/8.
+  core::ConduitConfig shm_conduit = core::proposed_design();
+  shm_conduit.intranode_transport = core::IntranodeTransport::kShm;
+  for (std::uint32_t ppn : {2u, 4u, 8u}) {
+    JobRun run = kernel_job(ctx, pes, ppn, shm_conduit, zoo[0].second);
+    double shm_peers = 0;
+    double qps = 0;
+    for (std::uint32_t r = 0; r < pes; ++r) {
+      core::Conduit& c = run.job->conduit_job().conduit(r);
+      shm_peers += static_cast<double>(c.shm_peer_count());
+      qps += static_cast<double>(c.stats().counter("qp_created_rc"));
+    }
+    report.add_row("peer_split_2dheat", ppn,
+                   {{"rc_peers", mean_peers(*run.job)},
+                    {"shm_peers", shm_peers / pes},
+                    {"rc_qps", qps / pes}});
   }
 }
 
@@ -845,6 +880,61 @@ void bench_hello_trace(const BenchContext& ctx,
   std::cout << "  trace: " << trace_path.string() << "\n";
 }
 
+/// Mean same-node put latency (us) between two PEs on one node, measured on
+/// PE 0 after a warm-up put (which absorbs the RC connection setup when the
+/// rc transport is selected).
+double same_node_put_us(const BenchContext& ctx, std::uint32_t ppn,
+                        core::IntranodeTransport transport,
+                        std::uint32_t bytes) {
+  constexpr std::uint32_t kIters = 32;
+  core::ConduitConfig conduit = core::proposed_design();
+  conduit.intranode_transport = transport;
+  sim::Engine engine;
+  shmem::ShmemJob job(engine, seeded_job(ctx, ppn, ppn, conduit));
+  double latency_us = 0;
+  job.spawn_all([bytes, &latency_us](shmem::ShmemPe& pe) -> sim::Task<> {
+    co_await pe.start_pes();
+    shmem::SymAddr slot = pe.heap().allocate(bytes, 8);
+    co_await pe.barrier_all();
+    if (pe.rank() == 0) {
+      std::vector<std::byte> buf(bytes, std::byte{0x5a});
+      co_await pe.put(1, slot, buf);  // warm-up: connection setup, if any
+      sim::Time start = pe.engine().now();
+      for (std::uint32_t i = 0; i < kIters; ++i) {
+        co_await pe.put(1, slot, buf);
+      }
+      latency_us = sim::to_usec(pe.engine().now() - start) / kIters;
+    }
+    co_await pe.barrier_all();
+    co_await pe.finalize();
+  });
+  engine.run();
+  return latency_us;
+}
+
+struct IntranodeQpSample {
+  double rc_qps_total;     // sum of qp_created_rc over all PEs
+  double shm_peers_mean;   // mean distinct shm peers per PE
+};
+
+/// Run hello and count the RC QPs actually created under `transport`.
+IntranodeQpSample hello_qp_sample(const BenchContext& ctx, std::uint32_t pes,
+                                  std::uint32_t ppn,
+                                  core::IntranodeTransport transport) {
+  core::ConduitConfig conduit = core::proposed_design();
+  conduit.intranode_transport = transport;
+  JobRun run = run_job(seeded_job(ctx, pes, ppn, conduit), hello_program);
+  IntranodeQpSample sample{};
+  for (std::uint32_t r = 0; r < pes; ++r) {
+    core::Conduit& conduit_r = run.job->conduit_job().conduit(r);
+    sample.rc_qps_total +=
+        static_cast<double>(conduit_r.stats().counter("qp_created_rc"));
+    sample.shm_peers_mean += static_cast<double>(conduit_r.shm_peer_count());
+  }
+  sample.shm_peers_mean /= pes;
+  return sample;
+}
+
 void bench_ablation_intranode(const BenchContext& ctx,
                               telemetry::BenchReport& report) {
   // 1. Same-node put latency, PPN x message size, rc vs shm.
@@ -856,9 +946,9 @@ void bench_ablation_intranode(const BenchContext& ctx,
                 : std::vector<std::uint32_t>{8, 512, 4096, 65536};
   for (std::uint32_t ppn : ppns) {
     for (std::uint32_t bytes : sizes) {
-      double rc = same_node_put_us(ctx.seed, ppn,
+      double rc = same_node_put_us(ctx, ppn,
                                    core::IntranodeTransport::kRc, bytes);
-      double shm = same_node_put_us(ctx.seed, ppn,
+      double shm = same_node_put_us(ctx, ppn,
                                     core::IntranodeTransport::kShm, bytes);
       report.add_row("put_same_node", static_cast<double>(bytes),
                      {{"rc_us", rc}, {"shm_us", shm}, {"speedup", rc / shm}},
@@ -871,9 +961,9 @@ void bench_ablation_intranode(const BenchContext& ctx,
   report.set_config("qp_pes", static_cast<std::int64_t>(pes));
   for (std::uint32_t ppn : {1u, 2u, 4u}) {
     IntranodeQpSample rc =
-        hello_qp_sample(ctx.seed, pes, ppn, core::IntranodeTransport::kRc);
+        hello_qp_sample(ctx, pes, ppn, core::IntranodeTransport::kRc);
     IntranodeQpSample shm =
-        hello_qp_sample(ctx.seed, pes, ppn, core::IntranodeTransport::kShm);
+        hello_qp_sample(ctx, pes, ppn, core::IntranodeTransport::kShm);
     double reduction = 100.0 * (1.0 - shm.rc_qps_total / rc.rc_qps_total);
     report.add_row("qp_by_ppn", static_cast<double>(ppn),
                    {{"rc_qps", rc.rc_qps_total},
@@ -886,12 +976,81 @@ void bench_ablation_intranode(const BenchContext& ctx,
   std::uint32_t accept_pes = ctx.quick ? 128 : 512;
   report.set_config("accept_pes", static_cast<std::int64_t>(accept_pes));
   IntranodeQpSample rc_accept = hello_qp_sample(
-      ctx.seed, accept_pes, 4, core::IntranodeTransport::kRc);
+      ctx, accept_pes, 4, core::IntranodeTransport::kRc);
   IntranodeQpSample shm_accept = hello_qp_sample(
-      ctx.seed, accept_pes, 4, core::IntranodeTransport::kShm);
+      ctx, accept_pes, 4, core::IntranodeTransport::kShm);
   report.set_metric("qp_reduction_pct_ppn4",
                     100.0 * (1.0 - shm_accept.rc_qps_total /
                                        rc_accept.rc_qps_total));
+}
+
+/// One point of the registration sweep: seeded random RMA traffic over a
+/// multi-chunk heap, with a tunable share of touches confined to a small
+/// hot working set of chunks.
+struct RegSweepConfig {
+  std::uint64_t seed = 1;
+  std::uint32_t pes = 8;
+  std::uint64_t heap_bytes = 256 << 10;
+  std::uint64_t chunk_bytes = 16 << 10;
+  std::uint64_t pin_cap_bytes = 0;  ///< 0 = uncapped
+  /// Probability that a touch lands in the 2-chunk hot set; the rest are
+  /// uniform over the whole heap. 1.0 = perfectly local, 0.0 = scattered.
+  double locality = 1.0;
+  std::uint32_t rounds = 24;
+  bool on_demand = true;  ///< false = eager baseline, same traffic
+};
+
+struct RegSweepSample {
+  double wall_s = 0;
+  double eager_reg_s = 0;    ///< mean start_pes "memory_registration" phase
+  double lazy_reg_s = 0;     ///< mean data-path "lazy_registration" phase
+  double faults = 0;         ///< mean reg_faults_served per PE
+  double evictions = 0;      ///< mean reg_evictions per PE
+  double pinned_hw_bytes = 0;  ///< mean pinned high-water per PE
+};
+
+/// Run the traffic pattern once and collect the registration costs. Every
+/// PE writes 8-byte values to its ring successor at chunk-selected offsets;
+/// PPN is 1 so all traffic takes the RC (registration-checked) path.
+RegSweepSample reg_sweep_sample(const RegSweepConfig& sweep) {
+  core::ConduitConfig conduit = core::proposed_design();
+  shmem::ShmemJobConfig config = paper_job(sweep.pes, 1, conduit);
+  config.shmem.heap_bytes = sweep.heap_bytes;
+  config.job.fabric.seed = sweep.seed;
+  if (sweep.on_demand) {
+    config.shmem.registration = shmem::RegistrationMode::kOnDemand;
+    config.shmem.reg_chunk_bytes = sweep.chunk_bytes;
+    config.shmem.reg_pinned_max_bytes = sweep.pin_cap_bytes;
+  }
+  const auto chunks =
+      static_cast<std::uint32_t>(sweep.heap_bytes / sweep.chunk_bytes);
+  JobRun run = run_job(config, [&sweep, chunks](shmem::ShmemPe& pe)
+                                   -> sim::Task<> {
+    co_await pe.start_pes();
+    co_await pe.barrier_all();
+    const auto dst =
+        static_cast<shmem::RankId>((pe.rank() + 1) % sweep.pes);
+    sim::Rng rng(sweep.seed * 7919 + pe.rank());
+    for (std::uint32_t round = 0; round < sweep.rounds; ++round) {
+      std::uint32_t chunk =
+          rng.chance(sweep.locality)
+              ? static_cast<std::uint32_t>(rng.next_below(2))
+              : static_cast<std::uint32_t>(rng.next_below(chunks));
+      shmem::SymAddr addr =
+          std::uint64_t{chunk} * sweep.chunk_bytes + 8 * pe.rank();
+      co_await pe.put_value<std::uint64_t>(dst, addr, round);
+    }
+    co_await pe.finalize();
+  });
+  shmem::ShmemJob& job = *run.job;
+  RegSweepSample sample;
+  sample.wall_s = run.wall_s;
+  sample.eager_reg_s = mean_phase_s(job, "memory_registration");
+  sample.lazy_reg_s = mean_phase_s(job, "lazy_registration");
+  sample.faults = mean_counter(job, "reg_faults_served");
+  sample.evictions = mean_counter(job, "reg_evictions");
+  sample.pinned_hw_bytes = mean_counter(job, "reg_pinned_highwater_bytes");
+  return sample;
 }
 
 void bench_ablation_registration(const BenchContext& ctx,
@@ -1028,6 +1187,8 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
   core::ConduitConfig eager_conduit =
       tiered_design(/*eager=*/0, /*rdv=*/1ULL << 40);
   core::ConduitConfig rdv_conduit = tiered_design(/*eager=*/0, /*rdv=*/512);
+  report.set_config("mpi_pingpong_eager_tiers", tier_config(eager_conduit));
+  report.set_config("mpi_pingpong_rendezvous_tiers", tier_config(rdv_conduit));
 
   std::vector<double> xs;
   std::vector<double> eager_us;
@@ -1081,6 +1242,9 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
                                    /*chunk=*/16 << 10)},
   };
   for (std::size_t i = 0; i < std::size(tiers); ++i) {
+    report.set_config(std::string("shmem_put_64k_") + tiers[i].label +
+                          "_tiers",
+                      tier_config(tiers[i].conduit));
     double us = pt2pt_loop(ctx, tiers[i].conduit, iters,
                            [&](shmem::ShmemPe& pe,
                                shmem::SymAddr buf) -> sim::Task<> {
@@ -1088,6 +1252,231 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
                            });
     report.add_row("shmem_put_64k", static_cast<double>(i),
                    {{"latency_us", us}}, tiers[i].label);
+  }
+}
+
+void bench_ablation_ingredients(const BenchContext& ctx,
+                                telemetry::BenchReport& report) {
+  // Ablation A1: the proposed design's three changes applied cumulatively
+  // to the static baseline — how much of the startup win each one buys.
+  std::uint32_t pes = ctx.quick ? 256 : 2048;
+  report.set_config("pes", static_cast<std::int64_t>(pes));
+  report.set_config("ppn", std::int64_t{16});
+  core::ConduitConfig conduit = core::current_design();
+  auto step = [&](double x, const char* label) {
+    JobRun run = run_job(seeded_job(ctx, pes, 16, conduit), hello_program);
+    report.add_row("steps", x,
+                   {{"start_pes_s", mean_phase_s(*run.job, "start_pes_total")},
+                    {"hello_s", run.wall_s},
+                    {"endpoints", mean_endpoints(*run.job)}},
+                   label);
+  };
+  step(0, "baseline");
+  conduit.connection_mode = core::ConnectionMode::kOnDemand;
+  step(1, "+ondemand");
+  conduit.pmi_mode = core::PmiMode::kNonBlocking;
+  step(2, "+iallgather");
+  conduit.init_barrier_mode = core::BarrierMode::kIntraNode;
+  step(3, "+intranode_barrier");
+}
+
+void bench_ablation_overlap(const BenchContext& ctx,
+                            telemetry::BenchReport& report) {
+  // Ablation A2 (paper §IV-D): compute inserted between start_pes and the
+  // first communication hides the PMIX_Iallgather exchange. Hidden means
+  // the PMIX_Wait stall drops to zero and wall - work stays constant.
+  std::uint32_t pes = ctx.quick ? 256 : 4096;
+  report.set_config("pes", static_cast<std::int64_t>(pes));
+  report.set_config("ppn", std::int64_t{16});
+  // Strip the trailing bookkeeping from start_pes so the allgather has no
+  // free ride: any overlap must come from the inserted work.
+  report.set_config("init_misc_ns", std::int64_t{0});
+  for (double work_s : {0.0, 0.25, 0.5, 1.0, 2.0}) {
+    apps::HelloParams params;
+    params.work = static_cast<sim::Time>(work_s * 1e9);
+    shmem::ShmemJobConfig config =
+        seeded_job(ctx, pes, 16, core::proposed_design());
+    config.shmem.init_misc = 0;
+    JobRun run = run_job(config, [params](shmem::ShmemPe& pe) -> sim::Task<> {
+      co_await apps::hello_pe(pe, params);
+    });
+    double wait_us = 1e6 * mean_phase_s(*run.job, "pmi_wait");
+    report.add_row("overlap", work_s,
+                   {{"wall_s", run.wall_s},
+                    {"wall_minus_work_s", run.wall_s - work_s},
+                    {"pmix_wait_us", wait_us}});
+  }
+}
+
+void bench_ablation_bulk_model(const BenchContext& ctx,
+                               telemetry::BenchReport& report) {
+  // Ablation A4: above bulk_connect_threshold the static connector charges
+  // the N^2 mesh analytically instead of simulating every handshake
+  // (DESIGN.md §2). Sweep sizes where both paths are affordable.
+  std::vector<std::uint32_t> pes_list =
+      ctx.quick ? std::vector<std::uint32_t>{64, 128, 256}
+                : std::vector<std::uint32_t>{64, 128, 256, 512};
+  constexpr std::uint32_t kModeled = 8;
+  constexpr std::uint32_t kSimulated = 100000;
+  set_pes_config(report, pes_list);
+  report.set_config("ppn", std::int64_t{16});
+  report.set_config("modeled_bulk_connect_threshold", kModeled);
+  report.set_config("simulated_bulk_connect_threshold", kSimulated);
+  auto start_pes_s = [&](std::uint32_t pes, std::uint32_t threshold) {
+    core::ConduitConfig conduit = core::current_design();
+    conduit.bulk_connect_threshold = threshold;
+    JobRun run = run_job(seeded_job(ctx, pes, 16, conduit), hello_program);
+    return mean_phase_s(*run.job, "start_pes_total");
+  };
+  for (std::uint32_t pes : pes_list) {
+    double simulated = start_pes_s(pes, kSimulated);
+    double modeled = start_pes_s(pes, kModeled);
+    report.add_row("bulk_model", pes,
+                   {{"simulated_s", simulated},
+                    {"modeled_s", modeled},
+                    {"error_pct", 100.0 * (modeled - simulated) / simulated}});
+  }
+}
+
+/// Mean put latency (us) of a ring exchange with the HCA's QP-context cache
+/// modeled. The traffic touches 2 QPs per PE either way; what differs is
+/// how many contexts each HCA holds: the static mesh keeps ppn * N resident
+/// and thrashes the cache, the on-demand design only what the ring uses.
+double ring_put_us(const BenchContext& ctx, std::uint32_t pes,
+                   core::ConduitConfig conduit, std::uint32_t cache_qps,
+                   sim::Time penalty) {
+  shmem::ShmemJobConfig config = seeded_job(ctx, pes, 8, conduit);
+  config.job.fabric.hca_cache_qps = cache_qps;
+  config.job.fabric.cache_miss_penalty = penalty;
+  constexpr std::uint32_t kOps = 200;
+  double latency_us = 0;
+  (void)run_job(config, [&](shmem::ShmemPe& pe) -> sim::Task<> {
+    co_await pe.start_pes();
+    shmem::SymAddr slot = pe.heap().allocate(8ULL * pes, 8);
+    co_await pe.barrier_all();
+    shmem::RankId right = (pe.rank() + 1) % pes;
+    // Warmup: establish the ring connection.
+    co_await pe.put_value<std::uint64_t>(right, slot + 8ULL * pe.rank(), 0);
+    co_await pe.barrier_all();
+    sim::Time t0 = pe.engine().now();
+    for (std::uint32_t op = 0; op < kOps; ++op) {
+      co_await pe.put_value<std::uint64_t>(right, slot + 8ULL * pe.rank(),
+                                           op);
+    }
+    if (pe.rank() == 0) {
+      latency_us = sim::to_usec(pe.engine().now() - t0) / kOps;
+    }
+    co_await pe.finalize();
+  });
+  return latency_us;
+}
+
+void bench_ablation_hca_cache(const BenchContext& ctx,
+                              telemetry::BenchReport& report) {
+  // Ablation A5 (paper §I, motivation 3): a fully connected mesh blows the
+  // on-HCA QP-context cache, so every operation pays a context fetch even
+  // for a neighbor-only working set. The penalty is off by default.
+  std::uint32_t pes = ctx.quick ? 128 : 512;
+  constexpr std::uint32_t kCacheQps = 256;
+  report.set_config("pes", static_cast<std::int64_t>(pes));
+  report.set_config("ppn", std::int64_t{8});
+  report.set_config("hca_cache_qps", kCacheQps);
+  for (sim::Time penalty : {sim::Time(0), 200 * sim::nsec, 400 * sim::nsec,
+                            800 * sim::nsec}) {
+    double stat =
+        ring_put_us(ctx, pes, core::current_design(), kCacheQps, penalty);
+    double dyn =
+        ring_put_us(ctx, pes, core::proposed_design(), kCacheQps, penalty);
+    report.add_row("ring_put", static_cast<double>(penalty),
+                   {{"static_us", stat},
+                    {"ondemand_us", dyn},
+                    {"overhead_pct", 100.0 * (stat - dyn) / dyn}});
+  }
+}
+
+void bench_ablation_eviction(const BenchContext& ctx,
+                             telemetry::BenchReport& report) {
+  // Ablation A6 (adaptive connection management, Yu et al. IPDPS'06): an
+  // LRU cap on live connections trades endpoint memory for re-handshake
+  // churn. Every PE puts to a 12-peer working set for three rounds; x is
+  // the cap, 0 = unlimited (the paper's on-demand design).
+  constexpr std::uint32_t kPes = 64;
+  constexpr std::uint32_t kWorkingSet = 12;
+  report.set_config("pes", std::int64_t{kPes});
+  report.set_config("ppn", std::int64_t{8});
+  report.set_config("working_set", kWorkingSet);
+  report.set_config("rounds", std::int64_t{3});
+  for (std::uint32_t cap : {0u, 16u, 8u, 4u, 2u}) {
+    shmem::ShmemJobConfig config =
+        seeded_job(ctx, kPes, 8, core::proposed_design());
+    config.job.conduit.max_active_connections = cap;
+    JobRun run = run_job(config, [](shmem::ShmemPe& pe) -> sim::Task<> {
+      co_await pe.start_pes();
+      shmem::SymAddr slot = pe.heap().allocate(8ULL * kPes, 8);
+      co_await pe.barrier_all();
+      for (std::uint64_t round = 0; round < 3; ++round) {
+        for (std::uint32_t k = 1; k <= kWorkingSet; ++k) {
+          auto peer = static_cast<shmem::RankId>((pe.rank() + k * 5) % kPes);
+          if (peer == pe.rank()) continue;
+          co_await pe.put_value<std::uint64_t>(peer, slot + 8ULL * pe.rank(),
+                                               round);
+        }
+      }
+      co_await pe.finalize();
+    });
+    double live = 0;
+    for (std::uint32_t r = 0; r < kPes; ++r) {
+      live += static_cast<double>(
+          run.job->conduit_job().conduit(r).connected_peer_count());
+    }
+    report.add_row("cap", cap,
+                   {{"wall_s", run.wall_s},
+                    {"live_conns", live / kPes},
+                    {"qps_made", mean_counter(*run.job, "qp_created_rc")},
+                    {"evictions", mean_counter(*run.job, "conn_evictions")}});
+  }
+}
+
+void bench_ablation_bootstrap(const BenchContext& ctx,
+                              telemetry::BenchReport& report) {
+  // Ablation A7: out-of-band bootstrap for the on-demand design — blocking
+  // Put/Fence/Get (PMI2), PMIX_Iallgather (the paper's proposal), and
+  // PMIX_Ring + InfiniBand dissemination. Every PE's first put goes to a
+  // far peer, where the non-blocking bootstraps pay their deferred wait.
+  std::vector<std::uint32_t> pes_list =
+      ctx.quick ? std::vector<std::uint32_t>{128, 256}
+                : std::vector<std::uint32_t>{1024, 4096};
+  set_pes_config(report, pes_list);
+  report.set_config("ppn", std::int64_t{16});
+  const std::pair<const char*, core::PmiMode> modes[] = {
+      {"blocking", core::PmiMode::kBlocking},
+      {"iallgather", core::PmiMode::kNonBlocking},
+      {"ring", core::PmiMode::kRing},
+  };
+  for (std::uint32_t pes : pes_list) {
+    for (const auto& [name, mode] : modes) {
+      core::ConduitConfig conduit = core::proposed_design();
+      conduit.pmi_mode = mode;
+      JobRun run = run_job(seeded_job(ctx, pes, 16, conduit),
+                           [pes](shmem::ShmemPe& pe) -> sim::Task<> {
+                             co_await pe.start_pes();
+                             shmem::SymAddr slot = pe.heap().allocate(8);
+                             shmem::RankId far = (pe.rank() + pes / 2) % pes;
+                             co_await pe.put_value<std::uint64_t>(far, slot,
+                                                                  pe.rank());
+                             co_await pe.finalize();
+                           });
+      shmem::ShmemJob& job = *run.job;
+      report.add_row(
+          "bootstrap", pes,
+          {{"start_pes_s", mean_phase_s(job, "start_pes_total")},
+           {"exchange_wait_ms", 1e3 * (mean_phase_s(job, "pmi_wait") +
+                                       mean_phase_s(job, "pmi_exchange"))},
+           {"oob_kib",
+            static_cast<double>(job.conduit_job().pmi().oob_bytes_moved()) /
+                1024.0}},
+          name);
+    }
   }
 }
 
@@ -1110,8 +1499,26 @@ const std::vector<BenchDef>& registry() {
        bench_fig9},
       {"table1_peer_counts", "communicating peers per process (paper Table I)",
        bench_table1},
+      {"ablation_ingredients",
+       "startup ingredients applied cumulatively (ablation A1)",
+       bench_ablation_ingredients},
+      {"ablation_overlap",
+       "PMI exchange hidden beneath computation (ablation A2)",
+       bench_ablation_overlap},
       {"ablation_ud_loss", "handshake robustness under UD loss (ablation A3)",
        bench_ud_loss},
+      {"ablation_bulk_model",
+       "bulk static-connect model vs simulated handshakes (ablation A4)",
+       bench_ablation_bulk_model},
+      {"ablation_hca_cache",
+       "HCA QP-context cache pressure, static vs on-demand (ablation A5)",
+       bench_ablation_hca_cache},
+      {"ablation_eviction",
+       "LRU connection cap: endpoints vs re-handshake churn (ablation A6)",
+       bench_ablation_eviction},
+      {"ablation_bootstrap",
+       "blocking vs Iallgather vs ring bootstrap (ablation A7)",
+       bench_ablation_bootstrap},
       {"ablation_intranode",
        "intra-node shm transport: latency + RC QP savings at PPN > 1",
        bench_ablation_intranode},
@@ -1224,7 +1631,8 @@ int main(int argc, char** argv) {
       std::cerr << "run_all: failed to write " << path.string() << "\n";
       return 1;
     }
-    std::cout << "  wrote " << path.string() << "\n";
+    std::cout << "  wrote " << path.string() << "\n\n";
+    report.write_table(std::cout);
     ++ran;
   }
   std::cout << "run_all: " << ran << " benches done\n";

@@ -25,6 +25,17 @@ if grep -rn "QueuePair" src/shmem src/mpi src/apps src/check; then
   exit 1
 fi
 
+echo "==> bench guard: one definition per figure, in run_all's registry"
+# bench/ builds exactly four tools; a figure/table/ablation binary beside
+# run_all would be a second definition that can drift from the registry.
+tools='run_all|check_sweep|schema_check|micro_engine'
+if grep -E '^[[:space:]]*add_executable\(' bench/CMakeLists.txt |
+    grep -vE "add_executable\((${tools}) "; then
+  echo "ci.sh: bench/CMakeLists.txt defines a standalone executable;" \
+    "register the bench in bench/run_all.cpp instead" >&2
+  exit 1
+fi
+
 echo "==> repository benchmark self-test (about two minutes)"
 # Pins the per-layer counters (bulk_tier_*, credit_stalls, reg_*) the
 # benchmark reads, and its run-to-run determinism.

@@ -436,7 +436,9 @@ class Conduit {
     return connected_count_;
   }
   void maybe_evict(RankId just_connected);
-  sim::Task<> evict_connection(RankId victim);
+  /// Send the eviction notice on `qp`, the victim's QP when it was marked
+  /// kDraining, and retire it unless the drain resolved meanwhile.
+  sim::Task<> evict_connection(RankId victim, fabric::QueuePair* qp);
   void retire_qp(RankId rank, Peer& peer);
   /// Destroy the slot's retired QP once its work queue drains (called at
   /// the drain-resolution points, so `retired_qps_` stays bounded under

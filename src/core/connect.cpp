@@ -484,13 +484,12 @@ void Conduit::maybe_evict(RankId just_connected) {
     stats_.add("conn_evictions");
     trace("conn.evict", "lru victim " + std::to_string(victim_rank));
     ++pending_evictions_;
-    engine().spawn(evict_connection(victim_rank));
+    engine().spawn(evict_connection(victim_rank, victim->qp));
   }
 }
 
-sim::Task<> Conduit::evict_connection(RankId victim) {
+sim::Task<> Conduit::evict_connection(RankId victim, fabric::QueuePair* qp) {
   Peer& p = peer(victim);
-  fabric::QueuePair* qp = p.qp;
   if (victim == rank_) {
     // Self connection: no protocol needed; reclaim immediately.
     retire_qp(victim, p);
@@ -515,6 +514,12 @@ sim::Task<> Conduit::evict_connection(RankId victim) {
     // ack — leaves that ack to complete with an error at the peer (which
     // discards it), and a stale ack arriving here in any phase other than
     // kDraining is ignored by handle_disconnect_ack.
+    //
+    // The notice goes out on the QP captured at eviction time, even when
+    // the peer's crossing notice already resolved our drain and retired it
+    // before this task first ran: the peer is draining too and only our
+    // notice resolves its side. The retired QP stays alive until this send
+    // completes (reclaim_retired waits for the work queue to empty).
     AmPacket notice{/*handler=*/2, rank_, {}};
     (void)co_await qp->send(notice.encode());
     // While the notice was in flight the drain may already have resolved
@@ -557,10 +562,14 @@ void Conduit::reclaim_retired(Peer& peer) {
     // may still be awaiting their completions on this QP. Wait for the work
     // queue to empty, then one extra tick so any coroutine resumed by the
     // last completion runs to its suspension point before the object dies.
-    while (qp->outstanding() != 0) {
+    // Re-check after that tick: an eviction task spawned at the same
+    // instant may post its notice on this QP after the first check.
+    do {
+      while (qp->outstanding() != 0) {
+        co_await c.engine().delay(sim::usec);
+      }
       co_await c.engine().delay(sim::usec);
-    }
-    co_await c.engine().delay(sim::usec);
+    } while (qp->outstanding() != 0);
     std::erase(c.retired_qps_, qp);
     co_await c.hca().destroy_qp(qp->qpn());
     c.stats_.add("qp_retired_reclaimed");

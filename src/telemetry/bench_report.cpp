@@ -1,6 +1,25 @@
 #include "telemetry/bench_report.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
 namespace odcm::telemetry {
+
+namespace {
+
+/// Integers print exactly, everything else with six significant digits.
+std::string table_cell(double value) {
+  char buf[32];
+  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", value);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.6g", value);
+  }
+  return buf;
+}
+
+}  // namespace
 
 void BenchReport::set_metrics_from(const MetricsRegistry& registry,
                                    const std::string& prefix) {
@@ -48,6 +67,63 @@ JsonValue BenchReport::to_json() const {
 void BenchReport::write(std::ostream& out) const {
   to_json().write(out, 2);
   out << "\n";
+}
+
+void BenchReport::write_table(std::ostream& out) const {
+  std::vector<std::string> names;
+  for (const JsonValue& row : series_.items()) {
+    const std::string& name = row.find("name")->as_string();
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      names.push_back(name);
+    }
+  }
+  for (const std::string& name : names) {
+    std::vector<const JsonValue*> rows;
+    std::vector<std::string> columns;
+    bool labels = false;
+    for (const JsonValue& row : series_.items()) {
+      if (row.find("name")->as_string() != name) continue;
+      rows.push_back(&row);
+      labels = labels || row.find("label") != nullptr;
+      for (const auto& [column, value] : row.find("values")->members()) {
+        if (std::find(columns.begin(), columns.end(), column) ==
+            columns.end()) {
+          columns.push_back(column);
+        }
+      }
+    }
+    std::vector<std::vector<std::string>> cells(1, {"x"});
+    if (labels) cells[0].push_back("label");
+    cells[0].insert(cells[0].end(), columns.begin(), columns.end());
+    for (const JsonValue* row : rows) {
+      std::vector<std::string>& line = cells.emplace_back();
+      line.push_back(table_cell(row->find("x")->as_double()));
+      if (labels) {
+        const JsonValue* label = row->find("label");
+        line.push_back(label != nullptr ? label->as_string() : "");
+      }
+      const JsonValue& values = *row->find("values");
+      for (const std::string& column : columns) {
+        const JsonValue* value = values.find(column);
+        line.push_back(value != nullptr ? table_cell(value->as_double())
+                                        : "-");
+      }
+    }
+    std::vector<std::size_t> widths(cells[0].size(), 0);
+    for (const auto& line : cells) {
+      for (std::size_t c = 0; c < line.size(); ++c) {
+        widths[c] = std::max(widths[c], line[c].size());
+      }
+    }
+    out << name << "\n";
+    for (const auto& line : cells) {
+      for (std::size_t c = 0; c < line.size(); ++c) {
+        out << std::string(widths[c] - line[c].size() + 2, ' ') << line[c];
+      }
+      out << "\n";
+    }
+    out << "\n";
+  }
 }
 
 bool BenchReport::validate(const JsonValue& doc, std::string* error) {

@@ -67,6 +67,11 @@ class BenchReport {
   [[nodiscard]] JsonValue to_json() const;
   /// Pretty-printed JSON document with trailing newline (the on-disk form).
   void write(std::ostream& out) const;
+  /// Human-readable form of the series: one block per series name (in
+  /// order of first appearance), one line per row, columns x / label /
+  /// values. The label column appears only when some row has a label; a
+  /// value a row lacks prints as "-".
+  void write_table(std::ostream& out) const;
 
   /// Validate a parsed document against the schema; on failure, `error`
   /// receives a description. Used by `bench/schema_check` and the tests.

@@ -170,5 +170,30 @@ TEST(BenchReport, ValidatorRejectsBrokenDocuments) {
                        R"("series":[{"name":"s","x":1,"values":{"v":2}}]})"));
 }
 
+TEST(BenchReport, WriteTableRendersOneBlockPerSeries) {
+  // Rows of two series interleave; each series becomes one block with the
+  // union of its value columns, "-" where a row lacks one.
+  BenchReport report("demo", 1);
+  report.add_row("latency", 8, {{"static_us", 1.5}, {"ondemand_us", 1.25}},
+                 "8B");
+  report.add_row("peers", 0, {{"measured", 4.7}});
+  report.add_row("latency", 1024, {{"static_us", 2.0}, {"diff_pct", -0.125}},
+                 "1KiB");
+  report.add_row("peers", 1, {{"measured", 1234567.5}});
+  std::ostringstream out;
+  report.write_table(out);
+  EXPECT_EQ(out.str(),
+            "latency\n"
+            "     x  label  static_us  ondemand_us  diff_pct\n"
+            "     8     8B        1.5         1.25         -\n"
+            "  1024   1KiB          2            -    -0.125\n"
+            "\n"
+            "peers\n"
+            "  x     measured\n"
+            "  0          4.7\n"
+            "  1  1.23457e+06\n"
+            "\n");
+}
+
 }  // namespace
 }  // namespace odcm::telemetry
