@@ -34,92 +34,15 @@ bool legal_transition(PeerPhase from, PeerPhase to, PeerRole role) {
 
 }  // namespace
 
-std::string InvariantChecker::format(const ProtocolEvent& event) {
-  std::ostringstream out;
-  out << "pe" << event.self << " peer=" << event.peer << " ";
-  switch (event.kind) {
-    case ProtocolEvent::Kind::kPhaseChange:
-      out << to_string(event.from) << "->" << to_string(event.to)
-          << " role=" << to_string(event.role);
-      break;
-    case ProtocolEvent::Kind::kRetransmit:
-      out << "retransmit attempt=" << event.attempt;
-      break;
-    case ProtocolEvent::Kind::kConnectFailed:
-      out << "connect-failed attempts=" << event.attempt;
-      break;
-    case ProtocolEvent::Kind::kReplyResend: out << "reply-resend"; break;
-    case ProtocolEvent::Kind::kCollision: out << "collision"; break;
-    case ProtocolEvent::Kind::kRequestHeld: out << "request-held"; break;
-    case ProtocolEvent::Kind::kQpBound: out << "qp-bound"; break;
-    case ProtocolEvent::Kind::kQpUnbound: out << "qp-unbound"; break;
-    case ProtocolEvent::Kind::kPayloadInstalled:
-      out << "payload-installed";
-      break;
-    case ProtocolEvent::Kind::kRdmaIssued: out << "rdma-issued"; break;
-    case ProtocolEvent::Kind::kShmIssued: out << "shm-issued"; break;
-    case ProtocolEvent::Kind::kRegFault:
-      out << "reg-fault chunk=" << event.attempt;
-      break;
-    case ProtocolEvent::Kind::kRegFaultServed:
-      out << "reg-fault-served chunk=" << event.attempt
-          << " rkey=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kRegChunkPinned:
-      out << "reg-pinned chunk=" << event.attempt
-          << " rkey=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kRegChunkEvicted:
-      out << "reg-evicted chunk=" << event.attempt
-          << " rkey=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kRegChunkDeregistered:
-      out << "reg-deregistered chunk=" << event.attempt
-          << " rkey=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kRegRkeyInvalidated:
-      out << "reg-rkey-invalidated chunk=" << event.attempt
-          << " rkey=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kRegRkeyUsed:
-      out << "reg-rkey-used chunk=" << event.attempt
-          << " rkey=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kRtsIssued:
-      out << "rts seq=" << event.attempt << " len=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kCtsIssued:
-      out << "cts seq=" << event.attempt;
-      break;
-    case ProtocolEvent::Kind::kRendezvousDone:
-      out << "rendezvous-done seq=" << event.attempt
-          << (event.detail != 0 ? " (aborted)" : "");
-      break;
-    case ProtocolEvent::Kind::kCreditStall:
-      out << "credit-stall ns=" << event.detail;
-      break;
-    case ProtocolEvent::Kind::kBulkFragmentSent:
-      out << "frag-sent seq=" << event.detail << " idx=" << event.attempt;
-      break;
-    case ProtocolEvent::Kind::kBulkFragmentDelivered:
-      out << "frag-delivered seq=" << event.detail
-          << " idx=" << event.attempt;
-      break;
-  }
-  return out.str();
-}
-
 void InvariantChecker::remember(const ProtocolEvent& event) {
-  if (history_.size() == options_.history_limit) {
-    history_.pop_front();
-  }
-  history_.push_back(format(event));
+  if (history_.size() == kHistoryLimit) history_.pop_front();
+  history_.push_back(event);
 }
 
 std::string InvariantChecker::history() const {
   std::ostringstream out;
-  for (const std::string& line : history_) {
-    out << "  " << line << "\n";
+  for (const ProtocolEvent& past : history_) {
+    out << "  " << core::describe(past) << "\n";
   }
   return out.str();
 }
@@ -128,7 +51,7 @@ void InvariantChecker::fail(const ProtocolEvent& event,
                             const std::string& reason) const {
   std::ostringstream out;
   out << "protocol invariant violated: " << reason << "\n  at event: ["
-      << format(event) << "]\n  recent events (oldest first):\n"
+      << core::describe(event) << "]\n  recent events (oldest first):\n"
       << history();
   throw InvariantViolation(out.str());
 }

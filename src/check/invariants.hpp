@@ -57,8 +57,6 @@ class InvariantChecker final : public core::ProtocolObserver {
     /// The workload installed payload hooks, so non-static remote
     /// connections must install the peer payload before kConnected.
     bool payloads_expected = false;
-    /// Recent events kept for the violation report.
-    std::size_t history_limit = 48;
     /// The job routes same-node traffic over the shared-memory transport
     /// (`ConduitConfig::intranode_transport == kShm`). Same-node pairs
     /// then legitimately produce *zero* ConnectRequest/handshake events;
@@ -78,6 +76,9 @@ class InvariantChecker final : public core::ProtocolObserver {
     /// the pin cap (0 = assume every chunk is full-sized).
     std::uint64_t reg_heap_bytes = 0;
   };
+
+  /// Recent events kept for the violation report.
+  static constexpr std::size_t kHistoryLimit = 48;
 
   InvariantChecker() = default;
   explicit InvariantChecker(Options options) : options_(options) {}
@@ -144,7 +145,6 @@ class InvariantChecker final : public core::ProtocolObserver {
   void check_bulk_event(const core::ProtocolEvent& event);
   [[nodiscard]] std::uint64_t reg_chunk_len(std::uint32_t chunk) const;
   void remember(const core::ProtocolEvent& event);
-  [[nodiscard]] static std::string format(const core::ProtocolEvent& event);
 
   Options options_{};
   std::map<PairKey, PairState> pairs_{};
@@ -156,7 +156,8 @@ class InvariantChecker final : public core::ProtocolObserver {
   std::map<PairKey, std::set<std::uint64_t>> reg_invalidated_{};
   /// Bulk streams, keyed by (initiator, target, sequence).
   std::map<RdvKey, RdvState> rdv_{};
-  std::deque<std::string> history_{};
+  /// The last kHistoryLimit events, formatted only when reported.
+  std::deque<core::ProtocolEvent> history_{};
   std::uint64_t events_seen_ = 0;
 };
 

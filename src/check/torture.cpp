@@ -147,7 +147,7 @@ TortureResult run_case(const TortureCase& c) {
   options.intranode_shm = c.mode == TortureMode::kShm;
   options.ranks_per_node = c.ppn;
   InvariantChecker checker(options);
-  job.set_observer(&checker);
+  job.add_observer(&checker);
 
   // Per-rank RMA targets and traffic bookkeeping (the sim is single
   // threaded, so plain shared vectors are race free).

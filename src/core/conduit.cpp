@@ -89,7 +89,7 @@ sim::Task<> Conduit::init() {
 
   if (config().connection_mode == ConnectionMode::kOnDemand) {
     {
-      sim::PhaseTimer timer(engine(), stats_, "connection_setup");
+      sim::PhaseTimer timer(engine(), &stats_, "connection_setup");
       ud_qp_ = co_await hca().create_qp(fabric::QpType::kUd, rank_);
       co_await ud_qp_->to_rts();
       stats_.add("qp_created_ud");
@@ -98,7 +98,7 @@ sim::Task<> Conduit::init() {
     ++listener_count_;
     engine().spawn(ud_listener());
     {
-      sim::PhaseTimer timer(engine(), stats_, "pmi_exchange");
+      sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");
       co_await publish_ud_endpoint();
     }
   } else if (size() > config().bulk_connect_threshold) {
@@ -352,7 +352,6 @@ sim::Task<> Conduit::shm_export(fabric::AddressSpace& space,
   }
   co_await shm_domain().export_segment(rank_, space, base, len);
   stats_.add("shm_segment_exported");
-  trace("shm", "exported segment");
 }
 
 sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
@@ -584,7 +583,7 @@ sim::Task<fabric::EndpointAddr> Conduit::resolve_ud(RankId dst) {
   if (ud_table_[dst]) {
     co_return *ud_table_[dst];
   }
-  sim::PhaseTimer timer(engine(), stats_, "pmi_wait");
+  sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
   if (config().pmi_mode == PmiMode::kRing) {
     // The ring dissemination fills the table in the background; wait for
     // completion (first-communication semantics, like PMIX_Wait).

@@ -45,7 +45,6 @@
 #include "pmi/pmi.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
-#include "sim/trace.hpp"
 
 namespace odcm::core {
 
@@ -391,11 +390,8 @@ class Conduit {
   /// The peer slot for `rank`, or nullptr if never touched (const paths).
   [[nodiscard]] const Peer* find_peer(RankId rank) const noexcept;
 
-  /// Record a connection-protocol trace event (no-op unless the job tracer
-  /// is enabled).
-  void trace(std::string_view category, std::string text);
-
-  /// Report `event` (with `self` filled in) to the job's protocol observer.
+  /// Report `event` (with `self` and `time` filled in) to every observer
+  /// attached to the job.
   void notify(ProtocolEvent event);
   /// Move `peer_rank`'s state machine to `next`, reporting the transition.
   /// Every phase mutation must go through here so observers see the full
@@ -655,22 +651,10 @@ class ConduitJob {
   /// Aggregate stats over all conduits.
   [[nodiscard]] sim::StatSet aggregate_stats() const;
 
-  /// Job-wide event tracer (disabled by default; enable before running to
-  /// capture the connection-protocol event stream).
-  [[nodiscard]] sim::Tracer& tracer() noexcept { return tracer_; }
-
-  /// Install the primary protocol observer (e.g. `check::InvariantChecker`);
-  /// it must outlive the job run. Pass nullptr to detach.
-  void set_observer(ProtocolObserver* observer) noexcept {
-    observer_ = observer;
-  }
-  [[nodiscard]] ProtocolObserver* observer() const noexcept {
-    return observer_;
-  }
-
-  /// Attach an additional observer (e.g. `telemetry::ConnectionTimeline`).
-  /// Observers are notified in attachment order, after the primary one.
-  /// Every observer must outlive the job run or detach itself first.
+  /// Attach a protocol observer (`check::InvariantChecker`,
+  /// `telemetry::ConnectionTimeline`, `EventLog`, ...). Observers are
+  /// notified in attachment order; attaching one twice is a no-op. Every
+  /// observer must outlive the job run or detach itself first.
   void add_observer(ProtocolObserver* observer);
   void remove_observer(ProtocolObserver* observer);
 
@@ -690,9 +674,7 @@ class ConduitJob {
   std::unique_ptr<pmi::JobManager> pmi_;
   std::vector<std::unique_ptr<Conduit>> conduits_{};
   std::vector<std::unique_ptr<NodeBarrier>> node_barriers_{};
-  sim::Tracer tracer_{};
-  ProtocolObserver* observer_ = nullptr;
-  std::vector<ProtocolObserver*> extra_observers_{};
+  std::vector<ProtocolObserver*> observers_{};
 };
 
 }  // namespace odcm::core

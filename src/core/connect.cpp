@@ -10,35 +10,19 @@
 
 namespace odcm::core {
 
-void Conduit::trace(std::string_view category, std::string text) {
-  sim::Tracer& tracer = job_.tracer();
-  if (tracer.enabled()) {
-    tracer.record(engine().now(), category, rank_, std::move(text));
-  }
-}
-
 void Conduit::notify(ProtocolEvent event) {
-  if (job_.observer_ != nullptr || !job_.extra_observers_.empty()) {
-    event.self = rank_;
-    event.time = engine().now();
-    if (job_.observer_ != nullptr) job_.observer_->on_event(event);
-    for (ProtocolObserver* obs : job_.extra_observers_) obs->on_event(event);
-  }
+  if (job_.observers_.empty()) return;
+  event.self = rank_;
+  event.time = engine().now();
+  for (ProtocolObserver* obs : job_.observers_) obs->on_event(event);
 }
 
 void Conduit::set_phase(RankId peer_rank, Peer& p, PeerPhase next) {
-  if (job_.observer_ != nullptr || !job_.extra_observers_.empty()) {
-    ProtocolEvent event;
-    event.kind = ProtocolEvent::Kind::kPhaseChange;
-    event.self = rank_;
-    event.peer = peer_rank;
-    event.from = p.phase;
-    event.to = next;
-    event.role = p.role;
-    event.time = engine().now();
-    if (job_.observer_ != nullptr) job_.observer_->on_event(event);
-    for (ProtocolObserver* obs : job_.extra_observers_) obs->on_event(event);
-  }
+  notify({.kind = ProtocolEvent::Kind::kPhaseChange,
+          .peer = peer_rank,
+          .from = p.phase,
+          .to = next,
+          .role = p.role});
   // This is the single phase-mutation funnel, so the exact connected count
   // and the (last_used, rank) LRU list are maintained here. A freshly
   // established connection is stamped "used now" on BOTH the client and
@@ -171,7 +155,6 @@ sim::Task<> Conduit::self_connect() {
 sim::Task<> Conduit::client_connect(RankId dst, std::uint32_t serial) {
   Peer& p = peer(dst);
   stats_.add("conn_requests_initiated");
-  trace("conn.initiate", "to " + std::to_string(dst));
   fabric::EndpointAddr peer_ud = co_await resolve_ud(dst);
   if (p.connect_serial != serial || p.phase != Peer::Phase::kRequesting) {
     // Superseded while resolving: a collision takeover made us the server,
@@ -224,8 +207,6 @@ sim::Task<> Conduit::client_connect(RankId dst, std::uint32_t serial) {
       // retry from scratch); waiters observe the epoch bump across their
       // wait and rethrow fail_reason.
       stats_.add("conn_failures");
-      trace("conn.fail", "to " + std::to_string(dst) + " after " +
-                             std::to_string(attempts) + " attempts");
       notify({.kind = ProtocolEvent::Kind::kConnectFailed,
               .peer = dst,
               .attempt = attempts});
@@ -243,9 +224,6 @@ sim::Task<> Conduit::client_connect(RankId dst, std::uint32_t serial) {
     }
     if (attempts > 0) {
       stats_.add("conn_retransmits");
-      trace("conn.retransmit",
-            "to " + std::to_string(dst) + " attempt " +
-                std::to_string(attempts));
       notify({.kind = ProtocolEvent::Kind::kRetransmit,
               .peer = dst,
               .attempt = attempts});
@@ -281,7 +259,6 @@ void Conduit::handle_conn_request(ConnectPacket packet,
       if (p.role == Peer::Role::kServer && p.cached_reply != nullptr) {
         // Our reply was lost and the client retransmitted: resend it.
         stats_.add("conn_reply_resends");
-        trace("conn.reply_resend", "to " + std::to_string(src));
         notify({.kind = ProtocolEvent::Kind::kReplyResend, .peer = src});
         sim::spawn_discard(engine(),
                            ud_qp_->send_ud(p.reply_to.lid, p.reply_to.qpn,
@@ -294,7 +271,6 @@ void Conduit::handle_conn_request(ConnectPacket packet,
       // by its peer and absorbed here.
       if (src < rank_) {
         stats_.add("conn_collisions");
-        trace("conn.collision", "with " + std::to_string(src));
         notify({.kind = ProtocolEvent::Kind::kCollision, .peer = src});
         set_phase(src, p, Peer::Phase::kEstablishing);
         engine().spawn(serve_request(src, packet.rc_addr,
@@ -340,7 +316,6 @@ sim::Task<> Conduit::serve_request(RankId src,
   // the client's retransmission covers the delay.
   if (ready_gate_ && !ready_gate_->is_open()) {
     stats_.add("conn_requests_held");
-    trace("conn.held", "request from " + std::to_string(src));
     notify({.kind = ProtocolEvent::Kind::kRequestHeld, .peer = src});
     co_await ready_gate_->wait();
   }
@@ -381,7 +356,6 @@ sim::Task<> Conduit::serve_request(RankId src,
   p.role = Peer::Role::kServer;
   set_phase(src, p, Peer::Phase::kConnected);
   stats_.add("connections_established");
-  trace("conn.established", "server side with " + std::to_string(src));
   (void)co_await ud_qp_->send_ud(reply_to.lid, reply_to.qpn, p.cached_reply);
   open_established(engine(), p);
   after_established(src);
@@ -412,7 +386,6 @@ sim::Task<> Conduit::finish_client(RankId src,
   }
   set_phase(src, p, Peer::Phase::kConnected);
   stats_.add("connections_established");
-  trace("conn.established", "client side with " + std::to_string(src));
   open_established(engine(), p);
   after_established(src);
 }
@@ -434,7 +407,6 @@ void Conduit::after_established(RankId src) {
     // request doubled as its ack), so the notice is stale — dropping it
     // keeps both sides on the fresh connection.
     stats_.add("conn_stale_notices_dropped");
-    trace("conn.stale_notice", "from " + std::to_string(src));
   }
   maybe_evict(src);
 }
@@ -482,7 +454,6 @@ void Conduit::maybe_evict(RankId just_connected) {
     victim->established.reset();
     victim->drained = std::make_unique<sim::Gate>(engine());
     stats_.add("conn_evictions");
-    trace("conn.evict", "lru victim " + std::to_string(victim_rank));
     ++pending_evictions_;
     engine().spawn(evict_connection(victim_rank, victim->qp));
   }
@@ -583,7 +554,6 @@ void Conduit::reclaim_retired(Peer& peer) {
 void Conduit::perform_passive_drain(RankId src) {
   Peer& p = peer(src);
   stats_.add("conn_evictions_passive");
-  trace("conn.evicted_by_peer", "peer " + std::to_string(src));
   fabric::QueuePair* old = p.qp;
   retire_qp(src, p);
   set_phase(src, p, Peer::Phase::kIdle);
@@ -667,7 +637,7 @@ sim::Task<> Conduit::static_connect_all() {
   const std::uint32_t n = size();
   std::vector<fabric::QueuePair*> qps(n, nullptr);
   {
-    sim::PhaseTimer timer(engine(), stats_, "connection_setup");
+    sim::PhaseTimer timer(engine(), &stats_, "connection_setup");
     for (RankId r = 0; r < n; ++r) {
       qps[r] = co_await hca().create_qp(fabric::QpType::kRc, rank_);
       co_await qps[r]->transition(fabric::QpState::kInit);
@@ -678,7 +648,7 @@ sim::Task<> Conduit::static_connect_all() {
   // Publish <lid, qpn[0..n)> and fetch every peer's table.
   std::vector<fabric::EndpointAddr> remote(n);
   {
-    sim::PhaseTimer timer(engine(), stats_, "pmi_exchange");
+    sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");
     std::string value(2 + 4 * static_cast<std::size_t>(n), '\0');
     fabric::Lid lid = hca().lid();
     std::memcpy(value.data(), &lid, 2);
@@ -713,7 +683,7 @@ sim::Task<> Conduit::static_connect_all() {
   }
 
   {
-    sim::PhaseTimer timer(engine(), stats_, "connection_setup");
+    sim::PhaseTimer timer(engine(), &stats_, "connection_setup");
     for (RankId r = 0; r < n; ++r) {
       qps[r]->set_remote(remote[r]);
       co_await qps[r]->transition(fabric::QpState::kRtr);
@@ -734,12 +704,12 @@ sim::Task<> Conduit::static_connect_bulk() {
   {
     // Same per-connection constants as the fully simulated path, charged in
     // aggregate (validated against the simulated path in tests).
-    sim::PhaseTimer timer(engine(), stats_, "connection_setup");
+    sim::PhaseTimer timer(engine(), &stats_, "connection_setup");
     co_await engine().delay(
         n * (fcfg.qp_create_cost + 3 * fcfg.qp_transition_cost));
   }
   {
-    sim::PhaseTimer timer(engine(), stats_, "pmi_exchange");
+    sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");
     std::string value(2 + 4 * static_cast<std::size_t>(n), 'q');
     if (config().pmi_mode == PmiMode::kNonBlocking) {
       pmi::CollectiveTicket ticket = pmi().iallgather_start(std::move(value));

@@ -77,16 +77,16 @@ void ConduitJob::spawn_all(std::function<sim::Task<>(Conduit&)> body) {
 
 void ConduitJob::add_observer(ProtocolObserver* observer) {
   if (observer == nullptr) return;
-  if (std::find(extra_observers_.begin(), extra_observers_.end(), observer) ==
-      extra_observers_.end()) {
-    extra_observers_.push_back(observer);
+  if (std::find(observers_.begin(), observers_.end(), observer) ==
+      observers_.end()) {
+    observers_.push_back(observer);
   }
 }
 
 void ConduitJob::remove_observer(ProtocolObserver* observer) {
-  extra_observers_.erase(std::remove(extra_observers_.begin(),
-                                     extra_observers_.end(), observer),
-                         extra_observers_.end());
+  observers_.erase(
+      std::remove(observers_.begin(), observers_.end(), observer),
+      observers_.end());
 }
 
 sim::StatSet ConduitJob::aggregate_stats() const {

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/stats.hpp"
+
 namespace odcm::pmi {
 
 namespace {
@@ -14,25 +16,6 @@ void count(sim::MetricsSink* sink, std::string_view name,
            std::int64_t delta = 1) {
   if (sink != nullptr) sink->on_counter(name, delta);
 }
-
-/// RAII span: reports the elapsed virtual time of one PMI call as a
-/// duration sample. Observation-only; never perturbs the cost model.
-class OobSpan {
- public:
-  OobSpan(sim::Engine& engine, sim::MetricsSink* sink, std::string_view name)
-      : engine_(engine), sink_(sink), name_(name), start_(engine.now()) {}
-  OobSpan(const OobSpan&) = delete;
-  OobSpan& operator=(const OobSpan&) = delete;
-  ~OobSpan() {
-    if (sink_ != nullptr) sink_->on_duration(name_, engine_.now() - start_);
-  }
-
- private:
-  sim::Engine& engine_;
-  sim::MetricsSink* sink_;
-  std::string_view name_;
-  sim::Time start_;
-};
 
 }  // namespace
 
@@ -218,7 +201,7 @@ sim::Task<> PmiClient::put(std::string key, std::string value) {
   count(manager_.metrics_, "pmi/puts");
   count(manager_.metrics_, "pmi/put_bytes",
         static_cast<std::int64_t>(key.size() + value.size()));
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/put");
+  sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/put");
   auto busy = cfg.put_overhead +
               static_cast<sim::Time>(
                   static_cast<double>(key.size() + value.size()) /
@@ -232,7 +215,7 @@ sim::Task<> PmiClient::put(std::string key, std::string value) {
 sim::Task<std::optional<std::string>> PmiClient::get(std::string key) {
   const PmiConfig& cfg = manager_.config();
   count(manager_.metrics_, "pmi/gets");
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/get");
+  sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/get");
   // The reply size is not known until the lookup; charge for the key on the
   // request and for the value on the reply.
   sim::Time done = manager_.reserve_daemon(
@@ -273,7 +256,8 @@ CollectiveTicket PmiClient::ifence_start() {
 }
 
 sim::Task<> PmiClient::wait(CollectiveTicket ticket) {
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/fence_wait");
+  sim::PhaseTimer span(manager_.engine(), manager_.metrics_,
+                       "pmi/fence_wait");
   co_await manager_.fence_round(ticket.round).gate.wait();
 }
 
@@ -288,7 +272,7 @@ sim::Task<std::pair<std::string, std::string>> PmiClient::ring(
     std::string value) {
   std::uint32_t index = next_ring_++;
   count(manager_.metrics_, "pmi/rings");
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/ring");
+  sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/ring");
   manager_.arrive_ring(index, rank_, std::move(value));
   JobManager::Round& round = manager_.ring_round(index);
   co_await round.gate.wait();
@@ -308,7 +292,8 @@ sim::Task<std::pair<std::string, std::string>> PmiClient::ring(
 
 sim::Task<std::vector<std::string>> PmiClient::iallgather_wait(
     CollectiveTicket ticket) {
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/iallgather_wait");
+  sim::PhaseTimer span(manager_.engine(), manager_.metrics_,
+                       "pmi/iallgather_wait");
   JobManager::Round& round = manager_.allgather_round(ticket.round);
   co_await round.gate.wait();
   // Bulk delivery of the gathered table over local IPC, serialized on the

@@ -62,7 +62,7 @@ sim::Task<> ShmemPe::start_pes() {
       });
 
   {
-    sim::PhaseTimer timer(eng, st, "shared_memory_setup");
+    sim::PhaseTimer timer(eng, &st, "shared_memory_setup");
     std::uint32_t local_pes =
         job_.conduit_job().ranks_on_node(conduit_.node());
     co_await eng.delay(cfg.shared_memory_base +
@@ -70,7 +70,7 @@ sim::Task<> ShmemPe::start_pes() {
   }
 
   {
-    sim::PhaseTimer timer(eng, st, "memory_registration");
+    sim::PhaseTimer timer(eng, &st, "memory_registration");
     if (cfg.registration == RegistrationMode::kEager) {
       // Whole-heap pin during init. The *modeled* heap size (DESIGN.md §2)
       // is charged inside the HCA cost model, the single place both this
@@ -134,7 +134,7 @@ sim::Task<> ShmemPe::start_pes() {
     // node-local exchange — no UD handshake, no piggybacked rkey involved
     // (DESIGN.md §5.14). The intra-node barrier guarantees every local
     // peer has registered and exported before we read its triplet.
-    sim::PhaseTimer timer(eng, st, "shm_segment_exchange");
+    sim::PhaseTimer timer(eng, &st, "shm_segment_exchange");
     co_await conduit_.shm_export(heap_space_, heap_space_.base(),
                                  heap_space_.size());
     co_await conduit_.barrier_intranode();
@@ -150,18 +150,18 @@ sim::Task<> ShmemPe::start_pes() {
     // Current design: after the static mesh is up, every PE sends its
     // triplet to every other PE over active messages (inefficiency #2 in
     // paper §IV-B).
-    sim::PhaseTimer timer(eng, st, "segment_exchange");
+    sim::PhaseTimer timer(eng, &st, "segment_exchange");
     co_await broadcast_am_segments();
   }
 
   {
-    sim::PhaseTimer timer(eng, st, "init_barrier");
+    sim::PhaseTimer timer(eng, &st, "init_barrier");
     co_await conduit_.barrier_init();
     co_await conduit_.barrier_init();
   }
 
   {
-    sim::PhaseTimer timer(eng, st, "init_other");
+    sim::PhaseTimer timer(eng, &st, "init_other");
     co_await eng.delay(cfg.init_misc);
   }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -22,8 +23,9 @@ namespace odcm::sim {
 ///
 /// An optional `MetricsSink` (set by the telemetry subsystem when attached)
 /// receives every observation as it happens; with no sink installed the
-/// forwarding costs one branch.
-class StatSet {
+/// forwarding costs one branch. A StatSet is itself a `MetricsSink`, so a
+/// `PhaseTimer` can record into it or into any other sink.
+class StatSet final : public MetricsSink {
  public:
   /// Increment counter `name` by `delta`.
   void add(const std::string& name, std::int64_t delta = 1) {
@@ -35,6 +37,13 @@ class StatSet {
   void add_time(const std::string& name, Time dt) {
     phases_[name] += dt;
     if (sink_ != nullptr) sink_->on_duration(name, dt);
+  }
+
+  void on_counter(std::string_view name, std::int64_t delta) override {
+    add(std::string(name), delta);
+  }
+  void on_duration(std::string_view name, Time dt) override {
+    add_time(std::string(name), dt);
   }
 
   /// Install (or clear, with nullptr) the live observation sink. The sink
@@ -76,23 +85,25 @@ class StatSet {
   MetricsSink* sink_ = nullptr;
 };
 
-/// RAII-style phase timer against the virtual clock.
+/// RAII phase timer against the virtual clock: the runtime's one span type.
 ///
 ///   {
-///     PhaseTimer timer(engine, stats, "pmi_exchange");
+///     PhaseTimer timer(engine, &stats, "pmi_exchange");
 ///     co_await client.fence();
-///   }   // elapsed virtual time accumulated into "pmi_exchange"
+///   }   // elapsed virtual time reported as one "pmi_exchange" duration
+///
+/// The elapsed time goes to `sink->on_duration` (a `StatSet` accumulates
+/// it into the named phase; a metrics registry records one histogram
+/// sample). A null sink makes the timer a no-op. `name` must outlive the
+/// timer; every call site passes a string literal.
 ///
 /// NOTE: with coroutines the destructor runs on the awaiting task's frame
 /// destruction path as usual; the pattern works because the frame lives
 /// across suspensions.
 class PhaseTimer {
  public:
-  PhaseTimer(Engine& engine, StatSet& stats, std::string phase)
-      : engine_(&engine),
-        stats_(&stats),
-        phase_(std::move(phase)),
-        start_(engine.now()) {}
+  PhaseTimer(Engine& engine, MetricsSink* sink, std::string_view name)
+      : engine_(&engine), sink_(sink), name_(name), start_(engine.now()) {}
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
@@ -100,16 +111,16 @@ class PhaseTimer {
 
   /// Stop early (idempotent).
   void stop() {
-    if (stats_ != nullptr) {
-      stats_->add_time(phase_, engine_->now() - start_);
-      stats_ = nullptr;
+    if (sink_ != nullptr) {
+      sink_->on_duration(name_, engine_->now() - start_);
+      sink_ = nullptr;
     }
   }
 
  private:
   Engine* engine_;
-  StatSet* stats_;
-  std::string phase_;
+  MetricsSink* sink_;
+  std::string_view name_;
   Time start_;
 };
 

@@ -23,39 +23,6 @@ void write_ts(std::ostream& out, sim::Time ns) {
   out << buf;
 }
 
-const char* annotation_name(ProtocolEvent::Kind kind) {
-  switch (kind) {
-    case ProtocolEvent::Kind::kRetransmit: return "retransmit";
-    case ProtocolEvent::Kind::kConnectFailed: return "connect_failed";
-    case ProtocolEvent::Kind::kReplyResend: return "reply_resend";
-    case ProtocolEvent::Kind::kCollision: return "collision";
-    case ProtocolEvent::Kind::kRequestHeld: return "request_held";
-    case ProtocolEvent::Kind::kQpBound: return "qp_bound";
-    case ProtocolEvent::Kind::kQpUnbound: return "qp_unbound";
-    case ProtocolEvent::Kind::kPayloadInstalled: return "payload_installed";
-    case ProtocolEvent::Kind::kRdmaIssued: return "rdma_issued";
-    case ProtocolEvent::Kind::kShmIssued: return "shm_issued";
-    case ProtocolEvent::Kind::kPhaseChange: return "phase_change";
-    case ProtocolEvent::Kind::kRegFault: return "reg_fault";
-    case ProtocolEvent::Kind::kRegFaultServed: return "reg_fault_served";
-    case ProtocolEvent::Kind::kRegChunkPinned: return "reg_chunk_pinned";
-    case ProtocolEvent::Kind::kRegChunkEvicted: return "reg_chunk_evicted";
-    case ProtocolEvent::Kind::kRegChunkDeregistered:
-      return "reg_chunk_deregistered";
-    case ProtocolEvent::Kind::kRegRkeyInvalidated:
-      return "reg_rkey_invalidated";
-    case ProtocolEvent::Kind::kRegRkeyUsed: return "reg_rkey_used";
-    case ProtocolEvent::Kind::kRtsIssued: return "rts";
-    case ProtocolEvent::Kind::kCtsIssued: return "cts";
-    case ProtocolEvent::Kind::kRendezvousDone: return "rendezvous_done";
-    case ProtocolEvent::Kind::kCreditStall: return "credit_stall";
-    case ProtocolEvent::Kind::kBulkFragmentSent: return "frag_sent";
-    case ProtocolEvent::Kind::kBulkFragmentDelivered:
-      return "frag_delivered";
-  }
-  return "?";
-}
-
 class EventWriter {
  public:
   explicit EventWriter(std::ostream& out) : out_(out) {
@@ -139,7 +106,7 @@ void export_chrome_trace(std::ostream& out,
       int tid = pair_tid.at({hs.self, hs.peer});
       for (const auto& note : hs.annotations) {
         std::ostream& ev = writer.begin();
-        ev << "{\"name\":\"" << annotation_name(note.kind)
+        ev << "{\"name\":\"" << core::to_string(note.kind)
            << "\",\"cat\":\"conn\",\"ph\":\"i\",\"s\":\"t\",\"pid\":"
            << kConnPid << ",\"tid\":" << tid << ",\"ts\":";
         write_ts(ev, note.time);
@@ -158,7 +125,7 @@ void export_chrome_trace(std::ostream& out,
   if (options.annotations) {
     for (const auto& mark : timeline.reg_marks()) {
       std::ostream& ev = writer.begin();
-      ev << "{\"name\":\"" << annotation_name(mark.kind)
+      ev << "{\"name\":\"" << core::to_string(mark.kind)
          << "\",\"cat\":\"reg\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kPePid
          << ",\"tid\":" << mark.self << ",\"ts\":";
       write_ts(ev, mark.time);
@@ -172,7 +139,7 @@ void export_chrome_trace(std::ostream& out,
   if (options.annotations) {
     for (const auto& mark : timeline.bulk_marks()) {
       std::ostream& ev = writer.begin();
-      ev << "{\"name\":\"" << annotation_name(mark.kind)
+      ev << "{\"name\":\"" << core::to_string(mark.kind)
          << "\",\"cat\":\"bulk\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kPePid
          << ",\"tid\":" << mark.self << ",\"ts\":";
       write_ts(ev, mark.time);

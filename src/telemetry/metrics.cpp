@@ -72,7 +72,6 @@ JsonValue Histogram::to_json() const {
 // ---- MetricsRegistry ----
 
 void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
-  if (!enabled_) return;
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     counters_.emplace(std::string(name), delta);
@@ -82,7 +81,6 @@ void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, std::int64_t value) {
-  if (!enabled_) return;
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     gauges_.emplace(std::string(name), value);
@@ -92,7 +90,6 @@ void MetricsRegistry::set_gauge(std::string_view name, std::int64_t value) {
 }
 
 void MetricsRegistry::observe(std::string_view name, std::uint64_t value) {
-  if (!enabled_) return;
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;

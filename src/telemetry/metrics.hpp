@@ -7,11 +7,9 @@
 // `telemetry::ConnectionTimeline`, and benches record into it directly. All
 // state is deterministic — identical simulation runs produce identical
 // registries — and everything operates on *virtual* time, so observation
-// never perturbs the simulated clock.
-//
-// When disabled, every recording call is a single branch and no state
-// changes, which keeps the telemetry-off path bit-identical to a build that
-// never heard of telemetry.
+// never perturbs the simulated clock. A run without telemetry simply has no
+// registry: nothing forwards to one, so its virtual times are bit-identical
+// to an attached run's.
 #pragma once
 
 #include <array>
@@ -21,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/metrics_sink.hpp"
 #include "sim/time.hpp"
 #include "telemetry/json.hpp"
@@ -90,20 +87,15 @@ class Histogram {
 /// ordered so every export iterates deterministically.
 class MetricsRegistry : public sim::MetricsSink {
  public:
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
-
-  void enable() noexcept { enabled_ = true; }
-  void disable() noexcept { enabled_ = false; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-  /// Move counter `name` by `delta` (no-op when disabled).
+  /// Move counter `name` by `delta`.
   void add(std::string_view name, std::int64_t delta = 1);
-  /// Set gauge `name` to `value` (last write wins; no-op when disabled).
+  /// Set gauge `name` to `value` (last write wins).
   void set_gauge(std::string_view name, std::int64_t value);
   /// Record one duration/magnitude sample into histogram `name`.
   void observe(std::string_view name, std::uint64_t value);
 
-  // sim::MetricsSink — the delegation seam for StatSet / PMI.
+  // sim::MetricsSink — the delegation seam for StatSet, PMI and
+  // sim::PhaseTimer.
   void on_counter(std::string_view name, std::int64_t delta) override {
     add(name, delta);
   }
@@ -136,54 +128,9 @@ class MetricsRegistry : public sim::MetricsSink {
   [[nodiscard]] JsonValue to_json() const;
 
  private:
-  bool enabled_;
   std::map<std::string, std::int64_t, std::less<>> counters_{};
   std::map<std::string, std::int64_t, std::less<>> gauges_{};
   std::map<std::string, Histogram, std::less<>> histograms_{};
-};
-
-/// RAII phase timer against the virtual clock, recording one histogram
-/// sample into the registry on scope exit (telemetry flavour of
-/// `sim::PhaseTimer`).
-class PhaseTimer {
- public:
-  PhaseTimer(sim::Engine& engine, MetricsRegistry& registry, std::string name)
-      : engine_(&engine),
-        registry_(&registry),
-        name_(std::move(name)),
-        start_(engine.now()) {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-  ~PhaseTimer() { stop(); }
-
-  /// Stop early (idempotent).
-  void stop() {
-    if (registry_ != nullptr) {
-      registry_->observe(name_, engine_->now() - start_);
-      registry_ = nullptr;
-    }
-  }
-
- private:
-  sim::Engine* engine_;
-  MetricsRegistry* registry_;
-  std::string name_;
-  sim::Time start_;
-};
-
-/// Scoped span: like PhaseTimer, but also bumps a `<name>/calls` counter so
-/// rate and latency stay paired in the export.
-class Span {
- public:
-  Span(sim::Engine& engine, MetricsRegistry& registry, std::string name)
-      : timer_(engine, registry, name) {
-    registry.add(name + "/calls");
-  }
-
-  void stop() { timer_.stop(); }
-
- private:
-  PhaseTimer timer_;
 };
 
 }  // namespace odcm::telemetry

@@ -15,10 +15,8 @@
 // `ConnectionTimeline` joins the protocol observer list. All hooks are
 // observation-only — no simulation event is ever scheduled on behalf of
 // telemetry — so an attached run's virtual times are bit-identical to a
-// detached one's.
-//
-// A disabled session (`Telemetry(false)`) attaches nothing at all; this is
-// the zero-cost-off switch the benches use.
+// detached one's. To run without telemetry, construct no session (e.g. keep
+// it in a `std::optional`).
 #pragma once
 
 #include "core/conduit.hpp"
@@ -29,13 +27,11 @@ namespace odcm::telemetry {
 
 class Telemetry {
  public:
-  explicit Telemetry(bool enabled = true)
-      : enabled_(enabled), registry_(enabled), timeline_(&registry_) {}
+  Telemetry() : timeline_(&registry_) {}
   ~Telemetry() { detach(); }
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return registry_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
     return registry_;
@@ -45,11 +41,11 @@ class Telemetry {
     return timeline_;
   }
 
-  /// Hook every observation surface of `job` into this session. No-op when
-  /// the session is disabled. The session must outlive the job run (or be
+  /// Hook every observation surface of `job` into this session (a second
+  /// attach is a no-op). The session must outlive the job run (or be
   /// detached first).
   void attach(core::ConduitJob& job) {
-    if (!enabled_ || job_ != nullptr) return;
+    if (job_ != nullptr) return;
     job_ = &job;
     job.add_observer(&timeline_);
     for (core::RankId r = 0; r < job.ranks(); ++r) {
@@ -74,7 +70,6 @@ class Telemetry {
   void finish(sim::Time now) { timeline_.finish(now); }
 
  private:
-  bool enabled_;
   MetricsRegistry registry_;
   ConnectionTimeline timeline_;
   core::ConduitJob* job_ = nullptr;

@@ -377,7 +377,7 @@ TEST(InvariantChecker, ShmJobPassesEndToEndWithZeroSameNodeHandshakes) {
   options.intranode_shm = true;
   options.ranks_per_node = config.ranks_per_node;
   InvariantChecker checker(options);
-  job.set_observer(&checker);
+  job.add_observer(&checker);
 
   job.spawn_all([](core::Conduit& c) -> sim::Task<> {
     c.register_handler(20, [](fabric::RankId,
@@ -413,7 +413,7 @@ TEST(InvariantChecker, CleanJobPassesEndToEnd) {
   config.conduit = core::proposed_design();
   core::ConduitJob job(engine, config);
   InvariantChecker checker;
-  job.set_observer(&checker);
+  job.add_observer(&checker);
 
   job.spawn_all([](core::Conduit& c) -> sim::Task<> {
     c.register_handler(20, [](fabric::RankId,
@@ -439,7 +439,7 @@ TEST(InvariantChecker, StaticJobPassesEndToEnd) {
   config.conduit = core::current_design();
   core::ConduitJob job(engine, config);
   InvariantChecker checker;
-  job.set_observer(&checker);
+  job.add_observer(&checker);
 
   job.spawn_all([](core::Conduit& c) -> sim::Task<> {
     c.register_handler(20, [](fabric::RankId,

@@ -58,7 +58,7 @@ void run_capped_working_set(std::uint64_t fabric_seed) {
   options.payloads_expected = true;
   options.ranks_per_node = kPpn;
   check::InvariantChecker checker(options);
-  env.job.conduit_job().set_observer(&checker);
+  env.job.conduit_job().add_observer(&checker);
   DrainTimer drains;
   env.job.conduit_job().add_observer(&drains);
 

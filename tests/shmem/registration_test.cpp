@@ -207,7 +207,7 @@ TEST(OnDemandReg, InvariantCheckerAcceptsFullRun) {
   options.reg_pinned_max_bytes = 2 * kChunk;
   options.reg_heap_bytes = config.shmem.heap_bytes;
   check::InvariantChecker checker(options);
-  env.job.conduit_job().set_observer(&checker);
+  env.job.conduit_job().add_observer(&checker);
 
   env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
     SymAddr slot = pe.heap().allocate(8 * 4);

@@ -73,7 +73,7 @@ RegTortureResult run_reg_torture(std::uint64_t seed, std::uint32_t recipe,
   options.reg_pinned_max_bytes = kPinCap;
   options.reg_heap_bytes = config.shmem.heap_bytes;
   check::InvariantChecker checker(options);
-  env.job.conduit_job().set_observer(&checker);
+  env.job.conduit_job().add_observer(&checker);
 
   // Layout per chunk: [0] atomic counter, [8 + 8*writer] one put slot per
   // writer rank. Single writer per slot + order-independent sums => the

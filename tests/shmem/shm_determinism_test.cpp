@@ -1,7 +1,7 @@
-// Determinism regression for the intra-node shm transport (ISSUE 6
-// satellite): the same seed must produce a bit-identical `sim::Tracer`
-// event stream and metrics snapshot with the shm transport enabled, and
-// the 16-PE / 4-PPN hello run is pinned against a golden trace.
+// Determinism regression for the intra-node shm transport: the same seed
+// must produce a bit-identical protocol event log (`core::EventLog` CSV)
+// and metrics snapshot with the shm transport enabled, and the 16-PE /
+// 4-PPN hello run is pinned against a golden event log.
 //
 // The golden file lives at tests/shmem/golden/shm_hello_16pe_4ppn.csv. On
 // an intentional cost-model or protocol change, the test writes the new
@@ -9,11 +9,13 @@
 // the diff and copy it over the golden file.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "apps/hello.hpp"
+#include "core/observer.hpp"
 #include "shmem/job.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_util.hpp"
@@ -27,6 +29,7 @@ using testutil::small_job;
 struct RunOutput {
   std::string trace_csv;
   std::string metrics_json;
+  std::int64_t segments_exported = 0;
 };
 
 RunOutput run_hello_shm() {
@@ -34,9 +37,10 @@ RunOutput run_hello_shm() {
   conduit.intranode_transport = IntranodeTransport::kShm;
   JobEnv env(small_job(16, 4, conduit));
   // Declared after `env`: ~Telemetry detaches from the job, so the session
-  // must be destroyed first.
+  // must be destroyed first (the log outlives the run the same way).
+  core::EventLog log;
   telemetry::Telemetry session;
-  env.job.conduit_job().tracer().enable();
+  env.job.conduit_job().add_observer(&log);
   session.attach(env.job.conduit_job());
   env.run([](ShmemPe& pe) -> sim::Task<> {
     return apps::hello_pe(pe, apps::HelloParams{});
@@ -44,11 +48,12 @@ RunOutput run_hello_shm() {
 
   RunOutput out;
   std::ostringstream csv;
-  env.job.conduit_job().tracer().dump_csv(csv);
+  log.write_csv(csv);
   out.trace_csv = csv.str();
   std::ostringstream metrics;
   session.metrics().to_json().write(metrics, 2);
   out.metrics_json = metrics.str();
+  out.segments_exported = session.metrics().counter("shm_segment_exported");
   return out;
 }
 
@@ -58,8 +63,9 @@ TEST(ShmDeterminism, RepeatedRunsAreBitIdentical) {
   EXPECT_FALSE(first.trace_csv.empty());
   EXPECT_EQ(first.trace_csv, second.trace_csv);
   EXPECT_EQ(first.metrics_json, second.metrics_json);
-  // The run must actually have exercised the shm transport.
-  EXPECT_NE(first.trace_csv.find("shm"), std::string::npos);
+  // The run must actually have exercised the shm transport: every PE
+  // exported its heap segment to its node.
+  EXPECT_EQ(first.segments_exported, 16);
 }
 
 TEST(ShmDeterminism, GoldenTrace16Pe4PpnHello) {

@@ -89,7 +89,7 @@ TEST(PhaseTimer, MeasuresVirtualTimeAcrossSuspension) {
   Engine engine;
   StatSet stats;
   engine.spawn([](Engine& eng, StatSet& st) -> Task<> {
-    PhaseTimer timer(eng, st, "connect");
+    PhaseTimer timer(eng, &st, "connect");
     co_await eng.delay(250);
   }(engine, stats));
   engine.run();
@@ -100,7 +100,7 @@ TEST(PhaseTimer, StopIsIdempotent) {
   Engine engine;
   StatSet stats;
   engine.spawn([](Engine& eng, StatSet& st) -> Task<> {
-    PhaseTimer timer(eng, st, "phase");
+    PhaseTimer timer(eng, &st, "phase");
     co_await eng.delay(10);
     timer.stop();
     co_await eng.delay(90);
@@ -115,21 +115,52 @@ TEST(PhaseTimer, SequentialPhasesAccumulateSeparately) {
   StatSet stats;
   engine.spawn([](Engine& eng, StatSet& st) -> Task<> {
     {
-      PhaseTimer timer(eng, st, "a");
+      PhaseTimer timer(eng, &st, "a");
       co_await eng.delay(10);
     }
     {
-      PhaseTimer timer(eng, st, "b");
+      PhaseTimer timer(eng, &st, "b");
       co_await eng.delay(20);
     }
     {
-      PhaseTimer timer(eng, st, "a");
+      PhaseTimer timer(eng, &st, "a");
       co_await eng.delay(5);
     }
   }(engine, stats));
   engine.run();
   EXPECT_EQ(stats.phase_time("a"), 15u);
   EXPECT_EQ(stats.phase_time("b"), 20u);
+}
+
+TEST(StatSet, IsAMetricsSink) {
+  StatSet stats;
+  RecordingSink forwarded;
+  stats.set_sink(&forwarded);
+  MetricsSink& sink = stats;
+  sink.on_counter("qp_created", 3);
+  sink.on_duration("connect", 40);
+  EXPECT_EQ(stats.counter("qp_created"), 3);
+  EXPECT_EQ(stats.phase_time("connect"), 40u);
+  EXPECT_EQ(forwarded.counters.size(), 1u);
+  EXPECT_EQ(forwarded.durations.size(), 1u);
+}
+
+TEST(PhaseTimer, ReportsToAnySinkAndNullIsANoOp) {
+  Engine engine;
+  RecordingSink sink;
+  engine.spawn([](Engine& eng, RecordingSink& s) -> Task<> {
+    {
+      PhaseTimer timer(eng, &s, "pmi/put");
+      co_await eng.delay(30);
+    }
+    PhaseTimer off(eng, nullptr, "ignored");
+    co_await eng.delay(5);
+  }(engine, sink));
+  engine.run();
+  ASSERT_EQ(sink.durations.size(), 1u);
+  EXPECT_EQ(sink.durations[0],
+            (std::pair<std::string, Time>{"pmi/put", 30}));
+  EXPECT_TRUE(sink.counters.empty());
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 //
 //  * determinism — two identically-seeded runs export byte-identical
 //    BENCH-schema JSON and Chrome traces;
-//  * zero-cost-off — a run with telemetry attached (or disabled) has
-//    bit-identical virtual times to a bare run;
+//  * zero-cost-off — a run with telemetry attached has bit-identical
+//    virtual times to a bare run;
 //  * the BENCH_*.json emitter and validator agree.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,40 +44,43 @@ struct RunResult {
   std::string trace_json{};
 };
 
-/// Run a 16-PE hello-world; `mode`: 0 = no telemetry object at all,
-/// 1 = telemetry attached, 2 = disabled telemetry session.
-RunResult run_hello(int mode, bool lossy = false) {
+/// Run a 16-PE hello-world, with a telemetry session attached or with
+/// none at all.
+RunResult run_hello(bool attached, bool lossy = false) {
   sim::Engine engine;
   shmem::ShmemJob job(engine, hello_config(lossy));
-  Telemetry tel(mode == 1);
-  if (mode != 0) tel.attach(job.conduit_job());
+  std::optional<Telemetry> tel;
+  if (attached) {
+    tel.emplace();
+    tel->attach(job.conduit_job());
+  }
   RunResult result;
   result.makespan = job.run([](shmem::ShmemPe& pe) -> sim::Task<> {
     co_await apps::hello_pe(pe, apps::HelloParams{});
   });
-  tel.finish(engine.now());
   for (std::uint32_t r = 0; r < kPes; ++r) {
     result.start_pes_times.push_back(
         job.pe(r).stats().phase_time("start_pes_total"));
   }
-  if (mode == 1) {
+  if (attached) {
+    tel->finish(engine.now());
     BenchReport report("hello", 1);
     report.set_config("pes", std::int64_t{kPes});
     report.set_metric("wall_s", sim::to_seconds(result.makespan));
-    report.set_metrics_from(tel.metrics());
+    report.set_metrics_from(tel->metrics());
     std::ostringstream bench;
     report.write(bench);
     result.bench_json = bench.str();
     std::ostringstream trace;
-    export_chrome_trace(trace, tel.timeline(), kPes);
+    export_chrome_trace(trace, tel->timeline(), kPes);
     result.trace_json = trace.str();
   }
   return result;
 }
 
 TEST(TelemetryIntegration, RepeatRunsAreByteIdentical) {
-  RunResult a = run_hello(1);
-  RunResult b = run_hello(1);
+  RunResult a = run_hello(true);
+  RunResult b = run_hello(true);
   EXPECT_EQ(a.makespan, b.makespan);
   ASSERT_FALSE(a.bench_json.empty());
   EXPECT_EQ(a.bench_json, b.bench_json);
@@ -85,18 +89,15 @@ TEST(TelemetryIntegration, RepeatRunsAreByteIdentical) {
 }
 
 TEST(TelemetryIntegration, AttachedTelemetryDoesNotPerturbVirtualTime) {
-  RunResult bare = run_hello(0);
-  RunResult attached = run_hello(1);
-  RunResult disabled = run_hello(2);
+  RunResult bare = run_hello(false);
+  RunResult attached = run_hello(true);
   EXPECT_EQ(bare.makespan, attached.makespan);
-  EXPECT_EQ(bare.makespan, disabled.makespan);
   EXPECT_EQ(bare.start_pes_times, attached.start_pes_times);
-  EXPECT_EQ(bare.start_pes_times, disabled.start_pes_times);
 }
 
 TEST(TelemetryIntegration, LossyRunVirtualTimeAlsoUnperturbed) {
-  RunResult bare = run_hello(0, /*lossy=*/true);
-  RunResult attached = run_hello(1, /*lossy=*/true);
+  RunResult bare = run_hello(false, /*lossy=*/true);
+  RunResult attached = run_hello(true, /*lossy=*/true);
   EXPECT_EQ(bare.makespan, attached.makespan);
   EXPECT_EQ(bare.start_pes_times, attached.start_pes_times);
 }
@@ -141,7 +142,7 @@ TEST(TelemetryIntegration, LossyHandshakesCarryRetransmitAnnotations) {
 }
 
 TEST(BenchReport, EmitterOutputValidates) {
-  RunResult run = run_hello(1);
+  RunResult run = run_hello(true);
   JsonValue doc = JsonValue::parse(run.bench_json);
   std::string error;
   EXPECT_TRUE(BenchReport::validate(doc, &error)) << error;
