@@ -2,10 +2,15 @@
 // real-time (host) cost of engine events, coroutine tasks, synchronization
 // primitives, and end-to-end simulated operations. These bound how large a
 // simulated job the harness can afford.
+//
+// The BM_EngineResume → BM_FabricRcSend → BM_ConduitPut → BM_ShmemPut →
+// BM_Fcollect512 ladder costs one operation per layer of the stack, so a
+// host-time regression points at the layer that introduced it.
 #include <benchmark/benchmark.h>
 
 #include "core/conduit.hpp"
 #include "fabric/fabric.hpp"
+#include "shmem/job.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -186,6 +191,150 @@ void BM_AmDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kMessages);
 }
 BENCHMARK(BM_AmDispatch);
+
+// ---- per-layer ladder ----
+
+void BM_EngineResume(benchmark::State& state) {
+  // sim: one coroutine resume through the event queue per item.
+  constexpr int kTasks = 100;
+  constexpr int kDelays = 100;
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (int t = 0; t < kTasks; ++t) {
+      engine.spawn([](sim::Engine& eng) -> sim::Task<> {
+        for (int k = 0; k < kDelays; ++k) co_await eng.delay(5);
+      }(engine));
+    }
+    engine.run();
+    benchmark::DoNotOptimize(engine.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * kTasks * kDelays);
+}
+BENCHMARK(BM_EngineResume);
+
+void BM_FabricRcSend(benchmark::State& state) {
+  // fabric: 32-byte RC SENDs on a connected QP pair, drained from the
+  // target's shared receive queue.
+  constexpr int kSends = 200;
+  for (auto _ : state) {
+    sim::Engine engine;
+    fabric::FabricConfig config;
+    config.nodes = 2;
+    fabric::Fabric fab(engine, config);
+    fab.hca(0).attach_pe(0);
+    fab.hca(1).attach_pe(1);
+    engine.spawn([](fabric::Fabric& f) -> sim::Task<> {
+      auto* a = co_await f.hca(0).create_qp(fabric::QpType::kRc, 0);
+      auto* b = co_await f.hca(1).create_qp(fabric::QpType::kRc, 1);
+      co_await a->transition(fabric::QpState::kInit);
+      co_await b->transition(fabric::QpState::kInit);
+      a->set_remote(b->addr());
+      b->set_remote(a->addr());
+      co_await a->to_rts();
+      co_await b->to_rts();
+      sim::spawn_discard(f.engine(), [](fabric::Fabric& g) -> sim::Task<> {
+        for (int i = 0; i < kSends; ++i) (void)co_await g.hca(1).srq(1).pop();
+      }(f));
+      for (int i = 0; i < kSends; ++i) {
+        (void)co_await a->send(std::vector<std::byte>(32));
+      }
+    }(fab));
+    engine.run();
+    benchmark::DoNotOptimize(engine.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * kSends);
+}
+BENCHMARK(BM_FabricRcSend);
+
+void BM_ConduitPut(benchmark::State& state) {
+  // core: 8-byte puts through Conduit::rma on an established connection.
+  constexpr int kPuts = 200;
+  for (auto _ : state) {
+    sim::Engine engine;
+    core::JobConfig config;
+    config.ranks = 2;
+    config.ranks_per_node = 1;
+    config.conduit = core::proposed_design();
+    core::ConduitJob job(engine, config);
+    fabric::AddressSpace space(1, fabric::make_va_base(1), 4096);
+    fabric::MemoryRegion mr{};
+    job.spawn_all([&space, &mr](core::Conduit& c) -> sim::Task<> {
+      co_await c.init();
+      if (c.rank() == 1) {
+        mr = co_await c.hca().register_memory(space, space.base(),
+                                              space.size());
+      }
+      co_await c.barrier_global();
+      if (c.rank() == 0) {
+        const std::vector<std::byte> data(8);
+        for (int i = 0; i < kPuts; ++i) {
+          (void)co_await c.rma(1, {.kind = core::RmaKind::kPut,
+                                   .raddr = mr.addr,
+                                   .src = data,
+                                   .rkey = mr.rkey});
+        }
+      }
+      co_await c.barrier_global();
+    });
+    engine.run();
+    benchmark::DoNotOptimize(engine.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * kPuts);
+}
+BENCHMARK(BM_ConduitPut);
+
+shmem::ShmemJobConfig shmem_job(std::uint32_t ranks) {
+  shmem::ShmemJobConfig config;
+  config.job.ranks = ranks;
+  config.job.ranks_per_node = 1;
+  config.job.conduit = core::proposed_design();
+  config.shmem.heap_bytes = 64 << 10;
+  return config;
+}
+
+void BM_ShmemPut(benchmark::State& state) {
+  // shmem: 8-byte blocking puts to a PE on another node.
+  constexpr int kPuts = 200;
+  for (auto _ : state) {
+    sim::Engine engine;
+    shmem::ShmemJob job(engine, shmem_job(2));
+    job.spawn_all([](shmem::ShmemPe& pe) -> sim::Task<> {
+      co_await pe.start_pes();
+      const shmem::SymAddr dest = pe.heap().allocate(8);
+      if (pe.rank() == 0) {
+        const std::vector<std::byte> payload(8);
+        for (int i = 0; i < kPuts; ++i) co_await pe.put(1, dest, payload);
+      }
+      co_await pe.finalize();
+    });
+    engine.run();
+    benchmark::DoNotOptimize(engine.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * kPuts);
+}
+BENCHMARK(BM_ShmemPut);
+
+void BM_Fcollect512(benchmark::State& state) {
+  // shmem collectives: one 64-byte-per-PE ring fcollect over 512 PEs
+  // (fig7's shape); an item is one PE's contribution.
+  constexpr std::uint32_t kPes = 512;
+  constexpr std::uint32_t kBlock = 64;
+  for (auto _ : state) {
+    sim::Engine engine;
+    shmem::ShmemJob job(engine, shmem_job(kPes));
+    job.spawn_all([](shmem::ShmemPe& pe) -> sim::Task<> {
+      co_await pe.start_pes();
+      const shmem::SymAddr src = pe.heap().allocate(kBlock);
+      const shmem::SymAddr dest = pe.heap().allocate(kBlock * kPes);
+      co_await pe.fcollect(dest, src, kBlock);
+      co_await pe.finalize();
+    });
+    engine.run();
+    benchmark::DoNotOptimize(engine.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * kPes);
+}
+BENCHMARK(BM_Fcollect512)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

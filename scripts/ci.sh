@@ -42,6 +42,26 @@ if grep -rnE "${timer_class}" src |
   exit 1
 fi
 
+echo "==> hot-path guard: resumes, HCA tables and counters stay O(1)"
+# A coroutine resume is an event record, not a closure (DESIGN.md §5.19):
+# Engine::schedule_resume carries the handle without allocating.
+if grep -rnE '\[handle\][^{]*\{[^}]*handle\.resume\(\)' src; then
+  echo "ci.sh: src/ schedules a resume through a closure; use" \
+    "Engine::schedule_resume" >&2
+  exit 1
+fi
+# QPNs index the HCA's QP table directly; (peer, chunk) rkeys are hashed.
+if grep -rnE 'std::map<(Qpn|std::pair<RankId)' src/fabric; then
+  echo "ci.sh: an ordered map is back on a per-message fabric lookup" >&2
+  exit 1
+fi
+# Counters are interned ids (sim::stat_id); no per-call string key.
+if grep -rnE '(StatSet::|void )add\(const std::string&' src; then
+  echo "ci.sh: StatSet::add(const std::string&) reappeared; use" \
+    "sim::StatId or the string_view overload" >&2
+  exit 1
+fi
+
 echo "==> bench guard: one definition per figure, in run_all's registry"
 # bench/ builds exactly four tools; a figure/table/ablation binary beside
 # run_all would be a second definition that can drift from the registry.

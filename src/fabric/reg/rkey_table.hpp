@@ -16,11 +16,12 @@
 //    outstanding RMA has landed (DESIGN.md §5.15).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "fabric/types.hpp"
@@ -38,7 +39,7 @@ class RkeyTable {
 
   /// Cached rkey for `peer`'s `chunk`, or 0 if unknown/invalidated.
   [[nodiscard]] RKey rkey(RankId peer, std::uint32_t chunk) const {
-    auto it = entries_.find({peer, chunk});
+    auto it = entries_.find(key(peer, chunk));
     return it == entries_.end() ? 0 : it->second.rkey;
   }
 
@@ -49,7 +50,7 @@ class RkeyTable {
   /// over lossy UD after the target evicted the chunk). Waking the gate
   /// regardless lets parked RMAs observe the miss and re-fault.
   bool install(RankId peer, std::uint32_t chunk, RKey rkey) {
-    Entry& e = entries_[{peer, chunk}];
+    Entry& e = entries_[key(peer, chunk)];
     bool dead = invalidated_.count({peer, rkey}) != 0;
     if (!dead) e.rkey = rkey;
     if (e.fault_gate != nullptr) e.fault_gate->open();
@@ -63,7 +64,7 @@ class RkeyTable {
   /// notice matched a cached entry.
   bool invalidate(RankId peer, std::uint32_t chunk, RKey rkey) {
     invalidated_.insert({peer, rkey});
-    auto it = entries_.find({peer, chunk});
+    auto it = entries_.find(key(peer, chunk));
     if (it == entries_.end() || it->second.rkey != rkey) return false;
     it->second.rkey = 0;
     return true;
@@ -72,7 +73,7 @@ class RkeyTable {
   // ---- fault coalescing -----------------------------------------------
 
   [[nodiscard]] bool fault_in_flight(RankId peer, std::uint32_t chunk) const {
-    auto it = entries_.find({peer, chunk});
+    auto it = entries_.find(key(peer, chunk));
     return it != entries_.end() && it->second.fault_gate != nullptr &&
            !it->second.fault_gate->is_open();
   }
@@ -80,14 +81,14 @@ class RkeyTable {
   /// Mark a fault as in flight. Replaces any previously-opened gate with a
   /// fresh closed one (an open gate has no waiters by construction).
   void begin_fault(RankId peer, std::uint32_t chunk) {
-    Entry& e = entries_[{peer, chunk}];
+    Entry& e = entries_[key(peer, chunk)];
     e.fault_gate = std::make_unique<sim::Gate>(engine_);
   }
 
   /// Abort an in-flight fault (send failure): wake waiters so they can
   /// retry or observe the error themselves.
   void abort_fault(RankId peer, std::uint32_t chunk) {
-    auto it = entries_.find({peer, chunk});
+    auto it = entries_.find(key(peer, chunk));
     if (it != entries_.end() && it->second.fault_gate != nullptr) {
       it->second.fault_gate->open();
     }
@@ -97,7 +98,7 @@ class RkeyTable {
   [[nodiscard]] sim::Task<> wait_fault(RankId peer, std::uint32_t chunk) {
     // The gate lives in a unique_ptr that is only ever replaced by
     // begin_fault when open, so awaiting through the reference is safe.
-    Entry& e = entries_[{peer, chunk}];
+    Entry& e = entries_[key(peer, chunk)];
     if (e.fault_gate == nullptr) co_return;
     co_await e.fault_gate->wait();
   }
@@ -105,11 +106,11 @@ class RkeyTable {
   // ---- lease draining -------------------------------------------------
 
   void lease(RankId peer, std::uint32_t chunk) {
-    ++entries_[{peer, chunk}].leases;
+    ++entries_[key(peer, chunk)].leases;
   }
 
   void unlease(RankId peer, std::uint32_t chunk) {
-    Entry& e = entries_.at({peer, chunk});
+    Entry& e = entries_.at(key(peer, chunk));
     if (e.leases == 0) {
       throw std::logic_error("RkeyTable::unlease: no lease held");
     }
@@ -121,7 +122,7 @@ class RkeyTable {
   /// Wait until no RMA holds a lease on (`peer`, `chunk`). Called by the
   /// invalidation handler before acking the notice.
   [[nodiscard]] sim::Task<> wait_unleased(RankId peer, std::uint32_t chunk) {
-    Entry& e = entries_[{peer, chunk}];
+    Entry& e = entries_[key(peer, chunk)];
     while (e.leases != 0) {
       if (e.lease_drained == nullptr) {
         e.lease_drained = std::make_unique<sim::Trigger>(engine_);
@@ -131,7 +132,7 @@ class RkeyTable {
   }
 
   [[nodiscard]] std::uint32_t leases(RankId peer, std::uint32_t chunk) const {
-    auto it = entries_.find({peer, chunk});
+    auto it = entries_.find(key(peer, chunk));
     return it == entries_.end() ? 0 : it->second.leases;
   }
 
@@ -143,11 +144,24 @@ class RkeyTable {
     std::unique_ptr<sim::Trigger> lease_drained{};
   };
 
+  struct PeerRkeyHash {
+    std::size_t operator()(const std::pair<RankId, RKey>& k) const noexcept {
+      return std::hash<std::uint64_t>{}(k.second * 0x9e3779b97f4a7c15ULL ^
+                                        k.first);
+    }
+  };
+
+  static std::uint64_t key(RankId peer, std::uint32_t chunk) noexcept {
+    return (static_cast<std::uint64_t>(peer) << 32) | chunk;
+  }
+
   sim::Engine& engine_;
-  std::map<std::pair<RankId, std::uint32_t>, Entry> entries_;
+  /// Keyed on `peer << 32 | chunk`. Node-based on purpose: `wait_fault` and
+  /// `wait_unleased` hold an `Entry&` across `co_await`.
+  std::unordered_map<std::uint64_t, Entry> entries_;
   /// Tombstones of revoked rkeys, keyed by peer (rkeys are only unique
   /// per target HCA). Bounded by the number of invalidations in the run.
-  std::set<std::pair<RankId, RKey>> invalidated_;
+  std::unordered_set<std::pair<RankId, RKey>, PeerRkeyHash> invalidated_;
 };
 
 /// RAII lease over one `(peer, chunk)` entry, safe to hold across

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -246,20 +245,7 @@ class ShmemPe : private core::RkeyHook {
   template <typename T>
   [[nodiscard]] sim::Task<> reduce(SymAddr dest, SymAddr src,
                                    std::uint32_t count, ReduceOp op) {
-    return reduce_impl(
-        dest, src, count, sizeof(T),
-        [op](std::span<std::byte> acc, std::span<const std::byte> in) {
-          T a, b;
-          std::memcpy(&a, acc.data(), sizeof(T));
-          std::memcpy(&b, in.data(), sizeof(T));
-          switch (op) {
-            case ReduceOp::kSum: a = a + b; break;
-            case ReduceOp::kMin: a = b < a ? b : a; break;
-            case ReduceOp::kMax: a = a < b ? b : a; break;
-            case ReduceOp::kProd: a = a * b; break;
-          }
-          std::memcpy(acc.data(), &a, sizeof(T));
-        });
+    return reduce_impl(dest, src, count, sizeof(T), op, &combine_span<T>);
   }
 
   // ---- resource accounting ----
@@ -330,12 +316,31 @@ class ShmemPe : private core::RkeyHook {
   // Collective plumbing (implemented in collectives.cpp).
   CollectState& collect_state(std::uint64_t key);
   sim::Task<> handle_coll_data(RankId src, std::vector<std::byte> payload);
-  /// Element-wise combiner applied to each of `count` elements of `elem`
-  /// bytes (type-erased core of reduce<T>).
-  using Combiner =
-      std::function<void(std::span<std::byte>, std::span<const std::byte>)>;
+  void drop_collect_state(std::uint64_t key);
+  /// Folds one received partial into the accumulator, element by element
+  /// in index order (type-erased core of reduce<T>).
+  using Combiner = void (*)(std::span<std::byte> acc,
+                            std::span<const std::byte> in, ReduceOp op);
   sim::Task<> reduce_impl(SymAddr dest, SymAddr src, std::uint32_t count,
-                          std::uint32_t elem, Combiner combine);
+                          std::uint32_t elem, ReduceOp op, Combiner combine);
+
+  template <typename T>
+  static void combine_span(std::span<std::byte> acc,
+                           std::span<const std::byte> in, ReduceOp op) {
+    for (std::size_t off = 0; off + sizeof(T) <= acc.size();
+         off += sizeof(T)) {
+      T a, b;
+      std::memcpy(&a, acc.data() + off, sizeof(T));
+      std::memcpy(&b, in.data() + off, sizeof(T));
+      switch (op) {
+        case ReduceOp::kSum: a = a + b; break;
+        case ReduceOp::kMin: a = b < a ? b : a; break;
+        case ReduceOp::kMax: a = a < b ? b : a; break;
+        case ReduceOp::kProd: a = a * b; break;
+      }
+      std::memcpy(acc.data() + off, &a, sizeof(T));
+    }
+  }
 
   ShmemJob& job_;
   RankId rank_;
@@ -362,7 +367,9 @@ class ShmemPe : private core::RkeyHook {
   std::uint64_t bcast_seq_ = 0;
   std::uint64_t collect_seq_ = 0;
   std::uint64_t reduce_seq_ = 0;
-  std::map<std::uint64_t, std::unique_ptr<CollectState>> coll_states_{};
+  /// Only a few keys are live per PE at once; searched linearly.
+  std::vector<std::pair<std::uint64_t, std::unique_ptr<CollectState>>>
+      coll_states_{};
 };
 
 }  // namespace odcm::shmem

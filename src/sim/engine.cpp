@@ -23,7 +23,7 @@ constexpr std::uint64_t kJitterSalt = 0x6a09e667f3bcc909ULL;
 
 }  // namespace
 
-void Engine::schedule_at(Time t, std::function<void()> fn) {
+Engine::Event Engine::stamp(Time t) {
   if (t < now_) {
     throw std::logic_error("Engine::schedule_at: time is in the past");
   }
@@ -40,7 +40,20 @@ void Engine::schedule_at(Time t, std::function<void()> fn) {
         mix_seeded(policy_.seed ^ kJitterSalt, seq) %
         (static_cast<std::uint64_t>(policy_.jitter_max) + 1));
   }
-  queue_.push(Event{t, tie, seq, std::move(fn)});
+  return Event{t, tie, seq, nullptr, 0};
+}
+
+void Engine::schedule_at(Time t, std::function<void()> fn) {
+  Event event = stamp(t);  // throws before a slot is claimed
+  if (free_slots_.empty()) {
+    event.slot = static_cast<std::uint32_t>(closures_.size());
+    closures_.push_back(std::move(fn));
+  } else {
+    event.slot = free_slots_.back();
+    free_slots_.pop_back();
+    closures_[event.slot] = std::move(fn);
+  }
+  queue_.push(event);
 }
 
 void Engine::spawn(Task<> task) {
@@ -50,18 +63,24 @@ void Engine::spawn(Task<> task) {
   auto handle = task.release();
   handle.promise().detached_engine = this;
   ++live_roots_;
-  schedule_at(now_, [handle] { handle.resume(); });
+  schedule_resume(now_, handle);
 }
 
 void Engine::run_loop() {
   while (!queue_.empty()) {
-    // std::priority_queue::top() is const; moving the callable out requires
-    // this cast, which is safe because pop() follows immediately.
-    Event event = std::move(const_cast<Event&>(queue_.top()));
+    const Event event = queue_.top();
     queue_.pop();
     now_ = event.time;
     ++events_executed_;
-    event.fn();
+    if (event.handle) {
+      event.handle.resume();
+    } else {
+      // Move the callable out and free its slot first: it may schedule
+      // further closures, which can then reuse the slot.
+      std::function<void()> fn = std::move(closures_[event.slot]);
+      free_slots_.push_back(event.slot);
+      fn();
+    }
     if (root_exception_) {
       std::exception_ptr exception = std::exchange(root_exception_, nullptr);
       std::rethrow_exception(exception);

@@ -1,10 +1,12 @@
 // Deterministic discrete-event engine.
 //
-// The engine owns a priority queue of (time, sequence, callback) events and a
-// virtual clock. By default events scheduled for the same time fire in
-// insertion order, which makes every simulation run bit-for-bit reproducible.
+// The engine owns a priority queue of (time, sequence) events and a virtual
+// clock. By default events scheduled for the same time fire in insertion
+// order, which makes every simulation run bit-for-bit reproducible.
 // Coroutine tasks suspend by scheduling their own resumption as events (see
-// `delay`, `sync.hpp`).
+// `delay`, `sync.hpp`). An event is a small trivially copyable record: most
+// carry the coroutine handle to resume; the few real callbacks live in a
+// free-listed closure slab and the event names their slot.
 //
 // Schedule perturbation: a `SchedulePolicy` with the seeded-shuffle tie-break
 // dispatches same-time events in a deterministically permuted order instead,
@@ -16,6 +18,7 @@
 // replays bit-identically from the same policy.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -76,6 +79,14 @@ class Engine {
   /// Schedule `fn` to run at absolute virtual time `t` (>= now()).
   void schedule_at(Time t, std::function<void()> fn);
 
+  /// Schedule `handle` to be resumed at absolute virtual time `t`
+  /// (>= now()). Keyed exactly like `schedule_at`, without a closure.
+  void schedule_resume(Time t, std::coroutine_handle<> handle) {
+    Event event = stamp(t);
+    event.handle = handle;
+    queue_.push(event);
+  }
+
   /// Schedule `fn` to run `dt` nanoseconds from now.
   void schedule_after(Time dt, std::function<void()> fn) {
     schedule_at(now_ + dt, std::move(fn));
@@ -90,7 +101,7 @@ class Engine {
       Time dt;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> handle) {
-        engine.schedule_after(dt, [handle] { handle.resume(); });
+        engine.schedule_resume(engine.now() + dt, handle);
       }
       void await_resume() const noexcept {}
     };
@@ -121,14 +132,22 @@ class Engine {
     return events_executed_;
   }
 
+  /// Closures scheduled and not yet run (diagnostic).
+  [[nodiscard]] std::size_t closures_pending() const noexcept {
+    return closures_.size() - free_slots_.size();
+  }
+
  private:
   friend void detail::finish_root(Engine&, std::exception_ptr) noexcept;
 
+  /// A null `handle` marks a closure event whose callable is
+  /// `closures_[slot]`.
   struct Event {
     Time time;
     std::uint64_t tie;  ///< seq (insertion) or hash(seed, seq) (shuffle)
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::coroutine_handle<> handle;
+    std::uint32_t slot;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -138,9 +157,14 @@ class Engine {
     }
   };
 
+  /// Validate `t`, consume one sequence number and apply the policy's
+  /// tie-break and jitter: the key of a new event, closure or resume.
+  Event stamp(Time t);
   void run_loop();
 
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_{};
+  std::vector<std::function<void()>> closures_{};
+  std::vector<std::uint32_t> free_slots_{};
   SchedulePolicy policy_{};
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

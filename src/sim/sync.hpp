@@ -7,6 +7,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -29,18 +30,20 @@ class Gate {
 
   [[nodiscard]] bool is_open() const noexcept { return open_; }
 
-  /// Open the gate and schedule every waiter for resumption.
+  /// Open the gate and schedule every live waiter for resumption, in the
+  /// order they started waiting.
   void open() {
     if (open_) return;
     open_ = true;
-    for (auto& waiter : waiters_) {
-      if (!waiter->fired) {
-        waiter->fired = true;
-        auto handle = waiter->handle;
-        engine_->schedule_at(engine_->now(), [handle] { handle.resume(); });
+    for (const Waiter& waiter : waiters_) {
+      if (waiter.timed != nullptr) {
+        if (waiter.timed->fired) continue;
+        waiter.timed->fired = true;
       }
+      engine_->schedule_resume(engine_->now(), waiter.handle);
     }
     waiters_.clear();
+    timed_waiters_ = 0;
   }
 
   /// Awaitable: suspend until the gate opens (no-op if already open).
@@ -49,9 +52,7 @@ class Gate {
       Gate& gate;
       bool await_ready() const noexcept { return gate.open_; }
       void await_suspend(std::coroutine_handle<> handle) {
-        auto waiter = std::make_shared<Waiter>();
-        waiter->handle = handle;
-        gate.waiters_.push_back(std::move(waiter));
+        gate.add_waiter(Waiter{handle, nullptr});
       }
       void await_resume() const noexcept {}
     };
@@ -64,38 +65,62 @@ class Gate {
     struct Awaiter {
       Gate& gate;
       Time timeout;
-      std::shared_ptr<Waiter> waiter{};
+      std::shared_ptr<TimedState> timed{};
       bool await_ready() const noexcept { return gate.open_; }
       void await_suspend(std::coroutine_handle<> handle) {
-        waiter = std::make_shared<Waiter>();
-        waiter->handle = handle;
-        gate.waiters_.push_back(waiter);
-        auto shared = waiter;
-        gate.engine_->schedule_after(timeout, [shared] {
-          if (!shared->fired) {
-            shared->fired = true;
-            shared->timed_out = true;
-            shared->handle.resume();
+        // Shared with the timeout event, which may outlive the gate.
+        timed = std::make_shared<TimedState>();
+        gate.add_waiter(Waiter{handle, timed});
+        gate.engine_->schedule_after(timeout, [timed = timed, handle] {
+          if (!timed->fired) {
+            timed->fired = true;
+            timed->timed_out = true;
+            handle.resume();
           }
         });
       }
       bool await_resume() const noexcept {
-        return waiter == nullptr || !waiter->timed_out;
+        return timed == nullptr || !timed->timed_out;
       }
     };
     return Awaiter{*this, timeout};
   }
 
+  /// Waiter records held (diagnostic). Timed-out records are dropped when
+  /// the next waiter arrives, so a closed gate retried with `wait_for`
+  /// holds at most one stale record.
+  [[nodiscard]] std::size_t waiter_count() const noexcept {
+    return waiters_.size();
+  }
+
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle{};
+  struct TimedState {
     bool fired = false;
     bool timed_out = false;
   };
+  /// `timed` is null for a plain `wait()`.
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    std::shared_ptr<TimedState> timed;
+  };
+
+  void add_waiter(Waiter waiter) {
+    if (timed_waiters_ != 0) {
+      timed_waiters_ -= static_cast<std::uint32_t>(
+          std::erase_if(waiters_, [](const Waiter& w) {
+            return w.timed != nullptr && w.timed->fired;
+          }));
+    }
+    if (waiter.timed != nullptr) ++timed_waiters_;
+    waiters_.push_back(std::move(waiter));
+  }
 
   Engine* engine_;
+  std::vector<Waiter> waiters_{};
   bool open_ = false;
-  std::vector<std::shared_ptr<Waiter>> waiters_{};
+  /// Records in `waiters_` with `timed` set; shares the padding after
+  /// `open_`, so a Gate is no larger than before.
+  std::uint32_t timed_waiters_ = 0;
 };
 
 /// Multi-shot condition: `notify_all()` wakes every task currently waiting;
@@ -110,7 +135,7 @@ class Trigger {
     std::vector<std::coroutine_handle<>> waiters;
     waiters.swap(waiters_);
     for (auto handle : waiters) {
-      engine_->schedule_at(engine_->now(), [handle] { handle.resume(); });
+      engine_->schedule_resume(engine_->now(), handle);
     }
   }
 
@@ -212,7 +237,7 @@ class Mailbox {
     if (waiters_.empty()) return;
     auto handle = waiters_.front();
     waiters_.pop_front();
-    engine_->schedule_at(engine_->now(), [handle] { handle.resume(); });
+    engine_->schedule_resume(engine_->now(), handle);
   }
 
   Engine* engine_;
@@ -241,7 +266,7 @@ class Semaphore {
     if (!waiters_.empty()) {
       auto handle = waiters_.front();
       waiters_.pop_front();
-      engine_->schedule_at(engine_->now(), [handle] { handle.resume(); });
+      engine_->schedule_resume(engine_->now(), handle);
     }
   }
 

@@ -335,6 +335,53 @@ TEST(RkeyTable, InstallInvalidateAndTombstone) {
   EXPECT_EQ(table.rkey(2, 0), 77u);
 }
 
+TEST(RkeyTable, TombstoneBeatsLateGrant) {
+  sim::Engine engine;
+  RkeyTable table(engine);
+
+  // Extreme peers and chunks must not alias in the packed entry key.
+  constexpr RankId kMaxPeer = 0xffffffffU;
+  constexpr std::uint32_t kMaxChunk = 0xffffffffU;
+  EXPECT_TRUE(table.install(0, kMaxChunk, 11));
+  EXPECT_TRUE(table.install(kMaxPeer, 0, 12));
+  EXPECT_TRUE(table.install(kMaxPeer, kMaxChunk, 13));
+  EXPECT_TRUE(table.install(1, 0, 14));
+  EXPECT_EQ(table.rkey(0, kMaxChunk), 11u);
+  EXPECT_EQ(table.rkey(kMaxPeer, 0), 12u);
+  EXPECT_EQ(table.rkey(kMaxPeer, kMaxChunk), 13u);
+  EXPECT_EQ(table.rkey(1, 0), 14u);
+  EXPECT_EQ(table.rkey(0, 0), 0u);
+
+  // A fault is in flight when the invalidation of the rkey it will be
+  // granted arrives first; the late grant must lose to the tombstone and
+  // still wake the parked RMA so it can re-fault.
+  table.begin_fault(7, 3);
+  bool woken = false;
+  engine.spawn([](RkeyTable& t, bool& done) -> sim::Task<> {
+    co_await t.wait_fault(7, 3);
+    done = true;
+  }(table, woken));
+  EXPECT_FALSE(table.invalidate(7, 3, 55));  // nothing cached yet
+  engine.spawn([](sim::Engine& e, RkeyTable& t) -> sim::Task<> {
+    co_await e.delay(100);
+    EXPECT_FALSE(t.install(7, 3, 55));
+  }(engine, table));
+  engine.run();
+  EXPECT_TRUE(woken);
+  EXPECT_FALSE(table.fault_in_flight(7, 3));
+  EXPECT_EQ(table.rkey(7, 3), 0u);
+
+  // The tombstone is per (peer, rkey): dead for every chunk of peer 7,
+  // live toward any other peer.
+  EXPECT_FALSE(table.install(7, 4, 55));
+  EXPECT_EQ(table.rkey(7, 4), 0u);
+  EXPECT_TRUE(table.install(8, 3, 55));
+  EXPECT_EQ(table.rkey(8, 3), 55u);
+  // A fresh rkey for the same chunk installs normally.
+  EXPECT_TRUE(table.install(7, 3, 56));
+  EXPECT_EQ(table.rkey(7, 3), 56u);
+}
+
 TEST(RkeyTable, FaultCoalescingGate) {
   sim::Engine engine;
   RkeyTable table(engine);

@@ -91,6 +91,41 @@ TEST(Gate, LateOpenDoesNotDoubleResumeTimedWaiter) {
   EXPECT_EQ(resumed, 2);
 }
 
+TEST(Gate, TimedOutWaitersDoNotAccumulate) {
+  // A handshake retransmit loop re-arms wait_for on the same closed gate
+  // every round; the timed-out records must not pile up until open().
+  Engine engine;
+  Gate gate(engine);
+  std::vector<std::string> woken;
+  auto live = [](Gate& g, std::vector<std::string>& log,
+                 std::string name) -> Task<> {
+    co_await g.wait();
+    log.push_back(name);
+  };
+  engine.spawn(live(gate, woken, "first"));
+  engine.spawn([](Gate& g, std::vector<std::string>& log) -> Task<> {
+    for (int round = 0; round < 100; ++round) {
+      EXPECT_FALSE(co_await g.wait_for(10));
+      // The live waiter plus at most the one record that just fired.
+      EXPECT_LE(g.waiter_count(), 2u);
+    }
+    EXPECT_TRUE(co_await g.wait_for(1'000'000));
+    log.push_back("retrier");
+  }(gate, woken));
+  engine.schedule_at(2000, [&] {
+    EXPECT_EQ(gate.waiter_count(), 2u);  // "first" and the armed retrier
+    engine.spawn(live(gate, woken, "last"));
+  });
+  engine.schedule_at(3000, [&] {
+    EXPECT_EQ(gate.waiter_count(), 3u);
+    gate.open();
+    EXPECT_EQ(gate.waiter_count(), 0u);
+  });
+  engine.run();
+  EXPECT_EQ(woken,
+            (std::vector<std::string>{"first", "retrier", "last"}));
+}
+
 TEST(Trigger, NotifyAllWakesOnlyCurrentWaiters) {
   Engine engine;
   Trigger trigger(engine);
