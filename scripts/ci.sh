@@ -25,6 +25,16 @@ if grep -rn "QueuePair" src/shmem src/mpi src/apps src/check; then
   exit 1
 fi
 
+echo "==> one rendezvous protocol: MPI large messages ride the conduit's"
+# MPI-lite hands large messages to Conduit::am_send_rendezvous (DESIGN.md
+# §5.17); wire rendezvous packets or control tags in src/mpi would be a
+# second protocol beside it.
+if grep -rnE '\b(RendezvousPacket|CreditPacket|kCtrl[A-Za-z0-9_]*)\b' src/mpi; then
+  echo "ci.sh: src/mpi runs its own rendezvous; use" \
+    "Conduit::am_send_rendezvous" >&2
+  exit 1
+fi
+
 echo "==> observation guard: one event stream, one observer list, one span"
 # Protocol steps are recorded once, as ProtocolEvents on the job's one
 # observer list; sim::PhaseTimer is the only RAII span (DESIGN.md §5.8).

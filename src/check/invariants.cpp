@@ -419,27 +419,14 @@ void InvariantChecker::check_final(core::ConduitJob& job,
                      std::to_string(counter("credits_returned")) +
                      ") at pe" + std::to_string(r));
     }
-  }
-
-  // Fragment conservation is global: MPI rendezvous counts the send at the
-  // sender and the delivery at the receiver, conduit RDMA streams count
-  // both at the initiator.
-  {
-    std::uint64_t frag_sent = 0;
-    std::uint64_t frag_delivered = 0;
-    for (fabric::RankId r = 0; r < job.ranks(); ++r) {
-      const sim::StatSet& stats = job.conduit(r).stats();
-      frag_sent +=
-          static_cast<std::uint64_t>(stats.counter("bulk_fragments_sent"));
-      frag_delivered += static_cast<std::uint64_t>(
-          stats.counter("bulk_fragments_delivered"));
-    }
-    if (frag_sent != frag_delivered) {
-      none.self = 0;
-      none.peer = 0;
-      fail(none, "stats: bulk fragments sent (" + std::to_string(frag_sent) +
-                     ") != delivered (" + std::to_string(frag_delivered) +
-                     ") across the job");
+    // Fragment conservation: every stream (RMA or two-sided message)
+    // counts its fragments sent and delivered at its initiator.
+    if (counter("bulk_fragments_sent") != counter("bulk_fragments_delivered")) {
+      fail(none, "stats: bulk fragments sent (" +
+                     std::to_string(counter("bulk_fragments_sent")) +
+                     ") != delivered (" +
+                     std::to_string(counter("bulk_fragments_delivered")) +
+                     ") at pe" + std::to_string(r));
     }
   }
 

@@ -23,7 +23,8 @@
 //
 // `check_final` then audits end-of-run state: terminal phases, role
 // complementarity, stats reconciliation (qp_created_rc >= connected peers,
-// retransmits within budget) and — after teardown — that no QP leaked.
+// retransmits within budget, and per rank credits granted == returned and
+// fragments sent == delivered) and — after teardown — that no QP leaked.
 //
 // A violation throws `InvariantViolation` whose message embeds the recent
 // event tail, so a torture-runner failure is immediately diagnosable.

@@ -311,9 +311,9 @@ TortureResult run_case(const TortureCase& c) {
         sends.push_back(s0);
         sends.push_back(s1);
         // Bulkproto: one above-threshold tagged message per round rides
-        // the MPI rendezvous path (RTS / credit-grant CTS / fragment
-        // stream) on top of the eager FIFO pair above; its distinct tag
-        // keeps it out of the non-overtaking chain under audit.
+        // the conduit's rendezvous (RTS / CTS / fragment stream / FIN) on
+        // top of the eager FIFO pair above; its distinct tag keeps it out
+        // of the non-overtaking chain under audit.
         std::vector<mpi::MpiComm::Request> bulk_recv;
         std::vector<std::byte> bulk_want;
         if (c.bulkproto) {

@@ -266,21 +266,24 @@ struct RegPacket {
 enum class RdvMsgType : std::uint8_t {
   kRts = 1,  ///< Ready-to-send: initiator announces `len` bytes at `raddr`.
   kCts = 2,  ///< Clear-to-send: target posted the sink; carries the rkey set.
+  kFin = 3,  ///< Message streams only: every fragment of `seq` has landed.
 };
 
 /// Which operation the rendezvous transfers.
 enum class RdvOp : std::uint8_t {
   kPut = 1,
   kGet = 2,
-  kMsg = 3,  ///< Two-sided (MPI) message; `raddr` doubles as the tag.
+  /// Two-sided message: `raddr` is the AM handler id the landed bytes are
+  /// delivered to, and a FIN closes the stream.
+  kMsg = 3,
 };
 
-/// One RTS/CTS frame. The RTS carries no ranges (`n == 0`); the CTS answers
-/// with the target-resolved `(va, len, rkey)` ranges covering the transfer
-/// (one per registration chunk in on-demand registration mode). Decode
-/// validates the type/op tags, the RTS emptiness rule, the CTS coverage
-/// rule (ranges sum exactly to `len`), and rejects trailing bytes
-/// (tests/core/wire_fuzz_test.cpp).
+/// One RTS/CTS/FIN frame. The RTS and FIN carry no ranges (`n == 0`); the
+/// CTS answers with the target-resolved `(va, len, rkey)` ranges covering
+/// the transfer (one per registration chunk in on-demand registration
+/// mode). Decode validates the type/op tags, the RTS/FIN emptiness rule,
+/// the CTS coverage rule (ranges sum exactly to `len`), and rejects
+/// trailing bytes (tests/core/wire_fuzz_test.cpp).
 struct RendezvousPacket {
   struct Range {
     std::uint64_t va = 0;
@@ -318,7 +321,7 @@ struct RendezvousPacket {
     RendezvousPacket packet;
     auto raw_type = reader.read_int<std::uint8_t>();
     if (raw_type < static_cast<std::uint8_t>(RdvMsgType::kRts) ||
-        raw_type > static_cast<std::uint8_t>(RdvMsgType::kCts)) {
+        raw_type > static_cast<std::uint8_t>(RdvMsgType::kFin)) {
       throw std::runtime_error("RendezvousPacket: unknown message type");
     }
     packet.type = static_cast<RdvMsgType>(raw_type);
@@ -341,8 +344,9 @@ struct RendezvousPacket {
       packet.ranges.push_back(r);
     }
     reader.expect_end();
-    if (packet.type == RdvMsgType::kRts && !packet.ranges.empty()) {
-      throw std::runtime_error("RendezvousPacket: RTS must carry no ranges");
+    if (packet.type != RdvMsgType::kCts && !packet.ranges.empty()) {
+      throw std::runtime_error(
+          "RendezvousPacket: only a CTS may carry ranges");
     }
     if (packet.type == RdvMsgType::kCts) {
       // The granted ranges must cover `len` exactly: the initiator walks
@@ -361,29 +365,6 @@ struct RendezvousPacket {
             "RendezvousPacket: CTS ranges do not cover the announced length");
       }
     }
-    return packet;
-  }
-};
-
-/// Credit return for the per-QP flow-control window (DESIGN.md §5.17).
-struct CreditPacket {
-  std::uint32_t seq = 0;
-  std::uint32_t credits = 0;
-
-  [[nodiscard]] std::vector<std::byte> encode() const {
-    std::vector<std::byte> out;
-    out.reserve(4 + 4);
-    wire::put_int<std::uint32_t>(out, seq);
-    wire::put_int<std::uint32_t>(out, credits);
-    return out;
-  }
-
-  static CreditPacket decode(std::span<const std::byte> data) {
-    wire::Reader reader(data);
-    CreditPacket packet;
-    packet.seq = reader.read_int<std::uint32_t>();
-    packet.credits = reader.read_int<std::uint32_t>();
-    reader.expect_end();
     return packet;
   }
 };

@@ -67,6 +67,10 @@ class AddressSpace {
   std::vector<std::byte> bytes_;
 };
 
+/// Segments per PE in the `make_va_base` layout; a larger segment number
+/// would alias the next PE's VA range.
+inline constexpr std::uint32_t kSegmentsPerRank = 256;
+
 /// Conventional VA-base layout: PE `rank` gets segment `segment` based at
 /// ((rank + 1) << 40) + (segment << 32). Keeps spaces disjoint and non-null.
 constexpr VirtAddr make_va_base(RankId rank, std::uint32_t segment = 0) {

@@ -13,14 +13,22 @@ namespace odcm::mpi {
 // ids must never collide.
 static_assert(kMpiHandler != shmem::detail::kCollDataHandler &&
                   kMpiHandler != shmem::detail::kSegInfoHandler &&
-                  kMpiHandler != shmem::detail::kRegHandler,
+                  kMpiHandler != shmem::detail::kRegHandler &&
+                  kMpiRdvHandler != shmem::detail::kCollDataHandler &&
+                  kMpiRdvHandler != shmem::detail::kSegInfoHandler &&
+                  kMpiRdvHandler != shmem::detail::kRegHandler,
               "MPI and OpenSHMEM AM handler ids clash");
 
 MpiComm::MpiComm(core::Conduit& conduit) : conduit_(conduit) {
   conduit_.register_handler(
       kMpiHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
-        return handle_message(src, std::move(payload));
+        return handle_message(src, std::move(payload), /*bounce_copy=*/true);
+      });
+  conduit_.register_handler(
+      kMpiRdvHandler,
+      [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
+        return handle_message(src, std::move(payload), /*bounce_copy=*/false);
       });
 }
 
@@ -36,106 +44,34 @@ double MpiComm::wtime() {
 }
 
 sim::Task<> MpiComm::handle_message(RankId src,
-                                    std::vector<std::byte> payload) {
+                                    std::vector<std::byte> payload,
+                                    bool bounce_copy) {
   core::wire::Reader reader(payload);
   auto tag = reader.read_int<std::uint64_t>();
-  if (tag >= kCtrlBase) {
-    co_await handle_ctrl(src, tag, reader.read_rest());
+  std::vector<std::byte> data = reader.read_rest();
+  if (!conduit_.config().tiering_enabled() || data.empty()) {
+    matchbox(src, tag).box.push(std::move(data));
     co_return;
   }
-  std::vector<std::byte> data = reader.read_rest();
-  if (conduit_.config().tiering_enabled() && !data.empty()) {
+  // Claim a delivery slot BEFORE suspending: handler tasks run
+  // concurrently, so a smaller message arriving later finishes its copy
+  // sooner, but may only push after every earlier delivery from this
+  // source has pushed (non-overtaking). Copies still overlap in time; only
+  // the matchbox pushes are ordered. A rendezvous delivery enlists too: it
+  // must not overtake an earlier eager message still paying its copy.
+  auto slot = std::make_shared<sim::Gate>(conduit_.engine());
+  std::shared_ptr<sim::Gate> prev = std::exchange(deliver_tail_[src], slot);
+  if (bounce_copy) {
     // Eager bounce-buffer copy: with tiering on, the receiver pays to move
     // the payload from the bounce buffer into the posted buffer — the cost
-    // rendezvous exists to avoid. Never charged on control fragments.
-    // Claim a delivery slot BEFORE suspending: handler tasks run
-    // concurrently, so a smaller message arriving later finishes its copy
-    // sooner, but may only push after every earlier delivery from this
-    // source has pushed (non-overtaking). Copies still overlap in time;
-    // only the matchbox pushes are ordered.
-    auto slot = std::make_shared<sim::Gate>(conduit_.engine());
-    std::shared_ptr<sim::Gate> prev = std::exchange(deliver_tail_[src], slot);
+    // rendezvous exists to avoid (its bytes landed by RDMA write).
     const fabric::FabricConfig& fcfg = conduit_.hca().fabric().config();
     co_await conduit_.engine().delay(static_cast<sim::Time>(
         static_cast<double>(data.size()) / fcfg.eager_copy_bytes_per_ns));
-    if (prev) co_await prev->wait();
-    matchbox(src, tag).box.push(std::move(data));
-    finish_delivery(src, slot);
-    co_return;
   }
+  if (prev) co_await prev->wait();
   matchbox(src, tag).box.push(std::move(data));
-  co_return;
-}
-
-sim::Task<> MpiComm::handle_ctrl(RankId src, std::uint64_t tag,
-                                 std::vector<std::byte> payload) {
-  if (tag == kCtrlRts) {
-    core::RendezvousPacket rts = core::RendezvousPacket::decode(payload);
-    if (rts.len > core::wire::kMaxWirePayload) {
-      // Bound the reassembly reservation like the other wire decoders
-      // bound their length fields: a corrupt RTS must not force a huge
-      // allocation inside a detached handler task. The sender enforces
-      // the same cap before announcing (send_rendezvous).
-      throw std::runtime_error("MpiComm: RTS length out of range");
-    }
-    conduit_.stats().add("mpi_rdv_recvs");
-    RecvRdv& st = recv_rdv_[{src, rts.seq}];
-    st.tag = rts.raddr;  // the RTS carries the payload tag in `raddr`
-    st.len = rts.len;
-    st.data.reserve(static_cast<std::size_t>(rts.len));
-    // The first credit grant doubles as the CTS: it both announces the
-    // sink is ready and opens the sender's fragment window.
-    const std::uint32_t window =
-        conduit_.config().qp_credits > 0 ? conduit_.config().qp_credits : 4;
-    co_await send_credit(src, rts.seq, window);
-  } else if (tag == kCtrlData) {
-    core::wire::Reader reader(payload);
-    auto seq = reader.read_int<std::uint32_t>();
-    auto frag = reader.read_int<std::uint32_t>();
-    std::vector<std::byte> bytes = reader.read_rest();
-    auto it = recv_rdv_.find({src, seq});
-    if (it == recv_rdv_.end()) {
-      throw std::runtime_error("MpiComm: data fragment without an RTS");
-    }
-    RecvRdv& st = it->second;
-    if (frag != st.next_frag++) {
-      throw std::runtime_error("MpiComm: rendezvous fragment out of order");
-    }
-    st.data.insert(st.data.end(), bytes.begin(), bytes.end());
-    conduit_.stats().add("bulk_fragments_delivered");
-    if (st.data.size() < st.len) {
-      co_await send_credit(src, seq, 1);  // return the fragment's credit
-    } else {
-      if (st.data.size() != st.len) {
-        throw std::runtime_error("MpiComm: rendezvous length overrun");
-      }
-      std::uint64_t match_tag = st.tag;
-      std::vector<std::byte> data = std::move(st.data);
-      recv_rdv_.erase(it);
-      // Enlist in the per-source delivery chain: an eager message that
-      // arrived before this final fragment may still be paying its
-      // bounce-copy delay, and the rendezvous payload must not overtake
-      // it into the matchbox.
-      auto slot = std::make_shared<sim::Gate>(conduit_.engine());
-      std::shared_ptr<sim::Gate> prev =
-          std::exchange(deliver_tail_[src], slot);
-      if (prev) co_await prev->wait();
-      matchbox(src, match_tag).box.push(std::move(data));
-      finish_delivery(src, slot);
-    }
-  } else if (tag == kCtrlCredit) {
-    core::CreditPacket grant = core::CreditPacket::decode(payload);
-    auto it = send_rdv_.find(grant.seq);
-    if (it == send_rdv_.end()) {
-      conduit_.stats().add("mpi_rdv_stale_credits");
-      co_return;
-    }
-    it->second->credits += grant.credits;
-    it->second->granted.notify_all();
-    it->second->cts.open();
-  } else {
-    throw std::runtime_error("MpiComm: unknown control tag");
-  }
+  finish_delivery(src, slot);
 }
 
 MpiComm::Match& MpiComm::matchbox(RankId src, std::uint64_t tag) {
@@ -168,78 +104,20 @@ void MpiComm::reclaim_matchbox(const MatchKey& key) {
 
 sim::Task<> MpiComm::send_tagged(RankId dst, std::uint64_t tag,
                                  std::span<const std::byte> data) {
+  std::vector<std::byte> message;
+  message.reserve(8 + data.size());
+  core::wire::put_int<std::uint64_t>(message, tag);
+  message.insert(message.end(), data.begin(), data.end());
   const core::ConduitConfig& cfg = conduit_.config();
   if (cfg.rendezvous_threshold != 0 && data.size() > cfg.rendezvous_threshold &&
       dst != rank()) {
     // Zero-byte and small sends never reach this branch: they stay eager
     // and cost exactly one AM (a 0-byte send must still match a receive
     // but may not spend credits or trigger rendezvous state).
-    co_await send_rendezvous(dst, tag, data);
+    co_await conduit_.am_send_rendezvous(dst, kMpiRdvHandler,
+                                         std::move(message));
     co_return;
   }
-  std::vector<std::byte> message;
-  message.reserve(8 + data.size());
-  core::wire::put_int<std::uint64_t>(message, tag);
-  message.insert(message.end(), data.begin(), data.end());
-  co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
-}
-
-sim::Task<> MpiComm::send_rendezvous(RankId dst, std::uint64_t tag,
-                                     std::span<const std::byte> data) {
-  // Same message-size cap the eager path inherits from AmPacket encoding:
-  // the receiver rejects RTS lengths beyond it (handle_ctrl).
-  core::wire::require_encodable(data.size());
-  const std::uint32_t seq = ++mpi_rdv_seq_;
-  conduit_.stats().add("mpi_rdv_sends");
-  auto state = std::make_shared<SendRdv>(conduit_.engine());
-  send_rdv_.emplace(seq, state);
-  {
-    core::RendezvousPacket rts;
-    rts.type = core::RdvMsgType::kRts;
-    rts.op = core::RdvOp::kMsg;
-    rts.seq = seq;
-    rts.raddr = tag;  // no remote VA for two-sided traffic: carry the tag
-    rts.len = data.size();
-    std::vector<std::byte> message;
-    core::wire::put_int<std::uint64_t>(message, kCtrlRts);
-    std::vector<std::byte> packet = rts.encode();
-    message.insert(message.end(), packet.begin(), packet.end());
-    co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
-  }
-  co_await state->cts.wait();
-  const auto chunk = static_cast<std::size_t>(
-      std::max<std::uint64_t>(1, conduit_.config().bulk_chunk_bytes));
-  std::uint32_t frag = 0;
-  for (std::size_t off = 0; off < data.size(); off += chunk) {
-    while (state->credits == 0) {
-      const sim::Time t0 = conduit_.engine().now();
-      conduit_.stats().add("mpi_credit_stalls");
-      co_await state->granted.wait();
-      conduit_.stats().add_time("mpi_credit_stall_time",
-                                conduit_.engine().now() - t0);
-    }
-    --state->credits;
-    const std::size_t take = std::min(chunk, data.size() - off);
-    std::vector<std::byte> message;
-    message.reserve(16 + take);
-    core::wire::put_int<std::uint64_t>(message, kCtrlData);
-    core::wire::put_int<std::uint32_t>(message, seq);
-    core::wire::put_int<std::uint32_t>(message, frag++);
-    message.insert(message.end(), data.begin() + static_cast<std::ptrdiff_t>(off),
-                   data.begin() + static_cast<std::ptrdiff_t>(off + take));
-    conduit_.stats().add("bulk_fragments_sent");
-    co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
-  }
-  send_rdv_.erase(seq);
-}
-
-sim::Task<> MpiComm::send_credit(RankId dst, std::uint32_t seq,
-                                 std::uint32_t n) {
-  core::CreditPacket grant{seq, n};
-  std::vector<std::byte> message;
-  core::wire::put_int<std::uint64_t>(message, kCtrlCredit);
-  std::vector<std::byte> packet = grant.encode();
-  message.insert(message.end(), packet.begin(), packet.end());
   co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
 }
 

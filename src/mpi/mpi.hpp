@@ -16,15 +16,17 @@
 //
 // Large messages tier like a real MPI (DESIGN.md §5.17): payloads at or
 // below `rendezvous_threshold` use the eager path (one AM, bounce-buffer
-// copy charged at the receiver when tiering is on); larger ones run a
-// credit-windowed rendezvous — an RTS announces (tag, len), the receiver's
-// first credit grant doubles as the CTS, and the payload streams in
-// `bulk_chunk_bytes` fragments with a per-fragment credit returned as each
-// lands. Zero-byte sends are always eager: they must still match a receive
-// but may not trigger connections, registration faults, or credits beyond
-// what one small AM costs. With the tiering knobs at their zero defaults
-// every message is eager and the wire traffic is bit-identical to the
-// pre-tiering implementation.
+// copy charged at the receiver when tiering is on); larger ones ride the
+// conduit's one rendezvous (`Conduit::am_send_rendezvous`): an RTS names
+// MPI's delivery handler, the receiver's conduit grants a registered
+// landing buffer in the CTS, the payload streams there as RDMA writes
+// under the per-QP credit window, and a FIN delivers the landed bytes —
+// with no bounce copy — into the same per-source delivery chain as eager
+// messages. Zero-byte sends are always eager: they must still match a
+// receive but may not trigger connections, registration faults, or
+// credits beyond what one small AM costs. With the tiering knobs at their
+// zero defaults every message is eager and the wire traffic is
+// bit-identical to the pre-tiering implementation.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/conduit.hpp"
@@ -43,9 +46,11 @@ namespace odcm::mpi {
 using RankId = fabric::RankId;
 using ReduceOp = shmem::ReduceOp;
 
-/// AM handler id used by the MPI layer (distinct from the SHMEM ids, which
-/// share the conduit in hybrid jobs; mpi.cpp asserts it).
+/// AM handler ids used by the MPI layer (distinct from the SHMEM ids, which
+/// share the conduit in hybrid jobs; mpi.cpp asserts it): eager messages,
+/// and messages delivered by the conduit's rendezvous.
 inline constexpr std::uint16_t kMpiHandler = core::kFirstUserHandler + 2;
+inline constexpr std::uint16_t kMpiRdvHandler = core::kFirstUserHandler + 5;
 
 class MpiComm {
  public:
@@ -110,6 +115,9 @@ class MpiComm {
   template <typename T>
   [[nodiscard]] sim::Task<T> recv_value(RankId src, std::uint32_t tag) {
     std::vector<std::byte> bytes = co_await recv(src, tag);
+    if (bytes.size() != sizeof(T)) {
+      throw std::runtime_error("MpiComm::recv_value: size mismatch");
+    }
     T value;
     std::memcpy(&value, bytes.data(), sizeof(T));
     co_return value;
@@ -162,13 +170,6 @@ class MpiComm {
  private:
   /// Wire tags: user tags are offset so collective traffic cannot collide.
   static constexpr std::uint64_t kUserTagSpace = 1ULL << 32;
-  /// Rendezvous control messages ride the same AM handler under reserved
-  /// tags far above both user and collective tag spaces. The payload tag a
-  /// rendezvous transfer matches under travels inside the RTS packet.
-  static constexpr std::uint64_t kCtrlBase = 1ULL << 48;
-  static constexpr std::uint64_t kCtrlRts = kCtrlBase + 0;
-  static constexpr std::uint64_t kCtrlData = kCtrlBase + 1;
-  static constexpr std::uint64_t kCtrlCredit = kCtrlBase + 2;
 
   /// One (src, tag) match queue. `active_poppers` counts receivers inside
   /// `pop()` — suspended or woken-but-not-yet-run — so reclaim never frees
@@ -180,33 +181,16 @@ class MpiComm {
   };
   using MatchKey = std::pair<RankId, std::uint64_t>;
 
-  /// Sender-side state of one in-flight rendezvous, keyed by sequence.
-  struct SendRdv {
-    explicit SendRdv(sim::Engine& engine) : cts(engine), granted(engine) {}
-    sim::Gate cts;        ///< Opened by the first credit grant (the CTS).
-    sim::Trigger granted; ///< Fired on every credit top-up.
-    std::uint32_t credits = 0;
-  };
-  /// Receiver-side reassembly of one rendezvous, keyed by (src, seq).
-  struct RecvRdv {
-    std::uint64_t tag = 0;  ///< The payload tag the transfer matches under.
-    std::uint64_t len = 0;
-    std::uint32_t next_frag = 0;
-    std::vector<std::byte> data{};
-  };
-
   sim::Task<std::vector<std::byte>> wait_impl(Request request);
-  sim::Task<> handle_message(RankId src, std::vector<std::byte> payload);
-  sim::Task<> handle_ctrl(RankId src, std::uint64_t tag,
-                          std::vector<std::byte> payload);
+  /// Deliver one message into its matchbox; `bounce_copy` charges the
+  /// eager receive copy (rendezvous deliveries landed by RDMA write).
+  sim::Task<> handle_message(RankId src, std::vector<std::byte> payload,
+                             bool bounce_copy);
   Match& matchbox(RankId src, std::uint64_t tag);
   void reclaim_matchbox(const MatchKey& key);
   void finish_delivery(RankId src, const std::shared_ptr<sim::Gate>& slot);
   sim::Task<> send_tagged(RankId dst, std::uint64_t tag,
                           std::span<const std::byte> data);
-  sim::Task<> send_rendezvous(RankId dst, std::uint64_t tag,
-                              std::span<const std::byte> data);
-  sim::Task<> send_credit(RankId dst, std::uint32_t seq, std::uint32_t n);
   sim::Task<std::vector<std::byte>> recv_tagged(RankId src,
                                                 std::uint64_t tag);
 
@@ -233,17 +217,12 @@ class MpiComm {
   /// sooner and would jump the matchbox. Every delivery that can suspend
   /// claims a slot here before its first suspension (handler starts are
   /// strictly time-ordered by arrival) and pushes only after its
-  /// predecessor pushed, so matchbox order equals arrival order. Completed
-  /// rendezvous payloads enlist too: they must not overtake an
+  /// predecessor pushed, so matchbox order equals arrival order. Rendezvous
+  /// deliveries (run at FIN arrival) enlist too: they must not overtake an
   /// earlier-arrived eager message still paying its copy delay. Entries
   /// self-reclaim when their chain drains, like send_tail_/recv_tail_.
   std::map<RankId, std::shared_ptr<sim::Gate>> deliver_tail_{};
   std::uint64_t coll_seq_ = 0;
-  // Rendezvous bookkeeping. Sequence numbers are per-sender, so the
-  // receiver keys reassembly by (src, seq).
-  std::uint32_t mpi_rdv_seq_ = 0;
-  std::map<std::uint32_t, std::shared_ptr<SendRdv>> send_rdv_{};
-  std::map<std::pair<RankId, std::uint32_t>, RecvRdv> recv_rdv_{};
 };
 
 template <typename T>
@@ -259,6 +238,9 @@ sim::Task<> MpiComm::reduce(RankId root, std::span<T> data, ReduceOp op) {
     if (child >= n) break;
     RankId child_rank = static_cast<RankId>((child + root) % n);
     std::vector<std::byte> partial = co_await recv_tagged(child_rank, tag);
+    if (partial.size() != data.size_bytes()) {
+      throw std::runtime_error("MpiComm::reduce: size mismatch");
+    }
     const T* in = reinterpret_cast<const T*>(partial.data());
     for (std::size_t e = 0; e < data.size(); ++e) {
       switch (op) {

@@ -305,6 +305,29 @@ TEST(Mpi, BackToBackSameTagSendsStayFifoUnderShuffledSchedules) {
   }
 }
 
+TEST(Mpi, ShortReduceContributionThrows) {
+  // A child whose partial is shorter than the root's buffer must be
+  // rejected, not read past the end of its payload.
+  Env env(2, 1);
+  EXPECT_THROW(env.run_pure([](MpiComm& comm) -> sim::Task<> {
+    std::vector<std::uint64_t> data(comm.rank() == 0 ? 4 : 1, 1);
+    co_await comm.reduce<std::uint64_t>(0, data, ReduceOp::kSum);
+  }),
+               std::runtime_error);
+}
+
+TEST(Mpi, ShortRecvValuePayloadThrows) {
+  Env env(2, 1);
+  EXPECT_THROW(env.run_pure([](MpiComm& comm) -> sim::Task<> {
+    if (comm.rank() == 0) {
+      co_await comm.send(1, 4, std::vector<std::byte>(1));
+    } else {
+      (void)co_await comm.recv_value<std::uint64_t>(0, 4);
+    }
+  }),
+               std::runtime_error);
+}
+
 TEST(Mpi, WtimeAdvances) {
   Env env(1, 1);
   env.run_pure([](MpiComm& comm) -> sim::Task<> {
