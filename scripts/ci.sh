@@ -35,6 +35,17 @@ if grep -rnE '\b(RendezvousPacket|CreditPacket|kCtrl[A-Za-z0-9_]*)\b' src/mpi; t
   exit 1
 fi
 
+echo "==> one match table: MPI and OpenSHMEM collectives match through"
+# sim::MatchTable (DESIGN.md §5.16): receives match at arrival in posting
+# order. A mailbox per key or a receive/delivery chain in src/mpi would be
+# a second way to hand an arriving message to a waiting receiver.
+if grep -rn 'Mailbox<' src/mpi src/shmem ||
+    grep -rnE '\b(recv_tail_|deliver_tail_|active_poppers)\b' src/mpi; then
+  echo "ci.sh: a second matching mechanism reappeared; use" \
+    "sim::MatchTable" >&2
+  exit 1
+fi
+
 echo "==> observation guard: one event stream, one observer list, one span"
 # Protocol steps are recorded once, as ProtocolEvents on the job's one
 # observer list; sim::PhaseTimer is the only RAII span (DESIGN.md §5.8).

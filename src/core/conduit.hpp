@@ -445,6 +445,8 @@ class Conduit {
   /// Send the eviction notice on `qp`, the victim's QP when it was marked
   /// kDraining, and retire it unless the drain resolved meanwhile.
   sim::Task<> evict_connection(RankId victim, fabric::QueuePair* qp);
+  /// Count down one tracked eviction task; wake finalize at zero.
+  void settle_eviction();
   void retire_qp(RankId rank, Peer& peer);
   /// Destroy the slot's retired QP once its work queue drains (called at
   /// the drain-resolution points, so `retired_qps_` stays bounded under

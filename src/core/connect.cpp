@@ -500,6 +500,10 @@ sim::Task<> Conduit::evict_connection(RankId victim, fabric::QueuePair* qp) {
       retire_qp(victim, p);
     }
   }
+  settle_eviction();
+}
+
+void Conduit::settle_eviction() {
   --pending_evictions_;
   if (pending_evictions_ == 0 && evictions_settled_) {
     evictions_settled_->notify_all();
@@ -544,10 +548,7 @@ void Conduit::reclaim_retired(Peer& peer) {
     std::erase(c.retired_qps_, qp);
     co_await c.hca().destroy_qp(qp->qpn());
     c.stats_.add("qp_retired_reclaimed");
-    --c.pending_evictions_;
-    if (c.pending_evictions_ == 0 && c.evictions_settled_) {
-      c.evictions_settled_->notify_all();
-    }
+    c.settle_eviction();
   }(*this, qp));
 }
 
@@ -567,10 +568,7 @@ void Conduit::perform_passive_drain(RankId src) {
     AmPacket ack{/*handler=*/3, c.rank_, {}};
     (void)co_await qp->send(ack.encode());
     c.reclaim_retired(c.peer(src));
-    --c.pending_evictions_;
-    if (c.pending_evictions_ == 0 && c.evictions_settled_) {
-      c.evictions_settled_->notify_all();
-    }
+    c.settle_eviction();
   }(*this, src, old));
 }
 

@@ -1,6 +1,8 @@
 #include "mpi/mpi.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/wire.hpp"
@@ -19,7 +21,8 @@ static_assert(kMpiHandler != shmem::detail::kCollDataHandler &&
                   kMpiRdvHandler != shmem::detail::kRegHandler,
               "MPI and OpenSHMEM AM handler ids clash");
 
-MpiComm::MpiComm(core::Conduit& conduit) : conduit_(conduit) {
+MpiComm::MpiComm(core::Conduit& conduit)
+    : conduit_(conduit), matches_(conduit.engine()) {
   conduit_.register_handler(
       kMpiHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
@@ -43,63 +46,51 @@ double MpiComm::wtime() {
   return sim::to_seconds(conduit_.engine().now());
 }
 
+void MpiComm::check_rank(RankId peer, const char* what) const {
+  if (peer >= size()) {
+    throw std::out_of_range(std::string("MpiComm::") + what + ": no rank " +
+                            std::to_string(peer));
+  }
+}
+
 sim::Task<> MpiComm::handle_message(RankId src,
                                     std::vector<std::byte> payload,
                                     bool bounce_copy) {
   core::wire::Reader reader(payload);
   auto tag = reader.read_int<std::uint64_t>();
-  std::vector<std::byte> data = reader.read_rest();
-  if (!conduit_.config().tiering_enabled() || data.empty()) {
-    matchbox(src, tag).box.push(std::move(data));
-    co_return;
+  Arrival arrival{reader.read_rest(), conduit_.engine().now()};
+  if (conduit_.config().tiering_enabled()) {
+    // Matched now, visible later: after the eager bounce-buffer copy (the
+    // cost rendezvous exists to avoid; its bytes landed by RDMA write), and
+    // never before an earlier message from this source (non-overtaking).
+    if (bounce_copy) {
+      const fabric::FabricConfig& fcfg = conduit_.hca().fabric().config();
+      arrival.visible_at += static_cast<sim::Time>(
+          static_cast<double>(arrival.data.size()) /
+          fcfg.eager_copy_bytes_per_ns);
+    }
+    sim::Time& latest = visible_[src];
+    arrival.visible_at = latest = std::max(latest, arrival.visible_at);
   }
-  // Claim a delivery slot BEFORE suspending: handler tasks run
-  // concurrently, so a smaller message arriving later finishes its copy
-  // sooner, but may only push after every earlier delivery from this
-  // source has pushed (non-overtaking). Copies still overlap in time; only
-  // the matchbox pushes are ordered. A rendezvous delivery enlists too: it
-  // must not overtake an earlier eager message still paying its copy.
-  auto slot = std::make_shared<sim::Gate>(conduit_.engine());
-  std::shared_ptr<sim::Gate> prev = std::exchange(deliver_tail_[src], slot);
-  if (bounce_copy) {
-    // Eager bounce-buffer copy: with tiering on, the receiver pays to move
-    // the payload from the bounce buffer into the posted buffer — the cost
-    // rendezvous exists to avoid (its bytes landed by RDMA write).
-    const fabric::FabricConfig& fcfg = conduit_.hca().fabric().config();
-    co_await conduit_.engine().delay(static_cast<sim::Time>(
-        static_cast<double>(data.size()) / fcfg.eager_copy_bytes_per_ns));
-  }
-  if (prev) co_await prev->wait();
-  matchbox(src, tag).box.push(std::move(data));
-  finish_delivery(src, slot);
+  const std::size_t live = matches_.size();
+  matches_.deliver({src, tag}, std::move(arrival));
+  count_matchboxes(live);
+  co_return;
 }
 
-MpiComm::Match& MpiComm::matchbox(RankId src, std::uint64_t tag) {
-  auto key = std::make_pair(src, tag);
-  auto it = matches_.find(key);
-  if (it == matches_.end()) {
-    it = matches_.emplace(key, std::make_unique<Match>(conduit_.engine()))
-             .first;
-    conduit_.stats().add("mpi_matchbox_created");
-  }
-  return *it->second;
+MpiComm::Request MpiComm::post(RankId src, std::uint64_t tag) {
+  Request request;
+  request.state_ = std::make_shared<Request::State>(conduit_.engine());
+  const std::size_t live = matches_.size();
+  matches_.post({src, tag}, request.state_);
+  count_matchboxes(live);
+  return request;
 }
 
-void MpiComm::finish_delivery(RankId src,
-                              const std::shared_ptr<sim::Gate>& slot) {
-  slot->open();
-  auto it = deliver_tail_.find(src);
-  if (it != deliver_tail_.end() && it->second == slot) {
-    deliver_tail_.erase(it);
-  }
-}
-
-void MpiComm::reclaim_matchbox(const MatchKey& key) {
-  auto it = matches_.find(key);
-  if (it == matches_.end()) return;
-  if (it->second->active_poppers != 0 || !it->second->box.empty()) return;
-  matches_.erase(it);
-  conduit_.stats().add("mpi_matchbox_reclaimed");
+void MpiComm::count_matchboxes(std::size_t live_before) {
+  if (matches_.size() == live_before) return;
+  conduit_.stats().add(matches_.size() > live_before ? "mpi_matchbox_created"
+                                                     : "mpi_matchbox_reclaimed");
 }
 
 sim::Task<> MpiComm::send_tagged(RankId dst, std::uint64_t tag,
@@ -123,13 +114,7 @@ sim::Task<> MpiComm::send_tagged(RankId dst, std::uint64_t tag,
 
 sim::Task<std::vector<std::byte>> MpiComm::recv_tagged(RankId src,
                                                        std::uint64_t tag) {
-  const auto key = std::make_pair(src, tag);
-  Match& match = matchbox(src, tag);
-  ++match.active_poppers;
-  std::vector<std::byte> data = co_await match.box.pop();
-  --match.active_poppers;
-  reclaim_matchbox(key);
-  co_return data;
+  return wait_impl(post(src, tag));
 }
 
 sim::Task<> MpiComm::send(RankId dst, std::uint32_t tag,
@@ -141,13 +126,12 @@ sim::Task<> MpiComm::send(RankId dst, std::uint32_t tag,
 
 sim::Task<std::vector<std::byte>> MpiComm::recv(RankId src,
                                                 std::uint32_t tag) {
-  // Routed through the irecv chain so a blocking recv posted after a
-  // pending irecv with the same (src, tag) matches strictly after it.
-  co_return co_await wait(irecv(src, tag));
+  return wait(irecv(src, tag));
 }
 
 MpiComm::Request MpiComm::isend(RankId dst, std::uint32_t tag,
                                 std::span<const std::byte> data) {
+  check_rank(dst, "isend");
   Request request;
   request.state_ = std::make_shared<Request::State>(conduit_.engine());
   // Chain behind the previous send to the same destination: the sender task
@@ -175,32 +159,9 @@ MpiComm::Request MpiComm::isend(RankId dst, std::uint32_t tag,
 }
 
 MpiComm::Request MpiComm::irecv(RankId src, std::uint32_t tag) {
-  Request request;
-  request.state_ = std::make_shared<Request::State>(conduit_.engine());
-  // Chain behind the previous receive for the same (src, tag): without
-  // this, two posted irecvs race their detached receiver tasks for the
-  // mailbox and a perturbed event schedule can match them out of posting
-  // order (see recv_tail_ in the header).
-  const MatchKey key{src, tag};
-  std::shared_ptr<Request::State> prev =
-      std::exchange(recv_tail_[key], request.state_);
-  conduit_.engine().spawn(
-      [](MpiComm& comm, MatchKey k,
-         std::shared_ptr<Request::State> predecessor,
-         std::shared_ptr<Request::State> state) -> sim::Task<> {
-        if (predecessor) co_await predecessor->done.wait();
-        comm.conduit_.stats().add("mpi_recv");
-        state->data = co_await comm.recv_tagged(k.first, k.second);
-        state->done.open();
-        // Reclaim the chain tail once it drains, mirroring matchbox
-        // reclamation: a communicator cycling through tags must not
-        // accumulate one tail entry per (src, tag) ever used.
-        auto it = comm.recv_tail_.find(k);
-        if (it != comm.recv_tail_.end() && it->second == state) {
-          comm.recv_tail_.erase(it);
-        }
-      }(*this, key, std::move(prev), request.state_));
-  return request;
+  check_rank(src, "irecv");
+  conduit_.stats().add("mpi_recv");
+  return post(src, tag);
 }
 
 sim::Task<std::vector<std::byte>> MpiComm::wait(Request request) {
@@ -212,7 +173,12 @@ sim::Task<std::vector<std::byte>> MpiComm::wait(Request request) {
 
 sim::Task<std::vector<std::byte>> MpiComm::wait_impl(Request request) {
   co_await request.state_->done.wait();
-  co_return std::move(request.state_->data);
+  Arrival& arrival = request.state_->item;
+  sim::Engine& engine = conduit_.engine();
+  if (arrival.visible_at > engine.now()) {
+    co_await engine.delay(arrival.visible_at - engine.now());
+  }
+  co_return std::move(arrival.data);
 }
 
 sim::Task<> MpiComm::waitall(std::vector<Request> requests) {
@@ -226,6 +192,7 @@ sim::Task<> MpiComm::barrier() {
 }
 
 sim::Task<> MpiComm::bcast(RankId root, std::span<std::byte> data) {
+  check_rank(root, "bcast");
   const std::uint32_t n = size();
   if (n == 1) co_return;
   const std::uint64_t tag = kUserTagSpace + coll_seq_++;
@@ -285,6 +252,7 @@ sim::Task<> MpiComm::allgather(std::span<const std::byte> block,
 
 sim::Task<> MpiComm::gather(RankId root, std::span<const std::byte> block,
                             std::span<std::byte> out) {
+  check_rank(root, "gather");
   const std::uint32_t n = size();
   const std::size_t len = block.size();
   const std::uint64_t tag = kUserTagSpace + coll_seq_++;
@@ -310,6 +278,7 @@ sim::Task<> MpiComm::gather(RankId root, std::span<const std::byte> block,
 
 sim::Task<> MpiComm::scatter(RankId root, std::span<const std::byte> in,
                              std::span<std::byte> out) {
+  check_rank(root, "scatter");
   const std::uint32_t n = size();
   const std::size_t len = out.size();
   const std::uint64_t tag = kUserTagSpace + coll_seq_++;
@@ -335,17 +304,10 @@ sim::Task<> MpiComm::scatter(RankId root, std::span<const std::byte> in,
 
 sim::Task<std::vector<std::byte>> MpiComm::sendrecv(
     RankId peer, std::uint32_t tag, std::span<const std::byte> data) {
-  // Post the send as its own task so two PEs in sendrecv with each other
-  // cannot deadlock, then block on the matching receive.
-  std::vector<std::byte> copy(data.begin(), data.end());
-  sim::spawn_discard(
-      conduit_.engine(),
-      [](MpiComm& comm, RankId dst, std::uint32_t t,
-         std::vector<std::byte> payload) -> sim::Task<int> {
-        co_await comm.send(dst, t, payload);
-        co_return 0;
-      }(*this, peer, tag, std::move(copy)));
-  co_return co_await recv(peer, tag);
+  // The send completes on its own, so two PEs in sendrecv with each other
+  // cannot deadlock.
+  (void)isend(peer, tag, data);
+  return recv(peer, tag);
 }
 
 }  // namespace odcm::mpi

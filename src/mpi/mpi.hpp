@@ -7,9 +7,19 @@
 // the two programming models and no duplicated endpoints exist.
 //
 // Supported surface (what the hybrid Graph500 and the benches need):
-//   send / recv (eager, exact (source, tag) matching)
-//   barrier, bcast, reduce, allreduce, allgather
+//   send / recv, isend / irecv / wait / waitall, sendrecv (exact (source,
+//     tag) matching)
+//   barrier, bcast, reduce, allreduce, allgather, gather, scatter
 //   wtime
+// A peer or root outside [0, size()) throws std::out_of_range before any
+// traffic.
+//
+// Matching (DESIGN.md §5.16): a sim::MatchTable keyed by (source, tag)
+// hands an arriving message to the oldest receive posted for its key, or
+// keeps it for the next receive. Receives thus match at arrival in posting
+// order, and sends to one destination hit the wire in posting order (MPI's
+// non-overtaking rule). With tiering on, a message becomes visible to its
+// receive after its bounce copy and after every earlier one from its source.
 //
 // Deviations from MPI proper, by design: no wildcard source/tag, no
 // communicator splitting.
@@ -21,12 +31,12 @@
 // MPI's delivery handler, the receiver's conduit grants a registered
 // landing buffer in the CTS, the payload streams there as RDMA writes
 // under the per-QP credit window, and a FIN delivers the landed bytes —
-// with no bounce copy — into the same per-source delivery chain as eager
-// messages. Zero-byte sends are always eager: they must still match a
-// receive but may not trigger connections, registration faults, or
-// credits beyond what one small AM costs. With the tiering knobs at their
-// zero defaults every message is eager and the wire traffic is
-// bit-identical to the pre-tiering implementation.
+// with no bounce copy — to the match table like an eager message. Zero-byte
+// sends are always eager: they must still match a receive but may not
+// trigger connections, registration faults, or credits beyond what one
+// small AM costs. With the tiering knobs at their zero defaults every
+// message is eager and the wire traffic is bit-identical to the
+// pre-tiering implementation.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +45,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/conduit.hpp"
@@ -53,6 +64,14 @@ inline constexpr std::uint16_t kMpiHandler = core::kFirstUserHandler + 2;
 inline constexpr std::uint16_t kMpiRdvHandler = core::kFirstUserHandler + 5;
 
 class MpiComm {
+  /// A message matched to a receive, and the virtual time its bytes become
+  /// visible to that receive.
+  struct Arrival {
+    std::vector<std::byte> data{};
+    sim::Time visible_at = 0;
+  };
+  using Matches = sim::MatchTable<std::pair<RankId, std::uint64_t>, Arrival>;
+
  public:
   /// Construct over an existing conduit. Must be constructed on every rank
   /// before any rank communicates through it.
@@ -86,11 +105,8 @@ class MpiComm {
 
    private:
     friend class MpiComm;
-    struct State {
-      explicit State(sim::Engine& engine) : done(engine) {}
-      sim::Gate done;
-      std::vector<std::byte> data{};
-    };
+    /// A receive's posted match; a send opens `done` when it completes.
+    using State = Matches::Receive;
     std::shared_ptr<State> state_{};
   };
 
@@ -159,10 +175,10 @@ class MpiComm {
   [[nodiscard]] sim::Task<std::vector<std::byte>> sendrecv(
       RankId peer, std::uint32_t tag, std::span<const std::byte> data);
 
-  /// Live (src, tag) mailboxes. Matchboxes are created on first use and
-  /// reclaimed once drained, so a long-running job that cycles through tags
-  /// (per-iteration tags, collective sequence tags) holds O(in-flight)
-  /// mailboxes, not O(tags ever used). A quiesced communicator reports 0.
+  /// Live (src, tag) keys of the match table. Drained keys are erased, so
+  /// a job that cycles through tags (per-iteration tags, collective
+  /// sequence tags) holds O(in-flight) keys. A quiesced communicator
+  /// reports 0.
   [[nodiscard]] std::size_t matchbox_count() const noexcept {
     return matches_.size();
   }
@@ -171,62 +187,41 @@ class MpiComm {
   /// Wire tags: user tags are offset so collective traffic cannot collide.
   static constexpr std::uint64_t kUserTagSpace = 1ULL << 32;
 
-  /// One (src, tag) match queue. `active_poppers` counts receivers inside
-  /// `pop()` — suspended or woken-but-not-yet-run — so reclaim never frees
-  /// a mailbox a resuming coroutine still references.
-  struct Match {
-    explicit Match(sim::Engine& engine) : box(engine) {}
-    sim::Mailbox<std::vector<std::byte>> box;
-    std::uint32_t active_poppers = 0;
-  };
-  using MatchKey = std::pair<RankId, std::uint64_t>;
-
+  /// Throw std::out_of_range unless `peer` names a rank of this job.
+  void check_rank(RankId peer, const char* what) const;
   sim::Task<std::vector<std::byte>> wait_impl(Request request);
-  /// Deliver one message into its matchbox; `bounce_copy` charges the
-  /// eager receive copy (rendezvous deliveries landed by RDMA write).
+  /// Match one arriving message; `bounce_copy` charges the eager receive
+  /// copy (rendezvous deliveries landed by RDMA write).
   sim::Task<> handle_message(RankId src, std::vector<std::byte> payload,
                              bool bounce_copy);
-  Match& matchbox(RankId src, std::uint64_t tag);
-  void reclaim_matchbox(const MatchKey& key);
-  void finish_delivery(RankId src, const std::shared_ptr<sim::Gate>& slot);
+  /// Post a receive for (src, tag) to the match table.
+  Request post(RankId src, std::uint64_t tag);
+  /// Count the table entry a deliver or post created or erased.
+  void count_matchboxes(std::size_t live_before);
   sim::Task<> send_tagged(RankId dst, std::uint64_t tag,
                           std::span<const std::byte> data);
   sim::Task<std::vector<std::byte>> recv_tagged(RankId src,
                                                 std::uint64_t tag);
 
   core::Conduit& conduit_;
-  std::map<MatchKey, std::unique_ptr<Match>> matches_{};
+  Matches matches_;
   /// Tail of the per-destination send chain: each isend awaits the previous
   /// request to the same destination before hitting the wire, so posting
   /// order equals wire order (MPI's non-overtaking rule) under every event
   /// tie-break policy — without it, two back-to-back isends race their
   /// detached sender tasks and a perturbed schedule can swap them.
   std::map<RankId, std::shared_ptr<Request::State>> send_tail_{};
-  /// Tail of the per-(src, tag) receive chain — the matching-side half of
-  /// the same rule: two irecvs posted for one (src, tag) must match
-  /// messages in posting order. Found by the schedule-exploration sweep
-  /// (replay: check_sweep --seed 1000 --recipe 0 --mode 4 --rounds 1
-  /// --schedule-seed 1): the two detached receiver tasks race to pop the
-  /// mailbox, and a perturbed tie-break order hands the first message to
-  /// the second irecv. Entries are reclaimed when their chain drains.
-  std::map<MatchKey, std::shared_ptr<Request::State>> recv_tail_{};
-  /// Tail of the per-source delivery chain — the receiver-handler half of
-  /// the non-overtaking rule. With tiering on, the eager bounce-copy delay
-  /// suspends inside the per-message handler task, and handler tasks run
-  /// concurrently: a smaller message arriving later finishes its copy
-  /// sooner and would jump the matchbox. Every delivery that can suspend
-  /// claims a slot here before its first suspension (handler starts are
-  /// strictly time-ordered by arrival) and pushes only after its
-  /// predecessor pushed, so matchbox order equals arrival order. Rendezvous
-  /// deliveries (run at FIN arrival) enlist too: they must not overtake an
-  /// earlier-arrived eager message still paying its copy delay. Entries
-  /// self-reclaim when their chain drains, like send_tail_/recv_tail_.
-  std::map<RankId, std::shared_ptr<sim::Gate>> deliver_tail_{};
+  /// With tiering on: the latest visibility time of a message from each
+  /// source. A later message from that source is never visible earlier,
+  /// even on another tag or with a shorter bounce copy (non-overtaking).
+  /// One entry per source that sent while tiering was on.
+  std::map<RankId, sim::Time> visible_{};
   std::uint64_t coll_seq_ = 0;
 };
 
 template <typename T>
 sim::Task<> MpiComm::reduce(RankId root, std::span<T> data, ReduceOp op) {
+  check_rank(root, "reduce");
   const std::uint32_t n = size();
   if (n == 1) co_return;
   const std::uint64_t tag = kUserTagSpace + coll_seq_++;

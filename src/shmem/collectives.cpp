@@ -8,6 +8,8 @@
 // since the operations are collective, the sequence numbers align across
 // PEs and data for distinct operations cannot mix.
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "shmem/job.hpp"
 #include "shmem/pe.hpp"
@@ -21,31 +23,12 @@ using detail::kAlltoallKind;
 using detail::kCollectKind;
 using detail::kReduceKind;
 
-ShmemPe::CollectState& ShmemPe::collect_state(std::uint64_t key) {
-  for (auto& [live, state] : coll_states_) {
-    if (live == key) return *state;
-  }
-  return *coll_states_
-              .emplace_back(key, std::make_unique<CollectState>(engine()))
-              .second;
-}
-
-void ShmemPe::drop_collect_state(std::uint64_t key) {
-  for (auto& entry : coll_states_) {
-    if (entry.first == key) {
-      entry = std::move(coll_states_.back());
-      coll_states_.pop_back();
-      return;
-    }
-  }
-}
-
 sim::Task<> ShmemPe::handle_coll_data(RankId /*src*/,
                                       std::vector<std::byte> payload) {
   core::wire::Reader reader(payload);
   auto kind = reader.read_int<std::uint8_t>();
   auto seq = reader.read_int<std::uint64_t>();
-  collect_state(coll_key(kind, seq)).chunks.push(reader.read_rest());
+  coll_matches_.deliver(coll_key(kind, seq), reader.read_rest());
   co_return;
 }
 
@@ -61,8 +44,13 @@ std::vector<std::byte> coll_header(std::uint8_t kind, std::uint64_t seq) {
 }  // namespace
 
 sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
-  stats().add("shmem_broadcast");
   const std::uint32_t n = n_pes();
+  if (root >= n) {
+    throw std::out_of_range("ShmemPe::broadcast: root " +
+                            std::to_string(root) + " outside " +
+                            std::to_string(n) + " PEs");
+  }
+  stats().add("shmem_broadcast");
   if (n == 1) co_return;
   const std::uint64_t seq = bcast_seq_++;
   const std::uint64_t key = coll_key(kBcastKind, seq);
@@ -70,7 +58,7 @@ sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
   const std::uint32_t vrank = (rank_ + n - root) % n;
 
   if (vrank != 0) {
-    std::vector<std::byte> data = co_await collect_state(key).chunks.pop();
+    std::vector<std::byte> data = co_await coll_matches_.receive(key);
     if (data.size() != len) {
       throw std::runtime_error("ShmemPe::broadcast: length mismatch");
     }
@@ -87,7 +75,6 @@ sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
     co_await conduit_.am_send((static_cast<RankId>(child) + root) % n,
                               kCollDataHandler, message);
   }
-  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
@@ -117,7 +104,7 @@ sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
     message.insert(message.end(), current.begin(), current.end());
     co_await conduit_.am_send(right, kCollDataHandler, std::move(message));
 
-    std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
+    std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
     core::wire::Reader reader(incoming);
     auto idx = reader.read_int<std::uint32_t>();
     current = reader.read_rest();
@@ -129,7 +116,6 @@ sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
     std::copy(current.begin(), current.end(), target.begin());
     send_idx = idx;
   }
-  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
@@ -152,8 +138,7 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
       core::wire::put_int<std::uint32_t>(message, lengths[send_idx]);
       co_await conduit_.am_send(right, kCollDataHandler,
                                 std::move(message));
-      std::vector<std::byte> incoming =
-          co_await collect_state(key).chunks.pop();
+      std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
       core::wire::Reader reader(incoming);
       auto idx = reader.read_int<std::uint32_t>();
       auto len = reader.read_int<std::uint32_t>();
@@ -161,7 +146,6 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
       lengths[idx] = len;
       send_idx = idx;
     }
-    drop_collect_state(key);
   }
 
   std::vector<std::uint64_t> offsets(n, 0);
@@ -190,7 +174,7 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
     message.insert(message.end(), current.begin(), current.end());
     co_await conduit_.am_send(right, kCollDataHandler,
                               std::move(message));
-    std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
+    std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
     core::wire::Reader reader(incoming);
     auto idx = reader.read_int<std::uint32_t>();
     current = reader.read_rest();
@@ -203,7 +187,6 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
     }
     send_idx = idx;
   }
-  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
@@ -234,7 +217,7 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
                               std::move(message));
   }
   for (std::uint32_t received = 0; received + 1 < n; ++received) {
-    std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
+    std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
     core::wire::Reader reader(incoming);
     auto idx = reader.read_int<std::uint32_t>();
     std::vector<std::byte> data = reader.read_rest();
@@ -245,7 +228,6 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
         dest + static_cast<std::uint64_t>(idx) * block_len, block_len);
     std::copy(data.begin(), data.end(), target.begin());
   }
-  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
@@ -273,7 +255,7 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
 
   // Combine the children's partial results.
   for (std::uint32_t received = 0; received < children; ++received) {
-    std::vector<std::byte> partial = co_await collect_state(key).chunks.pop();
+    std::vector<std::byte> partial = co_await coll_matches_.receive(key);
     if (partial.size() != bytes) {
       throw std::runtime_error("ShmemPe::reduce: bad partial");
     }
@@ -288,7 +270,7 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
     RankId parent = (rank_ - 1) / fanout;
     co_await conduit_.am_send(parent, kCollDataHandler, std::move(message));
 
-    std::vector<std::byte> result = co_await collect_state(key).chunks.pop();
+    std::vector<std::byte> result = co_await coll_matches_.receive(key);
     if (result.size() != bytes) {
       throw std::runtime_error("ShmemPe::reduce: bad result");
     }
@@ -306,7 +288,6 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
     co_await conduit_.am_send(static_cast<RankId>(child), kCollDataHandler,
                               message);
   }
-  drop_collect_state(key);
 }
 
 }  // namespace odcm::shmem

@@ -26,7 +26,8 @@ ShmemPe::ShmemPe(ShmemJob& job, RankId rank)
       conduit_(job.conduit_job().conduit(rank)),
       heap_space_(rank, fabric::make_va_base(rank),
                   job.shmem_config().heap_bytes),
-      allocator_(job.shmem_config().heap_bytes) {}
+      allocator_(job.shmem_config().heap_bytes),
+      coll_matches_(conduit_.engine()) {}
 
 ShmemPe::~ShmemPe() = default;
 

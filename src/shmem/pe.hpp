@@ -81,14 +81,6 @@ class ShmemPe : private core::RkeyHook {
   [[nodiscard]] core::Conduit& conduit() noexcept { return conduit_; }
   [[nodiscard]] sim::Engine& engine() noexcept;
 
- private:
-  /// Per-(kind, sequence) buffer of incoming collective chunks.
-  struct CollectState {
-    explicit CollectState(sim::Engine& engine) : chunks(engine) {}
-    sim::Mailbox<std::vector<std::byte>> chunks;
-  };
-
- public:
   [[nodiscard]] const ShmemConfig& config() const noexcept;
   [[nodiscard]] SymmetricAllocator& heap() noexcept { return allocator_; }
   [[nodiscard]] sim::StatSet& stats() noexcept { return conduit_.stats(); }
@@ -314,9 +306,7 @@ class ShmemPe : private core::RkeyHook {
       RankId src, fabric::VirtAddr raddr, std::uint64_t len);
 
   // Collective plumbing (implemented in collectives.cpp).
-  CollectState& collect_state(std::uint64_t key);
   sim::Task<> handle_coll_data(RankId src, std::vector<std::byte> payload);
-  void drop_collect_state(std::uint64_t key);
   /// Folds one received partial into the accumulator, element by element
   /// in index order (type-erased core of reduce<T>).
   using Combiner = void (*)(std::span<std::byte> acc,
@@ -367,9 +357,8 @@ class ShmemPe : private core::RkeyHook {
   std::uint64_t bcast_seq_ = 0;
   std::uint64_t collect_seq_ = 0;
   std::uint64_t reduce_seq_ = 0;
-  /// Only a few keys are live per PE at once; searched linearly.
-  std::vector<std::pair<std::uint64_t, std::unique_ptr<CollectState>>>
-      coll_states_{};
+  /// Incoming collective chunks, matched by coll_key(kind, sequence).
+  sim::MatchTable<std::uint64_t, std::vector<std::byte>> coll_matches_;
 };
 
 }  // namespace odcm::shmem

@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -244,6 +246,75 @@ class Mailbox {
   bool closed_ = false;
   std::deque<T> items_{};
   std::deque<std::coroutine_handle<>> waiters_{};
+};
+
+/// Two-sided matching by key. A delivery goes to the oldest receive posted
+/// for its key, or waits in the key's unexpected FIFO; a receive takes the
+/// oldest unexpected item, or is posted. Matching is fixed at that moment,
+/// in order, so two receives for one key never race for an item. A key's
+/// entry is erased once both FIFOs drain: O(in-flight) keys are held.
+template <typename Key, typename T>
+class MatchTable {
+ public:
+  /// One posted receive: the delivery that matches it moves its item into
+  /// `item` and opens `done`.
+  struct Receive {
+    explicit Receive(Engine& engine) : done(engine) {}
+    Gate done;
+    T item{};
+  };
+
+  explicit MatchTable(Engine& engine) : engine_(&engine) {}
+
+  /// Keys with a posted receive or an unexpected item.
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+  void deliver(const Key& key, T item) {
+    auto it = entries_.try_emplace(key).first;
+    if (it->second.posted.empty()) {
+      it->second.unexpected.push_back(std::move(item));
+      return;
+    }
+    std::shared_ptr<Receive> receive = std::move(it->second.posted.front());
+    it->second.posted.pop_front();
+    if (it->second.posted.empty()) entries_.erase(it);
+    receive->item = std::move(item);
+    receive->done.open();
+  }
+
+  /// Complete `receive` with the oldest unexpected item for `key`, or post
+  /// it for the next delivery.
+  void post(const Key& key, std::shared_ptr<Receive> receive) {
+    auto it = entries_.try_emplace(key).first;
+    if (it->second.unexpected.empty()) {
+      it->second.posted.push_back(std::move(receive));
+      return;
+    }
+    receive->item = std::move(it->second.unexpected.front());
+    it->second.unexpected.pop_front();
+    if (it->second.unexpected.empty()) entries_.erase(it);
+    receive->done.open();
+  }
+
+  /// Awaitable receive: post, then suspend until matched (not at all if an
+  /// unexpected item is waiting).
+  [[nodiscard]] Task<T> receive(Key key) {
+    auto receive = std::make_shared<Receive>(*engine_);
+    post(key, receive);
+    co_await receive->done.wait();
+    co_return std::move(receive->item);
+  }
+
+ private:
+  /// Lists, not deques: an entry often lives for one item, and an empty
+  /// list allocates nothing.
+  struct Entry {
+    std::list<std::shared_ptr<Receive>> posted;
+    std::list<T> unexpected;
+  };
+
+  Engine* engine_;
+  std::map<Key, Entry> entries_{};
 };
 
 /// Counting semaphore; used to model finite NIC processing slots.

@@ -217,31 +217,62 @@ TEST(MpiBulk, RendezvousGatherFromMoreRanksThanLandingSegments) {
 TEST(MpiBulk, EagerBounceCopyKeepsArrivalOrder) {
   // Two eager messages (both under the rendezvous threshold) posted
   // big-then-small to one (dst, tag): the receiver charges a
-  // size-proportional bounce-copy delay inside concurrently running
-  // handler tasks, so the later, smaller message finishes its copy while
-  // the big one is still copying (50KB at 8 B/ns dwarfs the ~2us
-  // inter-arrival gap). Its matchbox push must still come second —
-  // deliveries chain per source (non-overtaking).
+  // size-proportional bounce-copy delay, so the later, smaller message
+  // (8 B, or 0 B with no copy at all) is ready while the big one is still
+  // copying (50KB at 8 B/ns dwarfs the ~2us inter-arrival gap). It must
+  // still be received second — deliveries from one source become visible
+  // in arrival order (non-overtaking).
+  for (const std::size_t small_len : {std::size_t{8}, std::size_t{0}}) {
+    core::ConduitConfig conduit = tiered_design();
+    conduit.rendezvous_threshold = 1 << 16;  // keep a 50KB message eager
+    BulkEnv env(2, conduit);
+    env.run([small_len](MpiComm& comm) -> sim::Task<> {
+      const std::vector<std::byte> big = pattern(11, 50000);
+      const std::vector<std::byte> small = pattern(12, small_len);
+      if (comm.rank() == 0) {
+        MpiComm::Request s0 = comm.isend(1, 13, big);
+        MpiComm::Request s1 = comm.isend(1, 13, small);
+        std::vector<MpiComm::Request> sends{s0, s1};
+        co_await comm.waitall(std::move(sends));
+      } else {
+        std::vector<std::byte> m0 = co_await comm.recv(0, 13);
+        std::vector<std::byte> m1 = co_await comm.recv(0, 13);
+        EXPECT_EQ(m0, big) << "small message of " << small_len << " B";
+        EXPECT_EQ(m1, small) << "small message of " << small_len << " B";
+      }
+    });
+    sim::StatSet totals = env.totals();
+    EXPECT_EQ(totals.counter("rdv_rts_sent"), 0);  // both stayed eager
+  }
+}
+
+TEST(MpiBulk, CrossTagVisibilityWaitsForEarlierCopy) {
+  // A later small message on another tag is matched on arrival but becomes
+  // visible only with the earlier 50KB message from the same source: both
+  // receives complete at the big message's copy end, though the small one
+  // is received first.
   core::ConduitConfig conduit = tiered_design();
-  conduit.rendezvous_threshold = 1 << 16;  // keep a 50KB message eager
+  conduit.rendezvous_threshold = 64 << 10;  // keep a 50KB message eager
   BulkEnv env(2, conduit);
-  env.run([](MpiComm& comm) -> sim::Task<> {
-    const std::vector<std::byte> big = pattern(11, 50000);
-    const std::vector<std::byte> small = pattern(12, 8);
+  sim::Time small_done = 0;
+  sim::Time big_done = 0;
+  env.run([&](MpiComm& comm) -> sim::Task<> {
+    const std::vector<std::byte> big = pattern(21, 50000);
+    const std::vector<std::byte> small = pattern(22, 8);
     if (comm.rank() == 0) {
-      MpiComm::Request s0 = comm.isend(1, 13, big);
-      MpiComm::Request s1 = comm.isend(1, 13, small);
+      MpiComm::Request s0 = comm.isend(1, 1, big);
+      MpiComm::Request s1 = comm.isend(1, 2, small);
       std::vector<MpiComm::Request> sends{s0, s1};
       co_await comm.waitall(std::move(sends));
     } else {
-      std::vector<std::byte> m0 = co_await comm.recv(0, 13);
-      std::vector<std::byte> m1 = co_await comm.recv(0, 13);
-      EXPECT_EQ(m0, big);
-      EXPECT_EQ(m1, small);
+      EXPECT_EQ(co_await comm.recv(0, 2), small);
+      small_done = env.engine.now();
+      EXPECT_EQ(co_await comm.recv(0, 1), big);
+      big_done = env.engine.now();
     }
   });
-  sim::StatSet totals = env.totals();
-  EXPECT_EQ(totals.counter("rdv_rts_sent"), 0);  // both stayed eager
+  EXPECT_EQ(small_done, 1302014);
+  EXPECT_EQ(big_done, 1302014);
 }
 
 TEST(MpiBulk, ZeroByteSendMatchesWithoutRendezvous) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "mpi/mpi.hpp"
@@ -273,9 +275,10 @@ TEST(Mpi, MatchboxesAreReclaimedWhenDrained) {
 
 TEST(Mpi, BackToBackSameTagSendsStayFifoUnderShuffledSchedules) {
   // MPI's non-overtaking rule, pinned under perturbed event schedules:
-  // two back-to-back isends with the same (src, tag) — and the two irecvs
-  // matching them — must pair up in posting order for every tie-break
-  // seed. Seed 0 is the historical insertion order.
+  // back-to-back isends with the same (src, tag) — and the irecvs matching
+  // them, all posted before any send — must pair up in posting order for
+  // every tie-break seed. Seed 0 is the historical insertion order.
+  constexpr int kMessages = 8;
   for (std::uint64_t schedule_seed : {0ull, 1ull, 9ull, 23ull, 40ull}) {
     Env env(2, 1);
     if (schedule_seed != 0) {
@@ -286,22 +289,64 @@ TEST(Mpi, BackToBackSameTagSendsStayFifoUnderShuffledSchedules) {
     }
     env.run_pure([schedule_seed](MpiComm& comm) -> sim::Task<> {
       if (comm.rank() == 0) {
-        MpiComm::Request s0 = comm.isend(1, 5, encode_int(111));
-        MpiComm::Request s1 = comm.isend(1, 5, encode_int(222));
+        // Let the receiver post every irecv first.
+        co_await comm.conduit().engine().delay(10 * sim::usec);
         std::vector<MpiComm::Request> sends;
-        sends.push_back(s0);
-        sends.push_back(s1);
+        for (int i = 0; i < kMessages; ++i) {
+          sends.push_back(comm.isend(1, 5, encode_int(111 * (i + 1))));
+        }
         co_await comm.waitall(std::move(sends));
       } else {
-        MpiComm::Request r0 = comm.irecv(0, 5);
-        MpiComm::Request r1 = comm.irecv(0, 5);
-        std::vector<std::byte> m0 = co_await comm.wait(r0);
-        std::vector<std::byte> m1 = co_await comm.wait(r1);
-        EXPECT_EQ(decode_int(m0), 111) << "schedule_seed=" << schedule_seed;
-        EXPECT_EQ(decode_int(m1), 222) << "schedule_seed=" << schedule_seed;
+        std::vector<MpiComm::Request> recvs;
+        for (int i = 0; i < kMessages; ++i) recvs.push_back(comm.irecv(0, 5));
+        for (int i = 0; i < kMessages; ++i) {
+          std::vector<std::byte> m = co_await comm.wait(recvs[i]);
+          EXPECT_EQ(decode_int(m), 111 * (i + 1))
+              << "message " << i << ", schedule_seed=" << schedule_seed;
+        }
       }
     });
     EXPECT_EQ(env.comms[1]->matchbox_count(), 0u);
+  }
+}
+
+TEST(Mpi, OutOfRangePeerOrRootThrows) {
+  // A peer or root >= size() must throw at the call, not wrap around to a
+  // real rank, wait forever, or fail later in a detached task.
+  Env env(2, 1);
+  env.run_pure([](MpiComm& comm) -> sim::Task<> {
+    EXPECT_THROW((void)comm.isend(2, 1, encode_int(1)), std::out_of_range);
+    EXPECT_THROW((void)comm.irecv(7, 1), std::out_of_range);
+    co_return;
+  });
+  using Body = std::function<sim::Task<>(MpiComm&)>;
+  const std::vector<std::pair<const char*, Body>> collectives = {
+      {"bcast",
+       [](MpiComm& comm) -> sim::Task<> {
+         std::vector<std::byte> data(4);
+         co_await comm.bcast(5, data);
+       }},
+      {"reduce",
+       [](MpiComm& comm) -> sim::Task<> {
+         std::vector<std::int64_t> data(1, 1);
+         co_await comm.reduce<std::int64_t>(2, data, ReduceOp::kSum);
+       }},
+      {"gather",
+       [](MpiComm& comm) -> sim::Task<> {
+         std::vector<std::byte> block(4);
+         std::vector<std::byte> out(8);
+         co_await comm.gather(2, block, out);
+       }},
+      {"scatter",
+       [](MpiComm& comm) -> sim::Task<> {
+         std::vector<std::byte> in(8);
+         std::vector<std::byte> out(4);
+         co_await comm.scatter(3, in, out);
+       }},
+  };
+  for (const auto& [name, body] : collectives) {
+    Env bad_root(2, 1);
+    EXPECT_THROW(bad_root.run_pure(body), std::out_of_range) << name;
   }
 }
 

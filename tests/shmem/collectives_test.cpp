@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "shmem/job.hpp"
@@ -85,6 +86,18 @@ TEST(Broadcast, BackToBackRoundsDoNotMix) {
       EXPECT_EQ(pe.local_read<std::uint64_t>(buf), round * 11);
     }
   }));
+}
+
+TEST(Broadcast, OutOfRangeRootThrows) {
+  // Root 5 of 4 PEs must throw at the call, not wrap around to a real PE
+  // in the tree arithmetic.
+  JobEnv env(small_job(4, 2));
+  EXPECT_THROW(env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
+                 SymAddr buf = pe.heap().allocate(8);
+                 pe.local_write<std::uint64_t>(buf, pe.rank());
+                 co_await pe.broadcast(5, buf, 8);
+               })),
+               std::out_of_range);
 }
 
 TEST(Fcollect, GathersAllBlocksEverywhere) {

@@ -1,6 +1,8 @@
-// Unit tests for Gate, Trigger, Mailbox, Semaphore and JoinCounter.
+// Unit tests for Gate, Trigger, Mailbox, MatchTable, Semaphore and
+// JoinCounter.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -197,6 +199,36 @@ TEST(Mailbox, MultipleConsumersEachGetOneItem) {
   engine.run();
   ASSERT_EQ(received.size(), 3u);
   EXPECT_EQ(received[0] + received[1] + received[2], 600);
+}
+
+TEST(MatchTable, MatchesInPostingOrderAndErasesDrainedKeys) {
+  Engine engine;
+  MatchTable<int, int> table(engine);
+  using Receive = MatchTable<int, int>::Receive;
+  std::vector<std::shared_ptr<Receive>> posted;
+  for (int i = 0; i < 3; ++i) {
+    posted.push_back(std::make_shared<Receive>(engine));
+    table.post(1, posted.back());
+  }
+  table.deliver(2, 20);  // unexpected: no receive posted for key 2
+  table.deliver(2, 21);
+  EXPECT_EQ(table.size(), 2u);
+  for (int v = 10; v < 13; ++v) table.deliver(1, v);
+  EXPECT_EQ(table.size(), 1u);  // key 1 drained and erased
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(posted[i]->done.is_open());
+    EXPECT_EQ(posted[i]->item, 10 + i);
+  }
+  std::vector<int> received;
+  engine.spawn([](MatchTable<int, int>& t, std::vector<int>& out) -> Task<> {
+    out.push_back(co_await t.receive(2));  // oldest unexpected first
+    out.push_back(co_await t.receive(2));
+    out.push_back(co_await t.receive(3));  // posted; matched at t=5
+  }(table, received));
+  engine.schedule_at(5, [&] { table.deliver(3, 30); });
+  engine.run();
+  EXPECT_EQ(received, (std::vector<int>{20, 21, 30}));
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(Semaphore, LimitsConcurrency) {
