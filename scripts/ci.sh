@@ -46,6 +46,24 @@ if grep -rn 'Mailbox<' src/mpi src/shmem ||
   exit 1
 fi
 
+echo "==> one RC work-request path: QueuePair::post and fabric::execute"
+# Every RC op is one fabric::WorkRequest through QueuePair::post, whose
+# state lives in the posting frame; its target effect is fabric::execute,
+# which the conduit's shm leg calls too (DESIGN.md §5 item 3). A per-op
+# body, a per-op make_shared or a read-modify-write in src/core would be a
+# second copy of that path.
+if grep -rnE '\b(send|rdma_write|rdma_read|fetch_add|compare_swap|swap)_impl\b|\bAtomicResult\b' \
+    src/fabric ||
+    awk '/---- UD operations ----/ { exit }
+         /make_shared/ { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' src/fabric/qp.cpp ||
+    grep -rlF 'memcpy(&value' src/core |
+      xargs -r grep -nF 'RmaKind::kFetchAdd'; then
+  echo "ci.sh: a second RC op body or RMW reappeared; build a" \
+    "fabric::WorkRequest and use QueuePair::post / fabric::execute" >&2
+  exit 1
+fi
+
 echo "==> observation guard: one event stream, one observer list, one span"
 # Protocol steps are recorded once, as ProtocolEvents on the job's one
 # observer list; sim::PhaseTimer is the only RAII span (DESIGN.md §5.8).

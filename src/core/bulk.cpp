@@ -160,11 +160,14 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
              CreditLease credit, std::uint32_t frag, std::uint32_t seq,
              std::shared_ptr<StreamState> state) -> sim::Task<> {
             try {
-              fabric::Completion wc =
-                  is_get ? co_await qp->rdma_read(va, rkey, dest)
-                         : co_await qp->rdma_write(
-                               va, rkey,
-                               std::vector<std::byte>(src.begin(), src.end()));
+              fabric::WorkRequest wr{
+                  .opcode = is_get ? fabric::WcOpcode::kRdmaRead
+                                   : fabric::WcOpcode::kRdmaWrite,
+                  .raddr = va,
+                  .rkey = rkey,
+                  .data = {src.begin(), src.end()},
+                  .dest = dest};
+              fabric::Completion wc = co_await qp->post(std::move(wr));
               if (!wc.ok()) {
                 throw std::runtime_error(
                     "Conduit: bulk fragment " + std::to_string(frag) +

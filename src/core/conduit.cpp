@@ -1,6 +1,5 @@
 // Conduit lifecycle, listeners, active messages and the RMA data path.
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -48,26 +47,22 @@ const sim::StatId kTierCounter[] = {sim::stat_id("bulk_tier_eager"),
 /// livelock. The pipelined tier pins one chunk at a time and always fits.
 constexpr int kRdvMaxRetries = 4;
 
-/// Post the RC work request of `op`'s bytes `[offset, offset + len)`.
-sim::Task<fabric::Completion> post(fabric::QueuePair& qp, const RmaOp& op,
-                                   std::uint64_t offset, std::uint64_t len,
-                                   fabric::RKey rkey) {
-  const fabric::VirtAddr va = op.raddr + offset;
-  switch (op.kind) {
-    case RmaKind::kPut: {
-      std::span<const std::byte> bytes = op.src.subspan(offset, len);
-      return qp.rdma_write(va, rkey, {bytes.begin(), bytes.end()});
-    }
-    case RmaKind::kGet:
-      return qp.rdma_read(va, rkey, op.dest.subspan(offset, len));
-    case RmaKind::kFetchAdd:
-      return qp.fetch_add(va, rkey, op.operand);
-    case RmaKind::kSwap:
-      return qp.swap(va, rkey, op.operand);
-    case RmaKind::kCompareSwap:
-      return qp.compare_swap(va, rkey, op.expect, op.operand);
+/// The work request of `op`'s bytes `[offset, offset + len)`: a put's
+/// bytes are captured here, at issue.
+fabric::WorkRequest work_request(const RmaOp& op, std::uint64_t offset,
+                                 std::uint64_t len, fabric::RKey rkey) {
+  fabric::WorkRequest wr{.opcode = kRmaOpcode[kind_index(op.kind)],
+                         .raddr = op.raddr + offset,
+                         .rkey = rkey,
+                         .operand = op.operand,
+                         .expect = op.expect};
+  if (op.kind == RmaKind::kPut) {
+    std::span<const std::byte> bytes = op.src.subspan(offset, len);
+    wr.data.assign(bytes.begin(), bytes.end());
+  } else if (op.kind == RmaKind::kGet) {
+    wr.dest = op.dest.subspan(offset, len);
   }
-  throw std::logic_error("Conduit: bad RMA kind");
+  return wr;
 }
 }  // namespace
 
@@ -397,37 +392,20 @@ sim::Task<fabric::Completion> Conduit::shm_rma(RankId dst, const RmaOp& op) {
   stats_.add(kRmaCounter[kind_index(op.kind)]);
   stats_.add(kRmaShmCounter[kind_index(op.kind)]);
   notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
-  // A put's source is captured at issue, like an RC work request's.
-  const std::vector<std::byte> data(op.src.begin(), op.src.end());
+  const fabric::WorkRequest wr = work_request(op, 0, len, 0);
   co_await engine().delay(
       op.atomic() ? fcfg.shm_atomic_latency
                   : fcfg.shm_copy_latency +
                         static_cast<sim::Time>(static_cast<double>(len) /
                                                fcfg.shm_bytes_per_ns));
   fabric::Completion wc;
-  wc.opcode = kRmaOpcode[kind_index(op.kind)];
+  wc.opcode = wr.opcode;
   wc.byte_len = static_cast<std::uint32_t>(len);
   auto window = shm_domain().resolve(dst, op.raddr, len);
-  if (!window) {
-    wc.status = fabric::WcStatus::kRemoteAccessError;
-  } else if (op.kind == RmaKind::kPut) {
-    std::copy(data.begin(), data.end(), window->begin());
-  } else if (op.kind == RmaKind::kGet) {
-    std::copy(window->begin(), window->end(), op.dest.begin());
+  if (window) {
+    wc.atomic_old = fabric::execute(wr, *window, op.dest);
   } else {
-    // The read-modify-write happens atomically at this single simulated
-    // instant, on the same AddressSpace bytes RC atomics resolve to through
-    // the HCA registration table — which is the whole coherence argument
-    // (DESIGN.md §5.14).
-    std::uint64_t value = 0;
-    std::memcpy(&value, window->data(), 8);
-    wc.atomic_old = value;
-    if (op.kind == RmaKind::kFetchAdd) {
-      value += op.operand;
-    } else if (op.kind == RmaKind::kSwap || value == op.expect) {
-      value = op.operand;
-    }
-    std::memcpy(window->data(), &value, 8);
+    wc.status = fabric::WcStatus::kRemoteAccessError;
   }
   stats_.add_time(kRmaShmTime, engine().now() - start);
   co_return wc;
@@ -529,7 +507,7 @@ sim::Task<fabric::Completion> Conduit::rma(RankId dst, RmaOp op) {
       stats_.add(kRmaCounter[kind_index(op.kind)]);
       notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
       const fabric::Completion piece =
-          co_await post(*qp, op, offset, grant.len, grant.rkey);
+          co_await qp->post(work_request(op, offset, grant.len, grant.rkey));
       credit.release();
       if (op.atomic() || !piece.ok()) wc = piece;
       if (!piece.ok()) break;

@@ -298,12 +298,11 @@ class Conduit {
 
   // ---- barriers ----
 
-  /// Barrier across all PEs. With the rc intra-node transport this is an
-  /// AM tree over every rank; with shm it is hierarchical — PEs arrive at
-  /// the node barrier over shared memory and only node leaders run the AM
-  /// tree, so same-node pairs never consume RC connections.
-  /// Tree barrier over active messages across all PEs (forces O(fanout)
-  /// connections per PE in on-demand mode).
+  /// Barrier across all PEs: a tree of active messages, which forces
+  /// O(fanout) connections per PE in on-demand mode. With the rc intra-node
+  /// transport the tree spans every rank; with shm it is hierarchical — PEs
+  /// arrive at the node barrier over shared memory and only node leaders
+  /// run the tree, so same-node pairs never consume RC connections.
   [[nodiscard]] sim::Task<> barrier_global();
 
   /// Shared-memory barrier among the PEs of this node (§IV-E).

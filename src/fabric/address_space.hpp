@@ -16,6 +16,14 @@
 
 namespace odcm::fabric {
 
+/// True if `[va, va + len)` lies inside `[start, start + size)`. Nothing is
+/// summed, so an address near 2^64 cannot wrap past the check; every
+/// remote-access resolver (HCA rkeys, shm exports) uses this one rule.
+constexpr bool range_within(VirtAddr start, std::uint64_t size, VirtAddr va,
+                            std::uint64_t len) noexcept {
+  return va >= start && len <= size && va - start <= size - len;
+}
+
 /// A contiguous simulated memory segment owned by one PE.
 class AddressSpace {
  public:
@@ -36,7 +44,7 @@ class AddressSpace {
 
   /// True if [va, va+len) lies inside this space.
   [[nodiscard]] bool contains(VirtAddr va, std::size_t len) const noexcept {
-    return va >= base_ && va + len <= base_ + bytes_.size() && va + len >= va;
+    return range_within(base_, bytes_.size(), va, len);
   }
 
   /// View of [va, va+len); throws if out of range.

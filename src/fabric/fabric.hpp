@@ -78,6 +78,31 @@ struct UdSendContext {
 /// Consulted once per UD send, before the i.i.d. configuration rates.
 using UdFaultHook = std::function<UdFault(const UdSendContext&)>;
 
+/// One RC work request, the argument of `QueuePair::post`: an
+/// `ibv_send_wr` with its scatter/gather list folded in. Which fields count
+/// depends on `opcode`.
+struct WorkRequest {
+  WcOpcode opcode = WcOpcode::kSend;
+  VirtAddr raddr = 0;  ///< RDMA and atomics: the remote address
+  RKey rkey = 0;       ///< RDMA and atomics: the remote key
+  /// Send and write: the bytes, captured when the request is posted.
+  std::vector<std::byte> data{};
+  /// Read: where the bytes land; must stay valid until completion.
+  std::span<std::byte> dest{};
+  /// Fetch-add addend, swap value, compare-swap desired value.
+  std::uint64_t operand = 0;
+  std::uint64_t expect = 0;  ///< compare-swap: the expected value
+  WrId wr_id = 0;
+};
+
+/// Apply a write, read or atomic `wr` to its resolved target `window` at
+/// one simulated instant; a read copies the window into `read_into` (of the
+/// window's size). Returns the prior 8-byte value for an atomic, else 0.
+/// The RC responder and the conduit's shm leg both call this, so RC and shm
+/// atomics on the same bytes serialize exactly (DESIGN.md §5.14).
+std::uint64_t execute(const WorkRequest& wr, std::span<std::byte> window,
+                      std::span<std::byte> read_into);
+
 /// A simulated queue pair. Created through `Hca::create_qp`; owned by the
 /// HCA and destroyed through `Hca::destroy_qp`.
 class QueuePair {
@@ -120,38 +145,82 @@ class QueuePair {
 
   // ---- RC operations (state must be RTS) ----
 
+  /// Post one RC work request and await its completion. A wrong QP type or
+  /// state throws at the call. Otherwise the request reaches the target in
+  /// order with the QP's earlier ones, takes effect there at that instant
+  /// (`execute`, or the shared receive queue for a send) and completes an
+  /// ack later, or, for a read or an atomic, once the response is back.
+  /// A bad rkey or range completes with `kRemoteAccessError` and moves the
+  /// QP to the error state.
+  [[nodiscard]] sim::Task<Completion> post(WorkRequest wr);
+
   /// Two-sided send; arrives in the target PE's shared receive queue.
   [[nodiscard]] sim::Task<Completion> send(std::vector<std::byte> payload,
-                                           WrId wr_id = 0);
+                                           WrId wr_id = 0) {
+    return post({.opcode = WcOpcode::kSend,
+                 .data = std::move(payload),
+                 .wr_id = wr_id});
+  }
 
   /// One-sided write of `data` to remote `(raddr, rkey)`.
   [[nodiscard]] sim::Task<Completion> rdma_write(
-      VirtAddr raddr, RKey rkey, std::vector<std::byte> data, WrId wr_id = 0);
+      VirtAddr raddr, RKey rkey, std::vector<std::byte> data, WrId wr_id = 0) {
+    return post({.opcode = WcOpcode::kRdmaWrite,
+                 .raddr = raddr,
+                 .rkey = rkey,
+                 .data = std::move(data),
+                 .wr_id = wr_id});
+  }
 
   /// One-sided read of `dest.size()` bytes from remote `(raddr, rkey)`.
   /// `dest` must stay valid until the returned task completes.
   [[nodiscard]] sim::Task<Completion> rdma_read(VirtAddr raddr, RKey rkey,
                                                 std::span<std::byte> dest,
-                                                WrId wr_id = 0);
+                                                WrId wr_id = 0) {
+    return post({.opcode = WcOpcode::kRdmaRead,
+                 .raddr = raddr,
+                 .rkey = rkey,
+                 .dest = dest,
+                 .wr_id = wr_id});
+  }
 
   /// Atomic fetch-and-add on a remote 8-byte location; the prior value is
   /// returned in `Completion::atomic_old`.
   [[nodiscard]] sim::Task<Completion> fetch_add(VirtAddr raddr, RKey rkey,
                                                 std::uint64_t add,
-                                                WrId wr_id = 0);
+                                                WrId wr_id = 0) {
+    return post({.opcode = WcOpcode::kFetchAdd,
+                 .raddr = raddr,
+                 .rkey = rkey,
+                 .operand = add,
+                 .wr_id = wr_id});
+  }
 
   /// Atomic compare-and-swap; swaps in `desired` iff the current value is
   /// `expect`. Prior value returned in `Completion::atomic_old`.
   [[nodiscard]] sim::Task<Completion> compare_swap(VirtAddr raddr, RKey rkey,
                                                    std::uint64_t expect,
                                                    std::uint64_t desired,
-                                                   WrId wr_id = 0);
+                                                   WrId wr_id = 0) {
+    return post({.opcode = WcOpcode::kCompareSwap,
+                 .raddr = raddr,
+                 .rkey = rkey,
+                 .operand = desired,
+                 .expect = expect,
+                 .wr_id = wr_id});
+  }
 
   /// Unconditional atomic swap (extended atomics). Prior value returned in
   /// `Completion::atomic_old`.
   [[nodiscard]] sim::Task<Completion> swap(VirtAddr raddr, RKey rkey,
                                            std::uint64_t value,
-                                           WrId wr_id = 0);
+                                           WrId wr_id = 0) {
+    return post({.opcode = WcOpcode::kSwap,
+                 .raddr = raddr,
+                 .rkey = rkey,
+                 .operand = value,
+                 .wr_id = wr_id});
+  }
 
   // ---- UD operations (state must be RTS) ----
 
@@ -184,19 +253,7 @@ class QueuePair {
 
   // Coroutine bodies behind the eagerly-validating public entry points.
   sim::Task<> transition_impl(QpState next);
-  sim::Task<Completion> send_impl(std::vector<std::byte> payload, WrId wr_id);
-  sim::Task<Completion> rdma_write_impl(VirtAddr raddr, RKey rkey,
-                                        std::vector<std::byte> data,
-                                        WrId wr_id);
-  sim::Task<Completion> rdma_read_impl(VirtAddr raddr, RKey rkey,
-                                       std::span<std::byte> dest, WrId wr_id);
-  sim::Task<Completion> fetch_add_impl(VirtAddr raddr, RKey rkey,
-                                       std::uint64_t add, WrId wr_id);
-  sim::Task<Completion> compare_swap_impl(VirtAddr raddr, RKey rkey,
-                                          std::uint64_t expect,
-                                          std::uint64_t desired, WrId wr_id);
-  sim::Task<Completion> swap_impl(VirtAddr raddr, RKey rkey,
-                                  std::uint64_t value, WrId wr_id);
+  sim::Task<Completion> post_impl(WorkRequest wr);
   sim::Task<Completion> send_ud_impl(Lid dlid, Qpn dqpn, UdPayload payload,
                                      WrId wr_id);
   /// Resolve a remote (raddr, rkey) at the connected peer HCA.

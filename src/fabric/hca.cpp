@@ -98,8 +98,8 @@ std::optional<std::span<std::byte>> Hca::resolve(VirtAddr raddr, RKey rkey,
                                                  std::size_t len) {
   if (rkey >= regions_.size()) return std::nullopt;
   const Region& region = regions_[rkey];
-  if (region.space == nullptr || raddr < region.start ||
-      raddr + len > region.start + region.len) {
+  if (region.space == nullptr ||
+      !range_within(region.start, region.len, raddr, len)) {
     return std::nullopt;
   }
   return region.space->window(raddr, len);

@@ -27,19 +27,28 @@ bool valid_transition(QpState from, QpState to) {
   }
 }
 
-std::uint64_t load_u64(std::span<const std::byte> window) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, window.data(), sizeof(value));
-  return value;
+constexpr const char* kOpName[] = {"send",      "rdma_write",   "rdma_read",
+                                   "fetch_add", "compare_swap", "swap"};
+
+bool is_atomic(WcOpcode opcode) {
+  return opcode == WcOpcode::kFetchAdd || opcode == WcOpcode::kCompareSwap ||
+         opcode == WcOpcode::kSwap;
 }
 
-void store_u64(std::span<std::byte> window, std::uint64_t value) {
-  std::memcpy(window.data(), &value, sizeof(value));
-}
+/// A posted RC work request until it completes. It lives in the posting
+/// coroutine's frame, which waits on `done`; the two fabric events reach it
+/// by pointer (`Hca::destroy_qp` refuses a QP with work in flight).
+struct InFlight {
+  InFlight(sim::Engine& engine, WorkRequest request)
+      : wr(std::move(request)), done(engine) {}
 
-struct AtomicResult {
+  WorkRequest wr;
+  std::size_t len = 0;
+  RankId dst_rank = 0;                ///< send: owner of the target QP
+  std::vector<std::byte> snapshot{};  ///< read: the bytes at the responder
   WcStatus status = WcStatus::kSuccess;
-  std::uint64_t old_value = 0;
+  std::uint64_t atomic_old = 0;
+  sim::Gate done;
 };
 
 }  // namespace
@@ -134,242 +143,99 @@ Completion QueuePair::finish(WrId wr_id, WcOpcode opcode, WcStatus status,
 
 // ---- RC operations ----
 
-sim::Task<Completion> QueuePair::send(std::vector<std::byte> payload,
-                                      WrId wr_id) {
-  require_type(QpType::kRc, "send");
-  require_state(QpState::kRts, "send");
-  return send_impl(std::move(payload), wr_id);
-}
-
-sim::Task<Completion> QueuePair::send_impl(std::vector<std::byte> payload,
-                                           WrId wr_id) {
-  ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const auto byte_len = static_cast<std::uint32_t>(payload.size());
-  sim::Time arrival = schedule_arrival(payload.size());
-
-  Hca& remote_hca = hca_.fabric().hca_by_lid(remote_.lid);
-  QueuePair* remote_qp = remote_hca.find_qp(remote_.qpn);
-  if (remote_qp == nullptr) {
-    // The peer QP vanished: real RC would retry and eventually fail with a
-    // retry-exceeded completion; we fail immediately.
-    co_await engine.delay(hca_.fabric().config().ack_latency);
-    co_return finish(wr_id, WcOpcode::kSend, WcStatus::kRemoteAccessError, 0);
+std::uint64_t execute(const WorkRequest& wr, std::span<std::byte> window,
+                      std::span<std::byte> read_into) {
+  if (wr.opcode == WcOpcode::kRdmaWrite) {
+    std::copy(wr.data.begin(), wr.data.end(), window.begin());
+    return 0;
   }
-  RankId dst_rank = remote_qp->owner();
-
-  auto message = std::make_shared<RcMessage>(
-      RcMessage{lid(), qpn_, remote_.qpn, std::move(payload)});
-  engine.schedule_at(arrival, [&remote_hca, dst_rank, message] {
-    sim::Mailbox<RcMessage>& srq = remote_hca.srq(dst_rank);
-    // A drained (closed) receive queue flushes incoming messages, like a
-    // QP in the error state.
-    if (!srq.closed()) {
-      srq.push(std::move(*message));
-    }
-  });
-
-  sim::Gate done(engine);
-  engine.schedule_at(arrival + hca_.fabric().config().ack_latency,
-                     [&done] { done.open(); });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kSend, WcStatus::kSuccess, byte_len);
+  if (wr.opcode == WcOpcode::kRdmaRead) {
+    std::copy(window.begin(), window.end(), read_into.begin());
+    return 0;
+  }
+  if (!is_atomic(wr.opcode)) {
+    throw std::logic_error("fabric::execute: a send has no target window");
+  }
+  std::uint64_t old = 0;
+  std::memcpy(&old, window.data(), sizeof(old));
+  std::uint64_t value = old;
+  if (wr.opcode == WcOpcode::kFetchAdd) {
+    value = old + wr.operand;
+  } else if (wr.opcode == WcOpcode::kSwap || old == wr.expect) {
+    value = wr.operand;
+  }
+  std::memcpy(window.data(), &value, sizeof(value));
+  return old;
 }
 
-sim::Task<Completion> QueuePair::rdma_write(VirtAddr raddr, RKey rkey,
-                                            std::vector<std::byte> data,
-                                            WrId wr_id) {
-  require_type(QpType::kRc, "rdma_write");
-  require_state(QpState::kRts, "rdma_write");
-  return rdma_write_impl(raddr, rkey, std::move(data), wr_id);
+sim::Task<Completion> QueuePair::post(WorkRequest wr) {
+  const char* op = kOpName[static_cast<std::size_t>(wr.opcode)];
+  require_type(QpType::kRc, op);
+  require_state(QpState::kRts, op);
+  return post_impl(std::move(wr));
 }
 
-sim::Task<Completion> QueuePair::rdma_write_impl(VirtAddr raddr, RKey rkey,
-                                                 std::vector<std::byte> data,
-                                                 WrId wr_id) {
+sim::Task<Completion> QueuePair::post_impl(WorkRequest wr) {
   ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const auto byte_len = static_cast<std::uint32_t>(data.size());
-  sim::Time arrival = schedule_arrival(data.size());
+  Fabric& fabric = hca_.fabric();
+  sim::Engine& engine = fabric.engine();
+  const FabricConfig& cfg = fabric.config();
+  InFlight op(engine, std::move(wr));
+  const WcOpcode opcode = op.wr.opcode;
+  const bool read = opcode == WcOpcode::kRdmaRead;
+  op.len = read                ? op.wr.dest.size()
+           : is_atomic(opcode) ? sizeof(std::uint64_t)
+                               : op.wr.data.size();
 
-  auto payload = std::make_shared<std::vector<std::byte>>(std::move(data));
-  auto status = std::make_shared<WcStatus>(WcStatus::kSuccess);
-  engine.schedule_at(arrival, [this, raddr, rkey, payload, status] {
-    auto window = resolve_remote(raddr, rkey, payload->size());
-    if (!window) {
-      *status = WcStatus::kRemoteAccessError;
+  // A read request is header-only; its response carries the data. Reads
+  // and atomics complete when the response is back, sends and writes when
+  // the ack is.
+  const sim::Time arrival = schedule_arrival(read ? 0 : op.len);
+  const sim::Time complete =
+      read || is_atomic(opcode)
+          ? arrival + cfg.responder_overhead +
+                fabric.transfer_latency(remote_.lid, lid(), op.len)
+          : arrival + cfg.ack_latency;
+
+  if (opcode == WcOpcode::kSend) {
+    QueuePair* remote_qp =
+        fabric.hca_by_lid(remote_.lid).find_qp(remote_.qpn);
+    if (remote_qp == nullptr) {
+      // The peer QP vanished: real RC would retry and eventually fail with
+      // a retry-exceeded completion; we fail immediately.
+      co_await engine.delay(cfg.ack_latency);
+      co_return finish(op.wr.wr_id, opcode, WcStatus::kRemoteAccessError, 0);
+    }
+    op.dst_rank = remote_qp->owner();
+  }
+
+  engine.schedule_at(arrival, [this, &op] {
+    if (op.wr.opcode == WcOpcode::kSend) {
+      sim::Mailbox<RcMessage>& srq =
+          hca_.fabric().hca_by_lid(remote_.lid).srq(op.dst_rank);
+      // A drained (closed) receive queue flushes incoming messages, like a
+      // QP in the error state.
+      if (!srq.closed()) {
+        srq.push(RcMessage{lid(), qpn_, remote_.qpn, std::move(op.wr.data)});
+      }
       return;
     }
-    std::copy(payload->begin(), payload->end(), window->begin());
-  });
-
-  sim::Gate done(engine);
-  engine.schedule_at(arrival + hca_.fabric().config().ack_latency,
-                     [&done] { done.open(); });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kRdmaWrite, *status, byte_len);
-}
-
-sim::Task<Completion> QueuePair::rdma_read(VirtAddr raddr, RKey rkey,
-                                           std::span<std::byte> dest,
-                                           WrId wr_id) {
-  require_type(QpType::kRc, "rdma_read");
-  require_state(QpState::kRts, "rdma_read");
-  return rdma_read_impl(raddr, rkey, dest, wr_id);
-}
-
-sim::Task<Completion> QueuePair::rdma_read_impl(VirtAddr raddr, RKey rkey,
-                                                std::span<std::byte> dest,
-                                                WrId wr_id) {
-  ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const FabricConfig& cfg = hca_.fabric().config();
-  const auto byte_len = static_cast<std::uint32_t>(dest.size());
-
-  // The read request itself is header-only; the response carries the data.
-  sim::Time request_arrival = schedule_arrival(0);
-  sim::Time response_arrival =
-      request_arrival + cfg.responder_overhead +
-      hca_.fabric().transfer_latency(remote_.lid, lid(), dest.size());
-
-  auto snapshot = std::make_shared<std::vector<std::byte>>();
-  auto status = std::make_shared<WcStatus>(WcStatus::kSuccess);
-  engine.schedule_at(request_arrival,
-                     [this, raddr, rkey, byte_len, snapshot, status] {
-                       auto window = resolve_remote(raddr, rkey, byte_len);
-                       if (!window) {
-                         *status = WcStatus::kRemoteAccessError;
-                         return;
-                       }
-                       snapshot->assign(window->begin(), window->end());
-                     });
-
-  sim::Gate done(engine);
-  engine.schedule_at(response_arrival, [dest, snapshot, status, &done] {
-    if (*status == WcStatus::kSuccess) {
-      std::copy(snapshot->begin(), snapshot->end(), dest.begin());
-    }
-    done.open();
-  });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kRdmaRead, *status, byte_len);
-}
-
-sim::Task<Completion> QueuePair::fetch_add(VirtAddr raddr, RKey rkey,
-                                           std::uint64_t add, WrId wr_id) {
-  require_type(QpType::kRc, "fetch_add");
-  require_state(QpState::kRts, "fetch_add");
-  return fetch_add_impl(raddr, rkey, add, wr_id);
-}
-
-sim::Task<Completion> QueuePair::fetch_add_impl(VirtAddr raddr, RKey rkey,
-                                                std::uint64_t add,
-                                                WrId wr_id) {
-  ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const FabricConfig& cfg = hca_.fabric().config();
-  sim::Time request_arrival = schedule_arrival(sizeof(std::uint64_t));
-  sim::Time response_arrival =
-      request_arrival + cfg.responder_overhead +
-      hca_.fabric().transfer_latency(remote_.lid, lid(),
-                                     sizeof(std::uint64_t));
-
-  auto result = std::make_shared<AtomicResult>();
-  engine.schedule_at(request_arrival, [this, raddr, rkey, add, result] {
-    auto window = resolve_remote(raddr, rkey, sizeof(std::uint64_t));
+    auto window = resolve_remote(op.wr.raddr, op.wr.rkey, op.len);
     if (!window) {
-      result->status = WcStatus::kRemoteAccessError;
+      op.status = WcStatus::kRemoteAccessError;
       return;
     }
-    result->old_value = load_u64(*window);
-    store_u64(*window, result->old_value + add);
+    if (op.wr.opcode == WcOpcode::kRdmaRead) op.snapshot.resize(op.len);
+    op.atomic_old = execute(op.wr, *window, op.snapshot);
   });
-
-  sim::Gate done(engine);
-  engine.schedule_at(response_arrival, [&done] { done.open(); });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kFetchAdd, result->status,
-                   sizeof(std::uint64_t), result->old_value);
-}
-
-sim::Task<Completion> QueuePair::compare_swap(VirtAddr raddr, RKey rkey,
-                                              std::uint64_t expect,
-                                              std::uint64_t desired,
-                                              WrId wr_id) {
-  require_type(QpType::kRc, "compare_swap");
-  require_state(QpState::kRts, "compare_swap");
-  return compare_swap_impl(raddr, rkey, expect, desired, wr_id);
-}
-
-sim::Task<Completion> QueuePair::compare_swap_impl(VirtAddr raddr, RKey rkey,
-                                                   std::uint64_t expect,
-                                                   std::uint64_t desired,
-                                                   WrId wr_id) {
-  ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const FabricConfig& cfg = hca_.fabric().config();
-  sim::Time request_arrival = schedule_arrival(sizeof(std::uint64_t));
-  sim::Time response_arrival =
-      request_arrival + cfg.responder_overhead +
-      hca_.fabric().transfer_latency(remote_.lid, lid(),
-                                     sizeof(std::uint64_t));
-
-  auto result = std::make_shared<AtomicResult>();
-  engine.schedule_at(request_arrival,
-                     [this, raddr, rkey, expect, desired, result] {
-                       auto window =
-                           resolve_remote(raddr, rkey, sizeof(std::uint64_t));
-                       if (!window) {
-                         result->status = WcStatus::kRemoteAccessError;
-                         return;
-                       }
-                       result->old_value = load_u64(*window);
-                       if (result->old_value == expect) {
-                         store_u64(*window, desired);
-                       }
-                     });
-
-  sim::Gate done(engine);
-  engine.schedule_at(response_arrival, [&done] { done.open(); });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kCompareSwap, result->status,
-                   sizeof(std::uint64_t), result->old_value);
-}
-
-sim::Task<Completion> QueuePair::swap(VirtAddr raddr, RKey rkey,
-                                      std::uint64_t value, WrId wr_id) {
-  require_type(QpType::kRc, "swap");
-  require_state(QpState::kRts, "swap");
-  return swap_impl(raddr, rkey, value, wr_id);
-}
-
-sim::Task<Completion> QueuePair::swap_impl(VirtAddr raddr, RKey rkey,
-                                           std::uint64_t value, WrId wr_id) {
-  ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const FabricConfig& cfg = hca_.fabric().config();
-  sim::Time request_arrival = schedule_arrival(sizeof(std::uint64_t));
-  sim::Time response_arrival =
-      request_arrival + cfg.responder_overhead +
-      hca_.fabric().transfer_latency(remote_.lid, lid(),
-                                     sizeof(std::uint64_t));
-
-  auto result = std::make_shared<AtomicResult>();
-  engine.schedule_at(request_arrival, [this, raddr, rkey, value, result] {
-    auto window = resolve_remote(raddr, rkey, sizeof(std::uint64_t));
-    if (!window) {
-      result->status = WcStatus::kRemoteAccessError;
-      return;
-    }
-    result->old_value = load_u64(*window);
-    store_u64(*window, value);
+  // Only a successful read has a snapshot to land.
+  engine.schedule_at(complete, [&op] {
+    std::copy(op.snapshot.begin(), op.snapshot.end(), op.wr.dest.begin());
+    op.done.open();
   });
-
-  sim::Gate done(engine);
-  engine.schedule_at(response_arrival, [&done] { done.open(); });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kSwap, result->status,
-                   sizeof(std::uint64_t), result->old_value);
+  co_await op.done.wait();
+  co_return finish(op.wr.wr_id, opcode, op.status,
+                   static_cast<std::uint32_t>(op.len), op.atomic_old);
 }
 
 // ---- UD operations ----

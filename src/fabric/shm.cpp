@@ -20,7 +20,7 @@ std::optional<std::span<std::byte>> ShmDomain::resolve(RankId rank,
   auto it = exports_.find(rank);
   if (it == exports_.end()) return std::nullopt;
   const Export& exp = it->second;
-  if (va < exp.base || va + len > exp.base + exp.len) return std::nullopt;
+  if (!range_within(exp.base, exp.len, va, len)) return std::nullopt;
   return exp.space->window(va, len);
 }
 

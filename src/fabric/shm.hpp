@@ -15,8 +15,9 @@
 // same-node operations through it and charges the shm cost model
 // (`FabricConfig::shm_*`), which is calibrated separately from the HCA
 // loopback path. Coherence with RC atomics falls out of the object model:
-// both paths resolve into the *same* `AddressSpace` bytes, and each RMW is
-// applied at a single simulated instant (DESIGN.md §5.14).
+// both paths resolve into the *same* `AddressSpace` bytes and apply each
+// RMW through the same `fabric::execute` at a single simulated instant
+// (DESIGN.md §5.14).
 #pragma once
 
 #include <cstdint>

@@ -264,6 +264,17 @@ TEST(Memory, ResolveChecksKeyAndRange) {
     EXPECT_TRUE(hca.resolve(mr.addr, mr.rkey, 64).has_value());
     EXPECT_FALSE(hca.resolve(mr.addr, mr.rkey + 1, 64).has_value());
     EXPECT_FALSE(hca.resolve(mr.addr + 4090, mr.rkey, 64).has_value());
+    // raddr + len wraps past 2^64 back below the region's end.
+    const VirtAddr wrapping = ~VirtAddr{0} - 7;
+    EXPECT_FALSE(hca.resolve(wrapping, mr.rkey, 64).has_value());
+    EXPECT_FALSE(hca.resolve(wrapping, mr.rkey, 8).has_value());
+    // The shm export registry applies the same rule.
+    ShmDomain& shm = e.fabric.shm_domain(0);
+    co_await shm.export_segment(0, s, s.base(), s.size());
+    EXPECT_TRUE(shm.resolve(0, s.base(), 64).has_value());
+    EXPECT_FALSE(shm.resolve(0, s.base() + 4090, 64).has_value());
+    EXPECT_FALSE(shm.resolve(0, wrapping, 64).has_value());
+    EXPECT_FALSE(shm.resolve(0, wrapping, 8).has_value());
     hca.deregister_memory(mr.rkey);
     EXPECT_FALSE(hca.resolve(mr.addr, mr.rkey, 64).has_value());
     EXPECT_THROW(hca.deregister_memory(mr.rkey), std::logic_error);
