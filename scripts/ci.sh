@@ -64,6 +64,23 @@ if grep -rnE '\b(send|rdma_write|rdma_read|fetch_add|compare_swap|swap)_impl\b|\
   exit 1
 fi
 
+echo "==> one collective tree: core/tree.hpp holds the k-ary schedule"
+# The conduit barrier, OpenSHMEM broadcast/reduce and MPI-lite bcast/reduce
+# walk core::KaryTree and fold with shmem::combine_span (DESIGN.md §5 item
+# 20). A fan-out knob or local fan-out constant, child arithmetic outside
+# core/tree.hpp, or a second ReduceOp switch would be a second tree or a
+# second combiner.
+if grep -rnE '\b(barrier_fanout|collective_fanout|kFanout)\b' src ||
+    grep -rnE '\*\s*(fanout|kFanout|kTreeFanout)\s*\+' \
+      src/core src/shmem src/mpi | grep -v '^src/core/tree\.hpp:' ||
+    grep -rlF 'case ReduceOp::kSum' src |
+      awk '{ files = files $0 "\n" }
+           END { if (NR > 1) { printf "%s", files; exit 0 } exit 1 }'; then
+  echo "ci.sh: a second collective tree or combiner reappeared; use" \
+    "core::KaryTree and shmem::combine_span" >&2
+  exit 1
+fi
+
 echo "==> observation guard: one event stream, one observer list, one span"
 # Protocol steps are recorded once, as ProtocolEvents on the job's one
 # observer list; sim::PhaseTimer is the only RAII span (DESIGN.md §5.8).

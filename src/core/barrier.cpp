@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/conduit.hpp"
+#include "core/tree.hpp"
 
 namespace odcm::core {
 
@@ -28,14 +29,8 @@ Conduit::BarrierRound& Conduit::barrier_round(std::uint32_t round) {
 
 void Conduit::handle_barrier_arrive(RankId /*src*/, std::uint32_t round) {
   BarrierRound& state = barrier_round(round);
-  std::uint32_t fanout = config().barrier_fanout;
-  std::uint64_t first_child =
-      static_cast<std::uint64_t>(barrier_vrank()) * fanout + 1;
-  std::uint32_t children = 0;
-  for (std::uint32_t c = 0; c < fanout; ++c) {
-    if (first_child + c < barrier_vsize()) ++children;
-  }
-  if (++state.arrived == children) {
+  const KaryTree tree(barrier_vsize(), barrier_vrank());
+  if (++state.arrived == tree.child_count()) {
     state.arrivals.open();
   }
 }
@@ -69,27 +64,22 @@ sim::Task<> Conduit::barrier_tree() {
   std::uint32_t round = barrier_next_round_++;
   if (vsize == 1) co_return;  // single participant: nothing to exchange
   BarrierRound& state = barrier_round(round);
-  const std::uint32_t fanout = config().barrier_fanout;
-
-  std::vector<RankId> children;
-  for (std::uint32_t c = 0; c < fanout; ++c) {
-    std::uint64_t child = static_cast<std::uint64_t>(vrank) * fanout + 1 + c;
-    if (child < vsize) children.push_back(barrier_actual_rank(child));
-  }
+  const KaryTree tree(vsize, vrank);
 
   // Wait for all children to check in, then report up (or release if root).
-  if (!children.empty()) {
+  if (tree.child_count() > 0) {
     co_await state.arrivals.wait();
   }
-  if (vrank == 0) {
+  if (tree.is_root()) {
     state.release.open();
   } else {
-    RankId parent = barrier_actual_rank((vrank - 1) / fanout);
-    co_await am_send(parent, /*handler=*/0, encode_round(round));
+    co_await am_send(barrier_actual_rank(tree.parent()), /*handler=*/0,
+                     encode_round(round));
     co_await state.release.wait();
   }
-  for (RankId child : children) {
-    co_await am_send(child, /*handler=*/1, encode_round(round));
+  for (std::uint32_t c = 0; c < tree.child_count(); ++c) {
+    co_await am_send(barrier_actual_rank(tree.child(c)), /*handler=*/1,
+                     encode_round(round));
   }
   barrier_rounds_.erase(round);
 }

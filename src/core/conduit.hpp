@@ -299,7 +299,7 @@ class Conduit {
   // ---- barriers ----
 
   /// Barrier across all PEs: a tree of active messages, which forces
-  /// O(fanout) connections per PE in on-demand mode. With the rc intra-node
+  /// at most kTreeFanout + 1 connections per PE in on-demand mode. With the rc intra-node
   /// transport the tree spans every rank; with shm it is hierarchical — PEs
   /// arrive at the node barrier over shared memory and only node leaders
   /// run the tree, so same-node pairs never consume RC connections.
@@ -552,9 +552,10 @@ class Conduit {
   sim::Task<> dispatch_am(AmPacket packet, fabric::Qpn src_qpn);
   void handle_barrier_arrive(RankId src, std::uint32_t round);
   void handle_barrier_release(std::uint32_t round);
-  /// The AM-tree leg of barrier_global. With the shm transport the tree
-  /// runs over node leaders only (virtual rank = node index); otherwise
-  /// over all ranks.
+  /// The AM-tree leg of barrier_global, on the one collective tree
+  /// (core/tree.hpp). With the shm transport the tree runs over node
+  /// leaders only (virtual rank = node index, mapped back by
+  /// barrier_actual_rank); otherwise over all ranks.
   [[nodiscard]] sim::Task<> barrier_tree();
   [[nodiscard]] std::uint32_t barrier_vrank() const;
   [[nodiscard]] std::uint32_t barrier_vsize() const;

@@ -68,11 +68,6 @@ struct ConduitConfig {
   sim::Time conn_rto_max = 8 * sim::msec;
   std::uint32_t conn_max_retries = 64;
 
-  /// Fan-out of the AM-tree global barrier. Matches the reduction-tree
-  /// fan-out so the two collectives share connections (as unified runtimes
-  /// do), keeping Table I peer counts minimal.
-  std::uint32_t barrier_fanout = 4;
-
   /// Above this job size the static connector charges the aggregate cost
   /// of the full mesh analytically instead of simulating every handshake
   /// (validated against the fully simulated path in tests; DESIGN.md §2).

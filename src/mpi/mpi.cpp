@@ -196,22 +196,17 @@ sim::Task<> MpiComm::bcast(RankId root, std::span<std::byte> data) {
   const std::uint32_t n = size();
   if (n == 1) co_return;
   const std::uint64_t tag = kUserTagSpace + coll_seq_++;
-  constexpr std::uint32_t kFanout = 4;
-  const std::uint32_t vrank = (rank() + n - root) % n;
+  const core::KaryTree tree(n, rank(), root);
 
-  if (vrank != 0) {
-    RankId parent = static_cast<RankId>(((vrank - 1) / kFanout + root) % n);
-    std::vector<std::byte> incoming = co_await recv_tagged(parent, tag);
+  if (!tree.is_root()) {
+    std::vector<std::byte> incoming = co_await recv_tagged(tree.parent(), tag);
     if (incoming.size() != data.size()) {
       throw std::runtime_error("MpiComm::bcast: size mismatch");
     }
     std::copy(incoming.begin(), incoming.end(), data.begin());
   }
-  for (std::uint32_t c = 1; c <= kFanout; ++c) {
-    std::uint64_t child = static_cast<std::uint64_t>(vrank) * kFanout + c;
-    if (child >= n) break;
-    RankId child_rank = static_cast<RankId>((child + root) % n);
-    co_await send_tagged(child_rank, tag, data);
+  for (std::uint32_t c = 0; c < tree.child_count(); ++c) {
+    co_await send_tagged(tree.child(c), tag, data);
   }
 }
 

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "core/conduit.hpp"
+#include "core/tree.hpp"
 #include "shmem/types.hpp"
 #include "sim/sync.hpp"
 
@@ -139,7 +140,10 @@ class MpiComm {
     co_return value;
   }
 
-  // ---- collectives (tree algorithms over send/recv) ----
+  // ---- collectives over send/recv ----
+  // bcast and reduce run on the one collective tree (core/tree.hpp) that
+  // the conduit barrier and OpenSHMEM share, and reduce folds with
+  // OpenSHMEM's combine_span; allgather is a ring matched per (left, tag).
 
   [[nodiscard]] sim::Task<> barrier();
   /// In-place broadcast of `data` from root; on non-roots `data` is
@@ -225,31 +229,17 @@ sim::Task<> MpiComm::reduce(RankId root, std::span<T> data, ReduceOp op) {
   const std::uint32_t n = size();
   if (n == 1) co_return;
   const std::uint64_t tag = kUserTagSpace + coll_seq_++;
-  // Binomial-style tree rooted at `root` (virtual ranks).
-  const std::uint32_t vrank = (rank() + n - root) % n;
-  constexpr std::uint32_t kFanout = 4;
-  for (std::uint32_t c = 1; c <= kFanout; ++c) {
-    std::uint64_t child = static_cast<std::uint64_t>(vrank) * kFanout + c;
-    if (child >= n) break;
-    RankId child_rank = static_cast<RankId>((child + root) % n);
-    std::vector<std::byte> partial = co_await recv_tagged(child_rank, tag);
+  // Fold the children's partials in child order, then report up.
+  const core::KaryTree tree(n, rank(), root);
+  for (std::uint32_t c = 0; c < tree.child_count(); ++c) {
+    std::vector<std::byte> partial = co_await recv_tagged(tree.child(c), tag);
     if (partial.size() != data.size_bytes()) {
       throw std::runtime_error("MpiComm::reduce: size mismatch");
     }
-    const T* in = reinterpret_cast<const T*>(partial.data());
-    for (std::size_t e = 0; e < data.size(); ++e) {
-      switch (op) {
-        case ReduceOp::kSum: data[e] = data[e] + in[e]; break;
-        case ReduceOp::kMin: data[e] = in[e] < data[e] ? in[e] : data[e]; break;
-        case ReduceOp::kMax: data[e] = data[e] < in[e] ? in[e] : data[e]; break;
-        case ReduceOp::kProd: data[e] = data[e] * in[e]; break;
-      }
-    }
+    shmem::combine_span<T>(std::as_writable_bytes(data), partial, op);
   }
-  if (vrank != 0) {
-    RankId parent =
-        static_cast<RankId>(((vrank - 1) / kFanout + root) % n);
-    co_await send_tagged(parent, tag, std::as_bytes(data));
+  if (!tree.is_root()) {
+    co_await send_tagged(tree.parent(), tag, std::as_bytes(data));
   }
 }
 

@@ -1,8 +1,13 @@
 // OpenSHMEM collectives over conduit active messages.
 //
-//   broadcast : k-ary tree rooted at `root`
-//   fcollect  : ring allgather (bandwidth-optimal, N-1 steps)
-//   reduce    : k-ary tree reduce to PE 0, then tree broadcast of the result
+//   broadcast : tree_broadcast down the one collective tree (core/tree.hpp)
+//               rooted at `root`
+//   fcollect  : one ring_allgather pass (bandwidth-optimal, N-1 steps)
+//   collect   : two ring_allgather passes: the lengths, then the blocks
+//   alltoall  : rotated pairwise exchange
+//   reduce    : tree reduce to PE 0, folding each child's partial with
+//               combine_span (shmem/types.hpp) in arrival order, then
+//               tree_broadcast of the result from PE 0
 //
 // Every collective operation is keyed by (kind, per-PE sequence number);
 // since the operations are collective, the sequence numbers align across
@@ -11,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/tree.hpp"
 #include "shmem/job.hpp"
 #include "shmem/pe.hpp"
 
@@ -34,10 +40,12 @@ sim::Task<> ShmemPe::handle_coll_data(RankId /*src*/,
 
 namespace {
 
-std::vector<std::byte> coll_header(std::uint8_t kind, std::uint64_t seq) {
+/// Wire header of a collective message: the kind and sequence number that
+/// coll_key packed into `key`.
+std::vector<std::byte> coll_header(std::uint64_t key) {
   std::vector<std::byte> out;
-  core::wire::put_u8(out, kind);
-  core::wire::put_int<std::uint64_t>(out, seq);
+  core::wire::put_u8(out, static_cast<std::uint8_t>(key >> 56));
+  core::wire::put_int<std::uint64_t>(out, key & ((1ULL << 56) - 1));
   return out;
 }
 
@@ -52,70 +60,70 @@ sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
   }
   stats().add("shmem_broadcast");
   if (n == 1) co_return;
-  const std::uint64_t seq = bcast_seq_++;
-  const std::uint64_t key = coll_key(kBcastKind, seq);
-  const std::uint32_t fanout = config().collective_fanout;
-  const std::uint32_t vrank = (rank_ + n - root) % n;
+  co_await tree_broadcast(coll_key(kBcastKind, bcast_seq_++), root, addr,
+                          len);
+}
 
-  if (vrank != 0) {
+sim::Task<> ShmemPe::tree_broadcast(std::uint64_t key, RankId root,
+                                    SymAddr addr, std::uint64_t len) {
+  const core::KaryTree tree(n_pes(), rank_, root);
+  if (!tree.is_root()) {
     std::vector<std::byte> data = co_await coll_matches_.receive(key);
     if (data.size() != len) {
-      throw std::runtime_error("ShmemPe::broadcast: length mismatch");
+      throw std::runtime_error("ShmemPe: broadcast length mismatch");
     }
     auto window = local_window(addr, len);
     std::copy(data.begin(), data.end(), window.begin());
   }
 
-  std::vector<std::byte> message = coll_header(kBcastKind, seq);
+  std::vector<std::byte> message = coll_header(key);
   auto window = local_window(addr, len);
   message.insert(message.end(), window.begin(), window.end());
-  for (std::uint32_t c = 1; c <= fanout; ++c) {
-    std::uint64_t child = static_cast<std::uint64_t>(vrank) * fanout + c;
-    if (child >= n) break;
-    co_await conduit_.am_send((static_cast<RankId>(child) + root) % n,
-                              kCollDataHandler, message);
+  for (std::uint32_t c = 0; c < tree.child_count(); ++c) {
+    co_await conduit_.am_send(tree.child(c), kCollDataHandler, message);
+  }
+}
+
+sim::Task<> ShmemPe::ring_allgather(std::vector<std::byte> current,
+                                    RingSlot slot) {
+  const std::uint32_t n = n_pes();
+  const std::uint64_t key = coll_key(kCollectKind, collect_seq_++);
+  const RankId right = (rank_ + 1) % n;
+  std::uint32_t send_idx = rank_;
+  for (std::uint32_t step = 0; step + 1 < n; ++step) {
+    std::vector<std::byte> message = coll_header(key);
+    core::wire::put_int<std::uint32_t>(message, send_idx);
+    message.insert(message.end(), current.begin(), current.end());
+    co_await conduit_.am_send(right, kCollDataHandler, std::move(message));
+
+    // Forward the chunk as received: `src` and `dest` may overlap, so the
+    // slot it lands in is no source for the next step.
+    std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
+    core::wire::Reader reader(incoming);
+    send_idx = reader.read_int<std::uint32_t>();
+    current = reader.read_rest();
+    if (send_idx >= n) throw std::runtime_error("ShmemPe: bad ring index");
+    std::span<std::byte> target = slot(send_idx);
+    if (current.size() != target.size()) {
+      throw std::runtime_error("ShmemPe: bad ring chunk");
+    }
+    std::copy(current.begin(), current.end(), target.begin());
   }
 }
 
 sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
                               std::uint32_t block_len) {
   stats().add("shmem_fcollect");
-  const std::uint32_t n = n_pes();
+  auto slot = [this, dest, block_len](std::uint32_t idx) {
+    return local_window(dest + static_cast<std::uint64_t>(idx) * block_len,
+                        block_len);
+  };
   // Place the local contribution.
-  {
-    auto source = local_window(src, block_len);
-    auto target = local_window(
-        dest + static_cast<std::uint64_t>(rank_) * block_len, block_len);
-    std::copy(source.begin(), source.end(), target.begin());
-  }
-  if (n == 1) co_return;
-
-  const std::uint64_t seq = collect_seq_++;
-  const std::uint64_t key = coll_key(kCollectKind, seq);
-  const RankId right = (rank_ + 1) % n;
-
-  std::uint32_t send_idx = rank_;
-  auto first = local_window(src, block_len);
-  std::vector<std::byte> current(first.begin(), first.end());
-
-  for (std::uint32_t step = 0; step + 1 < n; ++step) {
-    std::vector<std::byte> message = coll_header(kCollectKind, seq);
-    core::wire::put_int<std::uint32_t>(message, send_idx);
-    message.insert(message.end(), current.begin(), current.end());
-    co_await conduit_.am_send(right, kCollDataHandler, std::move(message));
-
-    std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
-    core::wire::Reader reader(incoming);
-    auto idx = reader.read_int<std::uint32_t>();
-    current = reader.read_rest();
-    if (current.size() != block_len || idx >= n) {
-      throw std::runtime_error("ShmemPe::fcollect: bad chunk");
-    }
-    auto target = local_window(
-        dest + static_cast<std::uint64_t>(idx) * block_len, block_len);
-    std::copy(current.begin(), current.end(), target.begin());
-    send_idx = idx;
-  }
+  auto source = local_window(src, block_len);
+  auto mine = slot(rank_);
+  std::copy(source.begin(), source.end(), mine.begin());
+  if (n_pes() == 1) co_return;
+  co_await ring_allgather({source.begin(), source.end()}, slot);
 }
 
 sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
@@ -126,26 +134,15 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
   lengths[rank_] = my_len;
 
   if (n > 1) {
-    // Pass 1: ring-allgather the lengths (plain AM payloads, no symmetric
-    // scratch memory needed).
-    const std::uint64_t seq = collect_seq_++;
-    const std::uint64_t key = coll_key(kCollectKind, seq);
-    const RankId right = (rank_ + 1) % n;
-    std::uint32_t send_idx = rank_;
-    for (std::uint32_t step = 0; step + 1 < n; ++step) {
-      std::vector<std::byte> message = coll_header(kCollectKind, seq);
-      core::wire::put_int<std::uint32_t>(message, send_idx);
-      core::wire::put_int<std::uint32_t>(message, lengths[send_idx]);
-      co_await conduit_.am_send(right, kCollDataHandler,
-                                std::move(message));
-      std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
-      core::wire::Reader reader(incoming);
-      auto idx = reader.read_int<std::uint32_t>();
-      auto len = reader.read_int<std::uint32_t>();
-      if (idx >= n) throw std::runtime_error("ShmemPe::collect: bad index");
-      lengths[idx] = len;
-      send_idx = idx;
-    }
+    // Pass 1: ring-allgather the lengths, each a 4-byte chunk of the local
+    // `lengths` buffer (plain AM payloads, no symmetric scratch memory).
+    auto length_bytes = std::as_writable_bytes(std::span(lengths));
+    auto length_slot = [length_bytes](std::uint32_t idx) {
+      return length_bytes.subspan(idx * sizeof(std::uint32_t),
+                                  sizeof(std::uint32_t));
+    };
+    auto mine = length_slot(rank_);
+    co_await ring_allgather({mine.begin(), mine.end()}, length_slot);
   }
 
   std::vector<std::uint64_t> offsets(n, 0);
@@ -162,31 +159,12 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
   if (n == 1) co_return;
 
   // Pass 2: ring-allgather the variable-size blocks.
-  const std::uint64_t seq = collect_seq_++;
-  const std::uint64_t key = coll_key(kCollectKind, seq);
-  const RankId right = (rank_ + 1) % n;
-  std::uint32_t send_idx = rank_;
   auto first = local_window(src, my_len);
-  std::vector<std::byte> current(first.begin(), first.end());
-  for (std::uint32_t step = 0; step + 1 < n; ++step) {
-    std::vector<std::byte> message = coll_header(kCollectKind, seq);
-    core::wire::put_int<std::uint32_t>(message, send_idx);
-    message.insert(message.end(), current.begin(), current.end());
-    co_await conduit_.am_send(right, kCollDataHandler,
-                              std::move(message));
-    std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
-    core::wire::Reader reader(incoming);
-    auto idx = reader.read_int<std::uint32_t>();
-    current = reader.read_rest();
-    if (idx >= n || current.size() != lengths[idx]) {
-      throw std::runtime_error("ShmemPe::collect: bad chunk");
-    }
-    if (!current.empty()) {
-      auto target = local_window(dest + offsets[idx], current.size());
-      std::copy(current.begin(), current.end(), target.begin());
-    }
-    send_idx = idx;
-  }
+  co_await ring_allgather({first.begin(), first.end()},
+                          [&](std::uint32_t idx) {
+                            return local_window(dest + offsets[idx],
+                                                lengths[idx]);
+                          });
 }
 
 sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
@@ -203,12 +181,11 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
   }
   if (n == 1) co_return;
 
-  const std::uint64_t seq = collect_seq_++;
-  const std::uint64_t key = coll_key(kAlltoallKind, seq);
+  const std::uint64_t key = coll_key(kAlltoallKind, collect_seq_++);
   // Rotated send order spreads load (classic alltoall schedule).
   for (std::uint32_t offset = 1; offset < n; ++offset) {
     RankId peer = (rank_ + offset) % n;
-    std::vector<std::byte> message = coll_header(kAlltoallKind, seq);
+    std::vector<std::byte> message = coll_header(key);
     core::wire::put_int<std::uint32_t>(message, rank_);
     auto block = local_window(
         src + static_cast<std::uint64_t>(peer) * block_len, block_len);
@@ -233,9 +210,11 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
 sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
                                  std::uint32_t count, std::uint32_t elem,
                                  ReduceOp op, Combiner combine) {
+  const std::uint64_t bytes = std::uint64_t{count} * elem;
+  check_heap_range(src, bytes);
+  check_heap_range(dest, bytes);
   stats().add("shmem_reduce");
   const std::uint32_t n = n_pes();
-  const std::uint32_t bytes = count * elem;
   // Start from the local contribution.
   {
     auto source = local_window(src, bytes);
@@ -244,50 +223,25 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
   }
   if (n == 1) co_return;
 
-  const std::uint64_t seq = reduce_seq_++;
-  const std::uint64_t key = coll_key(kReduceKind, seq);
-  const std::uint32_t fanout = config().collective_fanout;
-
-  std::uint32_t children = 0;
-  for (std::uint32_t c = 1; c <= fanout; ++c) {
-    if (static_cast<std::uint64_t>(rank_) * fanout + c < n) ++children;
-  }
-
-  // Combine the children's partial results.
-  for (std::uint32_t received = 0; received < children; ++received) {
+  const std::uint64_t key = coll_key(kReduceKind, reduce_seq_++);
+  const core::KaryTree tree(n, rank_);
+  // Fold the children's partial results in arrival order.
+  for (std::uint32_t c = 0; c < tree.child_count(); ++c) {
     std::vector<std::byte> partial = co_await coll_matches_.receive(key);
     if (partial.size() != bytes) {
       throw std::runtime_error("ShmemPe::reduce: bad partial");
     }
     combine(local_window(dest, bytes), partial, op);
   }
-
-  if (rank_ != 0) {
-    // Send the partial up, then wait for the final result from the parent.
-    std::vector<std::byte> message = coll_header(kReduceKind, seq);
+  if (!tree.is_root()) {
+    std::vector<std::byte> message = coll_header(key);
     auto acc = local_window(dest, bytes);
     message.insert(message.end(), acc.begin(), acc.end());
-    RankId parent = (rank_ - 1) / fanout;
-    co_await conduit_.am_send(parent, kCollDataHandler, std::move(message));
-
-    std::vector<std::byte> result = co_await coll_matches_.receive(key);
-    if (result.size() != bytes) {
-      throw std::runtime_error("ShmemPe::reduce: bad result");
-    }
-    auto target = local_window(dest, bytes);
-    std::copy(result.begin(), result.end(), target.begin());
+    co_await conduit_.am_send(tree.parent(), kCollDataHandler,
+                              std::move(message));
   }
-
-  // Forward the final result down the tree.
-  std::vector<std::byte> message = coll_header(kReduceKind, seq);
-  auto result = local_window(dest, bytes);
-  message.insert(message.end(), result.begin(), result.end());
-  for (std::uint32_t c = 1; c <= fanout; ++c) {
-    std::uint64_t child = static_cast<std::uint64_t>(rank_) * fanout + c;
-    if (child >= n) break;
-    co_await conduit_.am_send(static_cast<RankId>(child), kCollDataHandler,
-                              message);
-  }
+  // The final result comes back down the same tree from PE 0.
+  co_await tree_broadcast(key, 0, dest, bytes);
 }
 
 }  // namespace odcm::shmem

@@ -45,9 +45,6 @@ struct ShmemConfig {
   /// Polling interval of shmem_wait_until.
   sim::Time wait_poll_interval = 1 * sim::usec;
 
-  /// Fan-out of tree-based reductions and broadcasts.
-  std::uint32_t collective_fanout = 4;
-
   /// Symmetric-heap registration strategy. The eager default is
   /// observably identical (traces, metrics, heap contents) to the
   /// pre-subsystem behaviour.

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -307,30 +308,22 @@ class ShmemPe : private core::RkeyHook {
 
   // Collective plumbing (implemented in collectives.cpp).
   sim::Task<> handle_coll_data(RankId src, std::vector<std::byte> payload);
-  /// Folds one received partial into the accumulator, element by element
-  /// in index order (type-erased core of reduce<T>).
+  /// The one tree-broadcast body: off the root, receive `len` bytes under
+  /// `key` into `addr`; then forward them to this PE's children in order.
+  sim::Task<> tree_broadcast(std::uint64_t key, RankId root, SymAddr addr,
+                             std::uint64_t len);
+  /// Where the ring's chunk from PE `idx` lands; its size is the chunk's.
+  using RingSlot = std::function<std::span<std::byte>(std::uint32_t idx)>;
+  /// The one ring allgather (N-1 steps): this PE sends `current`, its own
+  /// chunk, to the right neighbour, then forwards each chunk it receives
+  /// after copying it into `slot(idx)`.
+  sim::Task<> ring_allgather(std::vector<std::byte> current, RingSlot slot);
+  /// Folds one received partial into the accumulator (combine_span<T>,
+  /// the type-erased core of reduce<T>).
   using Combiner = void (*)(std::span<std::byte> acc,
                             std::span<const std::byte> in, ReduceOp op);
   sim::Task<> reduce_impl(SymAddr dest, SymAddr src, std::uint32_t count,
                           std::uint32_t elem, ReduceOp op, Combiner combine);
-
-  template <typename T>
-  static void combine_span(std::span<std::byte> acc,
-                           std::span<const std::byte> in, ReduceOp op) {
-    for (std::size_t off = 0; off + sizeof(T) <= acc.size();
-         off += sizeof(T)) {
-      T a, b;
-      std::memcpy(&a, acc.data() + off, sizeof(T));
-      std::memcpy(&b, in.data() + off, sizeof(T));
-      switch (op) {
-        case ReduceOp::kSum: a = a + b; break;
-        case ReduceOp::kMin: a = b < a ? b : a; break;
-        case ReduceOp::kMax: a = a < b ? b : a; break;
-        case ReduceOp::kProd: a = a * b; break;
-      }
-      std::memcpy(acc.data() + off, &a, sizeof(T));
-    }
-  }
 
   ShmemJob& job_;
   RankId rank_;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -90,6 +91,26 @@ struct RegHandshakePayload {
 
 /// Reduction operators (shmem_..._to_all flavours).
 enum class ReduceOp : std::uint8_t { kSum, kMin, kMax, kProd };
+
+/// The one element-wise combiner of OpenSHMEM and MPI-lite reductions:
+/// folds the T's of `in` into those of `acc`, in index order. The bytes
+/// need not be aligned for T.
+template <typename T>
+void combine_span(std::span<std::byte> acc, std::span<const std::byte> in,
+                  ReduceOp op) {
+  for (std::size_t off = 0; off + sizeof(T) <= acc.size(); off += sizeof(T)) {
+    T a, b;
+    std::memcpy(&a, acc.data() + off, sizeof(T));
+    std::memcpy(&b, in.data() + off, sizeof(T));
+    switch (op) {
+      case ReduceOp::kSum: a = a + b; break;
+      case ReduceOp::kMin: a = b < a ? b : a; break;
+      case ReduceOp::kMax: a = a < b ? b : a; break;
+      case ReduceOp::kProd: a = a * b; break;
+    }
+    std::memcpy(acc.data() + off, &a, sizeof(T));
+  }
+}
 
 /// Comparison operators for shmem_wait_until.
 enum class WaitCmp : std::uint8_t { kEq, kNe, kGt, kGe, kLt, kLe };

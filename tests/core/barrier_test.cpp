@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/conduit.hpp"
+#include "core/tree.hpp"
 #include "test_util.hpp"
 
 namespace odcm::core {
@@ -73,15 +74,15 @@ TEST(GlobalBarrier, EstablishesOnlyTreeConnections) {
   }
 }
 
-TEST(GlobalBarrier, WiderFanoutFlattensTree) {
-  ConduitConfig conduit = proposed_design();
-  conduit.barrier_fanout = 8;
-  JobEnv env(small_job(9, 3, conduit));
+TEST(GlobalBarrier, RootHoldsFanoutChildren) {
+  // Nine ranks: the root talks to exactly its kTreeFanout children (ranks
+  // 1..4), never to the grandchildren below them.
+  JobEnv env(small_job(9, 3));
   env.run([](Conduit& c) -> sim::Task<> {
     co_await c.init();
     co_await c.barrier_global();
   });
-  EXPECT_EQ(env.job.conduit(0).connected_peer_count(), 8u);
+  EXPECT_EQ(env.job.conduit(0).connected_peer_count(), kTreeFanout);
 }
 
 TEST(IntraNodeBarrier, SynchronizesNodeLocally) {
