@@ -81,6 +81,19 @@ if grep -rnE '\b(barrier_fanout|collective_fanout|kFanout)\b' src ||
   exit 1
 fi
 
+echo "==> per-PE state follows touched peers"
+# A PE stores what it learned from the peers it touched; a dense N-sized
+# per-PE table is host memory per PE *pair* (DESIGN.md §5 item 21). Ring
+# mode's UD table and the conduit's peer_slot_ index are the two kept.
+if grep -rnE 'optional<SegmentInfo>>|segments_\.assign\(' src/shmem ||
+    grep -rnF 'ud_table_.resize(' src/core ||
+    grep -rnE 'Task<std::vector<std::string>>[[:space:]]*(PmiClient::)?iallgather_wait' \
+      src/pmi; then
+  echo "ci.sh: a dense per-peer table reappeared; store touched peers" \
+    "only and read the PMI round's shared table" >&2
+  exit 1
+fi
+
 echo "==> observation guard: one event stream, one observer list, one span"
 # Protocol steps are recorded once, as ProtocolEvents on the job's one
 # observer list; sim::PhaseTimer is the only RAII span (DESIGN.md §5.8).

@@ -178,13 +178,11 @@ sim::Task<> Conduit::finalize() {
         (bulk_endpoints_ - materialized) * fcfg.qp_destroy_cost);
     co_await engine().delay(done - engine().now());
   }
-  for (RankId rank = 0; rank < peer_slot_.size(); ++rank) {
-    if (peer_slot_[rank] == kNoPeerSlot) continue;
-    Peer& peer = peer_slots_[peer_slot_[rank]];
-    if (peer.qp != nullptr) {
-      co_await hca().destroy_qp(peer.qp->qpn());
-      peer.qp = nullptr;
-      notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = rank});
+  for (Peer* peer : peers_by_rank()) {
+    if (peer->qp != nullptr) {
+      co_await hca().destroy_qp(peer->qp->qpn());
+      peer->qp = nullptr;
+      notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = peer->rank});
     }
   }
   for (fabric::QueuePair* qp : retired_qps_) {
@@ -576,40 +574,43 @@ sim::Task<> Conduit::ring_distribute() {
 }
 
 sim::Task<fabric::EndpointAddr> Conduit::resolve_ud(RankId dst) {
-  if (ud_table_.empty()) {
-    ud_table_.resize(size());
-  }
-  if (ud_table_[dst]) {
-    co_return *ud_table_[dst];
-  }
-  sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
-  if (config().pmi_mode == PmiMode::kRing) {
-    // The ring dissemination fills the table in the background; wait for
-    // completion (first-communication semantics, like PMIX_Wait).
-    co_await ud_table_gate_->wait();
-    co_return *ud_table_[dst];
-  }
-  if (config().pmi_mode == PmiMode::kNonBlocking) {
-    if (ud_resolving_) {
-      co_await ud_table_gate_->wait();
-    } else {
-      ud_resolving_ = true;
-      ud_table_gate_ = std::make_unique<sim::Gate>(engine());
-      std::vector<std::string> values =
-          co_await pmi().iallgather_wait(*ud_ticket_);
-      for (RankId r = 0; r < values.size(); ++r) {
-        ud_table_[r] = decode_endpoint(values[r]);
+  switch (config().pmi_mode) {
+    case PmiMode::kRing:
+      if (!ud_table_[dst]) {
+        // The ring dissemination fills the table in the background; wait
+        // for completion (first-communication semantics, like PMIX_Wait).
+        sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
+        co_await ud_table_gate_->wait();
       }
-      ud_table_gate_->open();
+      co_return *ud_table_[dst];
+    case PmiMode::kNonBlocking:
+      if (!ud_values_) {
+        // The first resolution waits for the round; concurrent ones wait
+        // for it. Every PE of the job then reads the same shared table.
+        sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
+        if (ud_table_gate_) {
+          co_await ud_table_gate_->wait();
+        } else {
+          ud_table_gate_ = std::make_unique<sim::Gate>(engine());
+          ud_values_ = co_await pmi().iallgather_wait(*ud_ticket_);
+          ud_table_gate_->open();
+        }
+      }
+      co_return decode_endpoint((*ud_values_)[dst]);
+    case PmiMode::kBlocking:
+      break;
+  }
+  // One PMI get per peer, cached in the peer's slot.
+  Peer& p = peer(dst);
+  if (!p.ud_addr) {
+    sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
+    auto value = co_await pmi().get(kUdKeyPrefix + std::to_string(dst));
+    if (!value) {
+      throw std::runtime_error("Conduit::resolve_ud: endpoint not published");
     }
-    co_return *ud_table_[dst];
+    p.ud_addr = decode_endpoint(*value);
   }
-  auto value = co_await pmi().get(kUdKeyPrefix + std::to_string(dst));
-  if (!value) {
-    throw std::runtime_error("Conduit::resolve_ud: endpoint not published");
-  }
-  ud_table_[dst] = decode_endpoint(*value);
-  co_return *ud_table_[dst];
+  co_return *p.ud_addr;
 }
 
 // ---- accounting ----
@@ -626,6 +627,15 @@ Conduit::Peer& Conduit::peer(RankId rank) {
     return p;
   }
   return peer_slots_[slot];
+}
+
+std::vector<Conduit::Peer*> Conduit::peers_by_rank() {
+  std::vector<Peer*> peers;
+  peers.reserve(peer_slots_.size());
+  for (Peer& p : peer_slots_) peers.push_back(&p);
+  std::sort(peers.begin(), peers.end(),
+            [](const Peer* a, const Peer* b) { return a->rank < b->rank; });
+  return peers;
 }
 
 const Conduit::Peer* Conduit::find_peer(RankId rank) const noexcept {

@@ -353,6 +353,8 @@ class Conduit {
     std::unique_ptr<sim::Gate> drained{};  // opened when the drain acks
     fabric::UdPayload cached_reply{};      // server: resent on dup request
     fabric::EndpointAddr reply_to{};       // client's UD endpoint
+    /// The peer's UD endpoint, from one PMI get (blocking PMI mode only).
+    std::optional<fabric::EndpointAddr> ud_addr{};
     sim::Time last_used = 0;               // LRU clock for eviction
     /// The peer sent a disconnect notice while our side of the handshake
     /// was still completing; honor it as soon as we reach kConnected —
@@ -579,10 +581,9 @@ class Conduit {
   fabric::QueuePair* ud_qp_ = nullptr;
   // Flat indexed peer storage: `peer_slot_` maps a dense RankId to an index
   // into `peer_slots_` (a deque, so references stay stable across inserts —
-  // `Peer&` is held across co_await throughout the protocol code).
-  // Deterministic rank-order iteration goes through the index (see
-  // `for_each_peer`); the hot path is one vector load + one deque index
-  // instead of a std::map walk.
+  // `Peer&` is held across co_await throughout the protocol code). The hot
+  // path is one vector load + one deque index instead of a std::map walk;
+  // rank-order walks sort the touched slots instead (`peers_by_rank`).
   static constexpr std::uint32_t kNoPeerSlot = 0xffffffffu;
   std::vector<std::uint32_t> peer_slot_{};
   std::deque<Peer> peer_slots_{};
@@ -597,26 +598,29 @@ class Conduit {
   std::vector<bool> shm_peers_{};
   std::uint64_t shm_peer_count_ = 0;
 
-  /// Visit every touched peer slot in ascending rank order (deterministic;
-  /// finalize tears connections down in rank order).
+  /// Every touched peer slot in ascending rank order (deterministic;
+  /// finalize tears connections down in rank order). O(k log k) in the k
+  /// touched peers, not O(N).
+  [[nodiscard]] std::vector<Peer*> peers_by_rank();
   template <typename F>
   void for_each_peer(F&& f) {
-    for (RankId r = 0; r < peer_slot_.size(); ++r) {
-      if (peer_slot_[r] != kNoPeerSlot) {
-        f(r, peer_slots_[peer_slot_[r]]);
-      }
-    }
+    for (Peer* p : peers_by_rank()) f(p->rank, *p);
   }
 
   PayloadProvider payload_provider_{};
   PayloadConsumer payload_consumer_{};
   std::unique_ptr<sim::Gate> ready_gate_{};
 
-  // UD endpoint table (filled from PMI).
+  // UD endpoint resolution. Ring mode keeps a dense per-PE table: PMIX_Ring
+  // really forwards every entry to every PE over IB. Non-blocking mode reads
+  // the PMI round's one shared table; blocking mode caches each get in the
+  // peer's slot (`Peer::ud_addr`).
   std::vector<std::optional<fabric::EndpointAddr>> ud_table_{};
+  std::shared_ptr<const std::vector<std::string>> ud_values_{};
   std::optional<pmi::CollectiveTicket> ud_ticket_{};
+  /// Ring: opened when the table is complete. Non-blocking: created by the
+  /// first resolution, opened when the shared table arrived.
   std::unique_ptr<sim::Gate> ud_table_gate_{};
-  bool ud_resolving_ = false;
   std::unique_ptr<sim::Mailbox<RingEntry>> ring_entries_{};
 
   // Flat handler table indexed by handler id (ids are small and dense);

@@ -657,15 +657,17 @@ sim::Task<> Conduit::static_connect_all() {
     }
     if (config().pmi_mode == PmiMode::kNonBlocking) {
       pmi::CollectiveTicket ticket = pmi().iallgather_start(std::move(value));
-      std::vector<std::string> values = co_await pmi().iallgather_wait(ticket);
+      // Read each peer's row in place from the round's shared table.
+      const std::shared_ptr<const std::vector<std::string>> values =
+          co_await pmi().iallgather_wait(ticket);
       for (RankId r = 0; r < n; ++r) {
-        std::memcpy(&remote[r].lid, values[r].data(), 2);
+        const std::string& row = (*values)[r];
+        std::memcpy(&remote[r].lid, row.data(), 2);
         std::memcpy(&remote[r].qpn,
-                    values[r].data() + 2 + 4 * static_cast<std::size_t>(rank_),
-                    4);
+                    row.data() + 2 + 4 * static_cast<std::size_t>(rank_), 4);
       }
     } else {
-      co_await pmi().put("odcm-rc:" + std::to_string(rank_), value);
+      co_await pmi().put("odcm-rc:" + std::to_string(rank_), std::move(value));
       co_await pmi().fence();
       for (RankId r = 0; r < n; ++r) {
         auto peer_value = co_await pmi().get("odcm-rc:" + std::to_string(r));
@@ -713,9 +715,11 @@ sim::Task<> Conduit::static_connect_bulk() {
       pmi::CollectiveTicket ticket = pmi().iallgather_start(std::move(value));
       (void)co_await pmi().iallgather_wait(ticket);
     } else {
-      co_await pmi().put("odcm-rc:" + std::to_string(rank_), value);
+      // The row moves into the KVS: no PE keeps a copy across the fence.
+      const std::uint64_t value_bytes = value.size();
+      co_await pmi().put("odcm-rc:" + std::to_string(rank_), std::move(value));
       co_await pmi().fence();
-      co_await pmi().charge_gets(n, value.size());
+      co_await pmi().charge_gets(n, value_bytes);
     }
   }
   bulk_connected_ = true;

@@ -182,6 +182,9 @@ void JobManager::arrive_allgather(std::uint32_t index, RankId rank,
   }
   std::uint64_t bytes = 0;
   for (const auto& contribution : round.values) bytes += contribution.size();
+  round.bytes = bytes;
+  round.table = std::make_shared<const std::vector<std::string>>(
+      std::exchange(round.values, {}));
   oob_bytes_moved_ += bytes * 2 * tree_depth();
   count(metrics_, "pmi/oob_bytes",
         static_cast<std::int64_t>(bytes * 2 * tree_depth()));
@@ -290,8 +293,8 @@ sim::Task<std::pair<std::string, std::string>> PmiClient::ring(
   co_return std::make_pair(round.values[left], round.values[right]);
 }
 
-sim::Task<std::vector<std::string>> PmiClient::iallgather_wait(
-    CollectiveTicket ticket) {
+sim::Task<std::shared_ptr<const std::vector<std::string>>>
+PmiClient::iallgather_wait(CollectiveTicket ticket) {
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_,
                        "pmi/iallgather_wait");
   JobManager::Round& round = manager_.allgather_round(ticket.round);
@@ -299,14 +302,12 @@ sim::Task<std::vector<std::string>> PmiClient::iallgather_wait(
   // Bulk delivery of the gathered table over local IPC, serialized on the
   // node daemon.
   const PmiConfig& cfg = manager_.config();
-  std::uint64_t bytes = 0;
-  for (const auto& value : round.values) bytes += value.size();
   sim::Time done = manager_.reserve_daemon(
       node_, cfg.get_overhead +
-                 static_cast<sim::Time>(static_cast<double>(bytes) /
+                 static_cast<sim::Time>(static_cast<double>(round.bytes) /
                                         cfg.ipc_bytes_per_ns));
   co_await manager_.engine().delay(done - manager_.engine().now());
-  co_return round.values;
+  co_return round.table;
 }
 
 }  // namespace odcm::pmi

@@ -113,7 +113,11 @@ class JobManager {
     sim::Gate gate;
     std::uint32_t arrived = 0;
     bool completed = false;
-    std::vector<std::string> values{};  // iallgather only, indexed by rank
+    std::vector<std::string> values{};  // ring/iallgather, indexed by rank
+    /// Iallgather only: `values`, frozen into one table every waiter shares
+    /// once the last rank arrived, and its total byte count.
+    std::shared_ptr<const std::vector<std::string>> table{};
+    std::uint64_t bytes = 0;
   };
 
   /// Depth of the k-ary daemon tree.
@@ -195,10 +199,12 @@ class PmiClient {
   [[nodiscard]] CollectiveTicket iallgather_start(std::string value);
 
   /// PMIX_Wait for an iallgather: returns all ranks' values, indexed by
-  /// rank. Delivery of the result buffer is charged against the node
-  /// daemon (bulk IPC), which is why it is far cheaper than N gets.
-  [[nodiscard]] sim::Task<std::vector<std::string>> iallgather_wait(
-      CollectiveTicket ticket);
+  /// rank, as the round's one immutable table (every rank of the job gets
+  /// the same pointer, like an MPI-3 node-shared window). Delivery of the
+  /// result buffer is charged against the node daemon (bulk IPC), which is
+  /// why it is far cheaper than N gets.
+  [[nodiscard]] sim::Task<std::shared_ptr<const std::vector<std::string>>>
+  iallgather_wait(CollectiveTicket ticket);
 
   /// PMIX_Ring (Chakraborty et al., EuroMPI'14 — the authors' prior
   /// extension, paper ref. [16]): collective that hands each rank only its

@@ -52,7 +52,6 @@ sim::Task<> ShmemPe::start_pes() {
   const ShmemConfig& cfg = config();
   const sim::Time t0 = eng.now();
 
-  segments_.assign(n_pes(), std::nullopt);
   puts_drained_ = std::make_unique<sim::Trigger>(eng);
   conduit_.register_handler(
       kCollDataHandler,
@@ -62,7 +61,13 @@ sim::Task<> ShmemPe::start_pes() {
   conduit_.register_handler(
       kSegInfoHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
-        segments_[src] = SegmentInfo::deserialize(payload);
+        // A peer's triplet is its owner's own: check it, store nothing.
+        if (job_.pe(src).known_segment(src) !=
+            SegmentInfo::deserialize(payload)) {
+          throw std::logic_error("ShmemPe: segment triplet from PE " +
+                                 std::to_string(src) +
+                                 " differs from its owner's");
+        }
         if (++segments_received_ == n_pes() - 1 && segments_gate_) {
           segments_gate_->open();
         }
@@ -89,15 +94,14 @@ sim::Task<> ShmemPe::start_pes() {
           cfg.heap_bytes);
       heap_region_ = co_await conduit_.hca().register_memory(
           heap_space_, heap_space_.base(), heap_space_.size(), modeled);
-      segments_[rank_] =
+      segment_ =
           SegmentInfo{heap_region_.addr, heap_region_.size, heap_region_.rkey};
     } else {
       // On-demand: nothing is pinned yet. Peers learn the heap geometry
       // (rkey 0 = "fault for it") and chunks register lazily on first
       // remote access (DESIGN.md §5.15).
       reg_init();
-      segments_[rank_] =
-          SegmentInfo{heap_space_.base(), heap_space_.size(), 0};
+      segment_ = SegmentInfo{heap_space_.base(), heap_space_.size(), 0};
     }
   }
 
@@ -124,11 +128,10 @@ sim::Task<> ShmemPe::start_pes() {
           });
     } else {
       conduit_.set_payload_hooks(
-          [this](RankId) { return segments_[rank_]->serialize(); },
+          [this](RankId) { return segment_->serialize(); },
           [this](RankId peer, std::span<const std::byte> payload) {
-            if (!segments_[peer]) {
-              segments_[peer] = SegmentInfo::deserialize(payload);
-            }
+            peer_segments_.try_emplace(peer,
+                                       SegmentInfo::deserialize(payload));
           });
     }
   }
@@ -138,20 +141,14 @@ sim::Task<> ShmemPe::start_pes() {
 
   if (conduit_.config().intranode_transport == core::IntranodeTransport::kShm) {
     // Shm transport: cross-map this PE's heap into the node's shared
-    // domain and pick up same-node peers' segment triplets through the
-    // node-local exchange — no UD handshake, no piggybacked rkey involved
-    // (DESIGN.md §5.14). The intra-node barrier guarantees every local
-    // peer has registered and exported before we read its triplet.
+    // domain — no UD handshake, no piggybacked rkey involved (DESIGN.md
+    // §5.14). The intra-node barrier guarantees every local peer has
+    // exported before any same-node RMA; shm-routed RMA resolves no rkey,
+    // so no same-node triplet is stored.
     sim::PhaseTimer timer(eng, &st, "shm_segment_exchange");
     co_await conduit_.shm_export(heap_space_, heap_space_.base(),
                                  heap_space_.size());
     co_await conduit_.barrier_intranode();
-    const core::ConduitJob& cj = job_.conduit_job();
-    for (RankId r = 0; r < n_pes(); ++r) {
-      if (r != rank_ && cj.node_of(r) == conduit_.node()) {
-        segments_[r] = *job_.pe(r).segments_[r];
-      }
-    }
   }
 
   if (!on_demand) {
@@ -160,6 +157,7 @@ sim::Task<> ShmemPe::start_pes() {
     // paper §IV-B).
     sim::PhaseTimer timer(eng, &st, "segment_exchange");
     co_await broadcast_am_segments();
+    segments_exchanged_ = true;
   }
 
   {
@@ -181,22 +179,19 @@ sim::Task<> ShmemPe::broadcast_am_segments() {
   const std::uint32_t n = n_pes();
   if (n == 1) co_return;
   if (n > conduit_.config().bulk_connect_threshold) {
-    // Bulk path: charge the per-PE cost of sending N-1 small AMs and fill
-    // the tables directly (every PE registered before the PMI fence inside
-    // conduit init, so the data is available).
+    // Bulk path: charge the per-PE cost of sending N-1 small AMs; the
+    // triplets are then read from their owners (every PE registered before
+    // the PMI fence inside conduit init, so the data is available).
     const fabric::FabricConfig& fcfg = job_.conduit_job().fabric().config();
     co_await engine().delay(
         (n - 1) * (fcfg.hca_tx_overhead + fcfg.min_packet_gap));
-    for (RankId r = 0; r < n; ++r) {
-      segments_[r] = *job_.pe(r).segments_[r];
-    }
     co_return;
   }
   segments_gate_ = std::make_unique<sim::Gate>(engine());
   if (segments_received_ == n - 1) {
     segments_gate_->open();
   }
-  std::vector<std::byte> mine = segments_[rank_]->serialize();
+  std::vector<std::byte> mine = segment_->serialize();
   for (RankId r = 0; r < n; ++r) {
     if (r != rank_) {
       co_await conduit_.am_send(r, kSegInfoHandler, mine);
@@ -228,12 +223,22 @@ std::span<std::byte> ShmemPe::local_window(SymAddr addr, std::size_t len) {
   return heap_space_.window(heap_space_.base() + addr, len);
 }
 
-const SegmentInfo& ShmemPe::peer_segment(RankId dst) {
-  if (dst >= segments_.size() || !segments_[dst]) {
+std::optional<SegmentInfo> ShmemPe::known_segment(RankId dst) const {
+  if (dst == rank_) return segment_;
+  if (dst >= n_pes()) return std::nullopt;
+  if (segments_exchanged_) return job_.pe(dst).segment_;
+  auto it = peer_segments_.find(dst);
+  if (it == peer_segments_.end()) return std::nullopt;
+  return it->second;
+}
+
+SegmentInfo ShmemPe::peer_segment(RankId dst) const {
+  std::optional<SegmentInfo> info = known_segment(dst);
+  if (!info) {
     throw std::logic_error("ShmemPe: no segment info for peer " +
                            std::to_string(dst));
   }
-  return *segments_[dst];
+  return *info;
 }
 
 void ShmemPe::check_heap_range(SymAddr addr, std::uint64_t len) const {

@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/conduit.hpp"
@@ -250,6 +251,12 @@ class ShmemPe : private core::RkeyHook {
     return conduit_.endpoints_created();
   }
 
+  /// `dst`'s segment triplet as far as this PE has learned it: its own
+  /// from registration on, a peer's from the handshake piggyback that
+  /// reached it (proposed design), or every owner's own once the static
+  /// design's exchange completed. nullopt for a peer not yet learned.
+  [[nodiscard]] std::optional<SegmentInfo> known_segment(RankId dst) const;
+
   /// The on-demand pin-down cache (nullptr under eager registration).
   [[nodiscard]] fabric::reg::RegistrationCache* registration_cache() noexcept {
     return reg_cache_.get();
@@ -258,7 +265,8 @@ class ShmemPe : private core::RkeyHook {
  private:
   friend class ShmemJob;
 
-  [[nodiscard]] const SegmentInfo& peer_segment(RankId dst);
+  /// `known_segment(dst)`; throws std::logic_error for a peer not learned.
+  [[nodiscard]] SegmentInfo peer_segment(RankId dst) const;
   /// Throw std::out_of_range unless `[addr, addr + len)` lies inside the
   /// symmetric heap (written so `addr + len` cannot wrap).
   void check_heap_range(SymAddr addr, std::uint64_t len) const;
@@ -331,7 +339,14 @@ class ShmemPe : private core::RkeyHook {
   fabric::AddressSpace heap_space_;
   SymmetricAllocator allocator_;
   fabric::MemoryRegion heap_region_{};
-  std::vector<std::optional<SegmentInfo>> segments_{};
+  /// This PE's own triplet (set during memory registration).
+  std::optional<SegmentInfo> segment_{};
+  /// Triplets that arrived on a handshake piggyback, one per touched peer
+  /// (DESIGN.md §5 item 21).
+  std::unordered_map<RankId, SegmentInfo> peer_segments_{};
+  /// The static design's exchange completed: every triplet is then read
+  /// from its owner through the job, nothing is stored per peer.
+  bool segments_exchanged_ = false;
   bool initialized_ = false;
 
   // On-demand registration state (null under the eager default).

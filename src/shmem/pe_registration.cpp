@@ -111,7 +111,7 @@ sim::Task<> ShmemPe::reg_quiesce() { return reg_cache_->quiesce(); }
 std::vector<std::byte> ShmemPe::reg_piggyback_payload(RankId peer) {
   // Handing a chunk out makes `peer` a sharer — it must see any later
   // invalidation.
-  RegHandshakePayload payload{.segment = *segments_[rank_]};
+  RegHandshakePayload payload{.segment = *segment_};
   reg_cache_->for_each_pinned([&](std::uint32_t chunk, fabric::RKey rkey) {
     payload.hot_chunks.emplace_back(chunk, rkey);
     reg_cache_->add_sharer(chunk, peer);
@@ -122,9 +122,7 @@ std::vector<std::byte> ShmemPe::reg_piggyback_payload(RankId peer) {
 void ShmemPe::reg_consume_payload(RankId peer,
                                   std::span<const std::byte> bytes) {
   const RegHandshakePayload payload = RegHandshakePayload::decode(bytes);
-  if (!segments_[peer]) {
-    segments_[peer] = payload.segment;
-  }
+  peer_segments_.try_emplace(peer, payload.segment);
   for (const auto& [chunk, rkey] : payload.hot_chunks) {
     if (!rkey_table_->install(peer, chunk, rkey)) {
       // The handshake payload raced an invalidation notice (lossy UD can
@@ -217,7 +215,7 @@ sim::Task<core::RkeyGrant> ShmemPe::resolve(RankId dst, fabric::VirtAddr raddr,
   if (!reg_on_demand()) {
     // One rkey covers the whole heap. It rides the peer's segment triplet,
     // which on-demand connections carry in the handshake (§IV-C).
-    if (!segments_[dst]) {
+    if (!known_segment(dst)) {
       (void)co_await conduit_.connected_qp(dst);
     }
     co_return core::RkeyGrant{.len = len, .rkey = peer_segment(dst).rkey};

@@ -27,6 +27,8 @@ struct SegmentInfo {
 
   static constexpr std::size_t kWireBytes = 24;
 
+  friend bool operator==(const SegmentInfo&, const SegmentInfo&) = default;
+
   [[nodiscard]] std::vector<std::byte> serialize() const {
     std::vector<std::byte> out;
     out.reserve(kWireBytes);

@@ -63,7 +63,7 @@ TEST_P(PmiGeometry, IallgatherDeliversEveryValue) {
       CollectiveTicket ticket =
           client.iallgather_start(std::string(1 + r % 5, 'a' + r % 26));
       std::vector<std::string> values =
-          co_await client.iallgather_wait(ticket);
+          *co_await client.iallgather_wait(ticket);
       if (values.size() != n) {
         ++bad;
         co_return;

@@ -2,6 +2,7 @@
 // PMIX extensions.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -144,7 +145,7 @@ TEST(Iallgather, GathersAllValuesByRank) {
       CollectiveTicket ticket =
           client.iallgather_start("ep:" + std::to_string(r));
       std::vector<std::string> values =
-          co_await client.iallgather_wait(ticket);
+          *co_await client.iallgather_wait(ticket);
       EXPECT_EQ(values.size(), 6u);
       for (RankId peer = 0; peer < values.size(); ++peer) {
         EXPECT_EQ(values[peer], "ep:" + std::to_string(peer));
@@ -152,6 +153,28 @@ TEST(Iallgather, GathersAllValuesByRank) {
     }(env, rank));
   }
   env.engine.run();
+}
+
+TEST(Iallgather, RanksShareOneTable) {
+  Env env(6, 3);
+  std::vector<std::shared_ptr<const std::vector<std::string>>> tables(6);
+  for (RankId rank = 0; rank < 6; ++rank) {
+    env.engine.spawn([](Env& e, RankId r, auto& out) -> sim::Task<> {
+      PmiClient& client = e.manager->client(r);
+      CollectiveTicket ticket =
+          client.iallgather_start("ep:" + std::to_string(r));
+      out = co_await client.iallgather_wait(ticket);
+    }(env, rank, tables[rank]));
+  }
+  env.engine.run();
+  ASSERT_NE(tables[0], nullptr);
+  for (RankId rank = 1; rank < 6; ++rank) {
+    EXPECT_EQ(tables[rank].get(), tables[0].get());
+  }
+  ASSERT_EQ(tables[0]->size(), 6u);
+  for (RankId peer = 0; peer < 6; ++peer) {
+    EXPECT_EQ((*tables[0])[peer], "ep:" + std::to_string(peer));
+  }
 }
 
 TEST(Iallgather, StartReturnsImmediately) {
@@ -243,8 +266,8 @@ TEST(Iallgather, MultipleRoundsKeepValuesSeparate) {
           client.iallgather_start("a" + std::to_string(r));
       CollectiveTicket second =
           client.iallgather_start("b" + std::to_string(r));
-      auto second_values = co_await client.iallgather_wait(second);
-      auto first_values = co_await client.iallgather_wait(first);
+      auto second_values = *co_await client.iallgather_wait(second);
+      auto first_values = *co_await client.iallgather_wait(first);
       EXPECT_EQ(first_values, (std::vector<std::string>{"a0", "a1"}));
       EXPECT_EQ(second_values, (std::vector<std::string>{"b0", "b1"}));
     }(env, rank));

@@ -60,6 +60,41 @@ TEST(StartPes, ModeledHeapChargesExtraRegistration) {
   EXPECT_GT(reg_time(big), 10 * reg_time(small));
 }
 
+TEST(StartPes, SegmentTripletsFollowContact) {
+  // Proposed design, eager registration: a PE learns a far peer's triplet
+  // only from the handshake its first put drives, and nothing else.
+  {
+    JobEnv env(small_job(16, 4));
+    env.run(with_init([&env](ShmemPe& pe) -> sim::Task<> {
+      if (pe.rank() != 0) co_return;
+      constexpr RankId kFar = 13;
+      constexpr RankId kUntouched = 10;
+      EXPECT_EQ(pe.known_segment(0), env.job.pe(0).known_segment(0));
+      EXPECT_TRUE(pe.known_segment(0).has_value());
+      EXPECT_FALSE(pe.known_segment(kFar).has_value());
+      co_await pe.put_value<std::uint64_t>(kFar, 0, 7);
+      EXPECT_TRUE(pe.known_segment(kFar).has_value());
+      EXPECT_EQ(pe.known_segment(kFar), env.job.pe(kFar).known_segment(kFar));
+      EXPECT_FALSE(pe.known_segment(kUntouched).has_value());
+    }));
+  }
+  // Current design, on both sides of the bulk-connect threshold: after
+  // start_pes every peer's triplet is its owner's own.
+  for (std::uint32_t threshold : {512u, 4u}) {
+    SCOPED_TRACE(threshold);
+    core::ConduitConfig conduit = core::current_design();
+    conduit.bulk_connect_threshold = threshold;
+    JobEnv env(small_job(6, 2, conduit));
+    env.run(with_init([&env](ShmemPe& pe) -> sim::Task<> {
+      for (RankId r = 0; r < pe.n_pes(); ++r) {
+        EXPECT_TRUE(pe.known_segment(r).has_value());
+        EXPECT_EQ(pe.known_segment(r), env.job.pe(r).known_segment(r));
+      }
+      co_return;
+    }));
+  }
+}
+
 TEST(PutGet, RemoteRoundTrip) {
   JobEnv env(small_job(2, 1));
   env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
