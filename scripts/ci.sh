@@ -94,6 +94,16 @@ if grep -rnE 'optional<SegmentInfo>>|segments_\.assign\(' src/shmem ||
   exit 1
 fi
 
+echo "==> address spaces are demand-zero"
+# fabric::AddressSpace is one private anonymous mapping, resident only
+# where written (DESIGN.md §5 item 22); a byte vector would zero-fill and
+# keep every page of every simulated heap resident.
+if grep -nF 'std::vector<std::byte>' src/fabric/address_space.hpp; then
+  echo "ci.sh: an AddressSpace is backed by std::vector<std::byte>;" \
+    "keep the demand-zero mapping" >&2
+  exit 1
+fi
+
 echo "==> observation guard: one event stream, one observer list, one span"
 # Protocol steps are recorded once, as ProtocolEvents on the job's one
 # observer list; sim::PhaseTimer is the only RAII span (DESIGN.md §5.8).

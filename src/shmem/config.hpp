@@ -22,13 +22,15 @@ enum class RegistrationMode : std::uint8_t {
 };
 
 struct ShmemConfig {
-  /// Actual bytes backing each PE's symmetric heap (data correctness).
+  /// Bytes of each PE's symmetric heap, the data that puts and gets really
+  /// move. Demand-zero: host memory grows only with the pages written
+  /// (DESIGN.md §5 item 22). At most `fabric::kSegmentStride`.
   std::uint64_t heap_bytes = 1 << 20;
 
   /// Heap size used for the memory-registration *cost model* (Fig 1/5b show
   /// registration of production-sized heaps; benches model 256 MiB heaps
-  /// while backing them with `heap_bytes` of real memory). 0 = same as
-  /// `heap_bytes`.
+  /// over a `heap_bytes` data heap). It sets registration cost and chunk
+  /// geometry only. 0 = same as `heap_bytes`.
   std::uint64_t modeled_heap_bytes = 0;
 
   /// Intra-node shared-memory setup (segment creation, mmap, bootstrap).

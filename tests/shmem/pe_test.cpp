@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "shmem/job.hpp"
@@ -58,6 +59,15 @@ TEST(StartPes, ModeledHeapChargesExtraRegistration) {
     return env.job.pe(0).stats().phase_time("memory_registration");
   };
   EXPECT_GT(reg_time(big), 10 * reg_time(small));
+}
+
+TEST(ShmemJob, HeapAboveSegmentStrideRejected) {
+  // A heap past the segment stride would overlap the PE's landing
+  // segment 1, so a misdirected RDMA would no longer fault.
+  ShmemJobConfig config = small_job(2, 2);
+  config.shmem.heap_bytes = fabric::kSegmentStride + 1;
+  sim::Engine engine;
+  EXPECT_THROW(ShmemJob(engine, config), std::invalid_argument);
 }
 
 TEST(StartPes, SegmentTripletsFollowContact) {
