@@ -1169,7 +1169,7 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
                               telemetry::BenchReport& report) {
   // Ablation A10: where does rendezvous start paying for its RTS/CTS round
   // trip? Eager delivery charges the receiver a bounce-buffer copy
-  // (`eager_copy_bytes_per_ns`), rendezvous replaces it with a fixed
+  // (`fabric::kEagerCopyBytesPerNs`), rendezvous replaces it with a fixed
   // control-message overhead plus sink posting — the crossover is the
   // eager threshold the knob table should recommend.
   std::vector<std::uint32_t> sizes =

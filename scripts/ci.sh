@@ -104,6 +104,31 @@ if grep -nF 'std::vector<std::byte>' src/fabric/address_space.hpp; then
   exit 1
 fi
 
+echo "==> calibrated constants are constants"
+# The cost model's calibrated values are inline constexpr constants beside
+# their config struct (DESIGN.md §5 item 7); a config member by one of
+# these names would make a fixed calibration a knob again.
+calibrated='qp_create_cost|qp_transition_cost|qp_destroy_cost'
+calibrated="${calibrated}|mem_reg_base_cost|mem_reg_per_page_cost|page_size"
+calibrated="${calibrated}|hca_tx_overhead|wire_latency|bytes_per_ns"
+calibrated="${calibrated}|loopback_latency|loopback_bytes_per_ns|ack_latency"
+calibrated="${calibrated}|responder_overhead|min_packet_gap|mtu"
+calibrated="${calibrated}|shm_attach_cost|shm_copy_latency|shm_bytes_per_ns"
+calibrated="${calibrated}|shm_atomic_latency|shm_am_overhead"
+calibrated="${calibrated}|eager_copy_bytes_per_ns|rendezvous_sink_post_cost"
+calibrated="${calibrated}|put_overhead|get_overhead|ipc_bytes_per_ns"
+calibrated="${calibrated}|oob_latency|oob_bytes_per_ns|fence_per_entry"
+calibrated="${calibrated}|allgather_per_entry|am_handler_overhead"
+calibrated="${calibrated}|intranode_barrier_hop|local_copy_latency"
+calibrated="${calibrated}|local_bytes_per_ns|wait_poll_interval"
+if grep -nE "^[[:space:]]*[^/[:space:]].*\b(${calibrated})[[:space:]]*[=;{]" \
+    src/core/config.hpp src/shmem/config.hpp src/fabric/config.hpp \
+    src/pmi/pmi.hpp; then
+  echo "ci.sh: a calibrated cost became a config field again; use its" \
+    "inline constexpr constant" >&2
+  exit 1
+fi
+
 echo "==> observation guard: one event stream, one observer list, one span"
 # Protocol steps are recorded once, as ProtocolEvents on the job's one
 # observer list; sim::PhaseTimer is the only RAII span (DESIGN.md §5.8).

@@ -87,7 +87,7 @@ sim::Task<> Conduit::barrier_tree() {
 sim::Task<> Conduit::barrier_global() {
   const std::uint32_t n = size();
   if (n == 1) {
-    co_await engine().delay(config().intranode_barrier_hop);
+    co_await engine().delay(kIntranodeBarrierHop);
     co_return;
   }
   if (config().intranode_transport == IntranodeTransport::kShm) {
@@ -109,7 +109,7 @@ sim::Task<> Conduit::barrier_global() {
 sim::Task<> Conduit::barrier_intranode() {
   ConduitJob::NodeBarrier& nb = *job_.node_barriers_[node_];
   const std::uint32_t expected = job_.ranks_on_node(node_);
-  co_await engine().delay(config().intranode_barrier_hop);
+  co_await engine().delay(kIntranodeBarrierHop);
   std::uint64_t my_round = nb.round;
   if (++nb.arrived == expected) {
     nb.arrived = 0;
@@ -120,7 +120,7 @@ sim::Task<> Conduit::barrier_intranode() {
       co_await nb.trigger.wait();
     }
   }
-  co_await engine().delay(config().intranode_barrier_hop);
+  co_await engine().delay(kIntranodeBarrierHop);
   stats_.add("barriers_intranode");
 }
 

@@ -311,7 +311,7 @@ sim::Task<> Conduit::handle_rendezvous(RankId src,
     } else {
       ranges.push_back(RdvRange{packet.raddr, packet.len, 0});
     }
-    co_await engine().delay(job_.fabric().config().rendezvous_sink_post_cost);
+    co_await engine().delay(fabric::kRendezvousSinkPostCost);
     notify({.kind = ProtocolEvent::Kind::kCtsIssued,
             .peer = src,
             .attempt = packet.seq});

@@ -166,7 +166,6 @@ sim::Task<> Conduit::finalize() {
     });
   }
 
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
   if (bulk_connected_) {
     std::uint64_t materialized = 0;
     for (const Peer& peer : peer_slots_) {
@@ -175,7 +174,7 @@ sim::Task<> Conduit::finalize() {
     // Aggregate teardown cost of the never-materialized bulk connections,
     // serialized on the HCA command queue like individual destroys.
     sim::Time done = hca().reserve_command_window(
-        (bulk_endpoints_ - materialized) * fcfg.qp_destroy_cost);
+        (bulk_endpoints_ - materialized) * fabric::kQpDestroyCost);
     co_await engine().delay(done - engine().now());
   }
   for (Peer* peer : peers_by_rank()) {
@@ -217,7 +216,7 @@ sim::Task<> Conduit::ud_listener() {
   while (true) {
     auto gram = co_await ud_qp_->ud_recv().pop_or_closed();
     if (!gram) break;
-    co_await engine().delay(config().am_handler_overhead);
+    co_await engine().delay(kAmHandlerOverhead);
     ConnectPacket packet = ConnectPacket::decode(*gram->payload);
     fabric::EndpointAddr reply_to{gram->src_lid, gram->src_qpn};
     if (packet.type == UdMsgType::kConnectRequest) {
@@ -234,7 +233,7 @@ sim::Task<> Conduit::srq_listener() {
   while (true) {
     auto message = co_await srq.pop_or_closed();
     if (!message) break;
-    co_await engine().delay(config().am_handler_overhead);
+    co_await engine().delay(kAmHandlerOverhead);
     // Consume the delivered buffer in place: the AM payload reuses it
     // instead of being copied out (fast-path allocation churn).
     co_await dispatch_am(AmPacket::decode_consume(std::move(message->payload)),
@@ -365,13 +364,12 @@ sim::Task<> Conduit::shm_export(fabric::AddressSpace& space,
 
 sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
                                  std::vector<std::byte> payload) {
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
   AmPacket packet{handler, rank_, std::move(payload)};
   std::vector<std::byte> bytes = packet.encode();
   co_await engine().delay(
-      fcfg.shm_am_overhead + fcfg.shm_copy_latency +
+      fabric::kShmAmOverhead + fabric::kShmCopyLatency +
       static_cast<sim::Time>(static_cast<double>(bytes.size()) /
-                             fcfg.shm_bytes_per_ns));
+                             fabric::kShmBytesPerNs));
   mark_shm_peer(dst);
   stats_.add(kAmSent);
   stats_.add(kAmSentShm);
@@ -383,7 +381,6 @@ sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
 }
 
 sim::Task<fabric::Completion> Conduit::shm_rma(RankId dst, const RmaOp& op) {
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
   const sim::Time start = engine().now();
   const std::uint64_t len = op.len();
   mark_shm_peer(dst);
@@ -392,10 +389,10 @@ sim::Task<fabric::Completion> Conduit::shm_rma(RankId dst, const RmaOp& op) {
   notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
   const fabric::WorkRequest wr = work_request(op, 0, len, 0);
   co_await engine().delay(
-      op.atomic() ? fcfg.shm_atomic_latency
-                  : fcfg.shm_copy_latency +
+      op.atomic() ? fabric::kShmAtomicLatency
+                  : fabric::kShmCopyLatency +
                         static_cast<sim::Time>(static_cast<double>(len) /
-                                               fcfg.shm_bytes_per_ns));
+                                               fabric::kShmBytesPerNs));
   fabric::Completion wc;
   wc.opcode = wr.opcode;
   wc.byte_len = static_cast<std::uint32_t>(len);

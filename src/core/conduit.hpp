@@ -226,6 +226,10 @@ class Conduit {
 
   [[nodiscard]] bool initialized() const noexcept { return initialized_; }
 
+  /// True once `init` charged the static mesh in aggregate (job size above
+  /// `bulk_connect_threshold`) instead of simulating every handshake.
+  [[nodiscard]] bool bulk_modeled() const noexcept { return bulk_connected_; }
+
   // ---- connection-payload hooks (§IV-C) ----
 
   /// Install the opaque payload provider/consumer used on connection
@@ -266,7 +270,7 @@ class Conduit {
   [[nodiscard]] bool shm_routes(RankId dst) const;
 
   /// Cross-map `[base, base + len)` of this PE's segment into the node's
-  /// shm domain (charges `shm_attach_cost`; no-op when the shm transport
+  /// shm domain (charges `kShmAttachCost`; no-op when the shm transport
   /// is disabled). The upper layer calls this during its node-local
   /// bootstrap, before any same-node peer may address the segment.
   [[nodiscard]] sim::Task<> shm_export(fabric::AddressSpace& space,

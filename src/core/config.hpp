@@ -53,6 +53,12 @@ enum class BarrierMode : std::uint8_t {
   kIntraNode,  ///< shared-memory barrier among the PEs of each node.
 };
 
+// ---- Calibrated conduit costs (DESIGN.md §5.7) ----
+/// Software dispatch cost per received active message.
+inline constexpr sim::Time kAmHandlerOverhead = 150 * sim::nsec;
+/// Per-hop cost of the shared-memory intra-node barrier.
+inline constexpr sim::Time kIntranodeBarrierHop = 300 * sim::nsec;
+
 struct ConduitConfig {
   ConnectionMode connection_mode = ConnectionMode::kOnDemand;
   PmiMode pmi_mode = PmiMode::kNonBlocking;
@@ -72,12 +78,6 @@ struct ConduitConfig {
   /// of the full mesh analytically instead of simulating every handshake
   /// (validated against the fully simulated path in tests; DESIGN.md §2).
   std::uint32_t bulk_connect_threshold = 512;
-
-  /// Software dispatch cost per received active message.
-  sim::Time am_handler_overhead = 150 * sim::nsec;
-
-  /// Per-hop cost of the shared-memory intra-node barrier.
-  sim::Time intranode_barrier_hop = 300 * sim::nsec;
 
   /// Adaptive connection management (Yu et al., IPDPS'06 — related work
   /// the paper builds on): cap the number of live RC connections per PE;

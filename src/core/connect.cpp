@@ -700,13 +700,12 @@ sim::Task<> Conduit::static_connect_all() {
 
 sim::Task<> Conduit::static_connect_bulk() {
   const std::uint32_t n = size();
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
   {
     // Same per-connection constants as the fully simulated path, charged in
     // aggregate (validated against the simulated path in tests).
     sim::PhaseTimer timer(engine(), &stats_, "connection_setup");
     co_await engine().delay(
-        n * (fcfg.qp_create_cost + 3 * fcfg.qp_transition_cost));
+        n * (fabric::kQpCreateCost + 3 * fabric::kQpTransitionCost));
   }
   {
     sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");

@@ -42,13 +42,12 @@ ShmDomain& Fabric::shm_domain(NodeId node) {
 sim::Time Fabric::transfer_latency(Lid src, Lid dst,
                                    std::size_t bytes) const {
   if (src == dst) {
-    return config_.loopback_latency +
+    return kLoopbackLatency +
            static_cast<sim::Time>(static_cast<double>(bytes) /
-                                  config_.loopback_bytes_per_ns);
+                                  kLoopbackBytesPerNs);
   }
-  return config_.hca_tx_overhead + config_.wire_latency +
-         static_cast<sim::Time>(static_cast<double>(bytes) /
-                                config_.bytes_per_ns);
+  return kHcaTxOverhead + kWireLatency +
+         static_cast<sim::Time>(static_cast<double>(bytes) / kBytesPerNs);
 }
 
 std::uint64_t Fabric::total_qps_created() const {

@@ -122,7 +122,7 @@ class QueuePair {
   [[nodiscard]] EndpointAddr remote() const noexcept { return remote_; }
 
   /// Drive the verbs state machine one step (RESET→INIT→RTR→RTS). Charges
-  /// `qp_transition_cost` of virtual time and validates the order. For RC,
+  /// `kQpTransitionCost` of virtual time and validates the order. For RC,
   /// the transition to RTR requires `set_remote` to have been called.
   /// Precondition violations throw immediately (before the task runs).
   [[nodiscard]] sim::Task<> transition(QpState next);
@@ -291,11 +291,11 @@ class Hca {
   /// Ranks attach in ascending order (throws otherwise).
   void attach_pe(RankId rank);
 
-  /// Create a queue pair (charges `qp_create_cost`). The QP starts in the
+  /// Create a queue pair (charges `kQpCreateCost`). The QP starts in the
   /// RESET state.
   [[nodiscard]] sim::Task<QueuePair*> create_qp(QpType type, RankId owner);
 
-  /// Destroy a queue pair (charges `qp_destroy_cost`).
+  /// Destroy a queue pair (charges `kQpDestroyCost`).
   [[nodiscard]] sim::Task<> destroy_qp(Qpn qpn);
 
   /// Create a queue pair with no virtual-time cost. ONLY for the bulk

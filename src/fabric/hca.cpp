@@ -22,7 +22,7 @@ void Hca::attach_pe(RankId rank) {
 }
 
 sim::Task<QueuePair*> Hca::create_qp(QpType type, RankId owner) {
-  co_await fabric_.engine().delay(fabric_.config().qp_create_cost);
+  co_await fabric_.engine().delay(kQpCreateCost);
   co_return &materialize_qp(type, owner);
 }
 
@@ -51,7 +51,7 @@ sim::Task<> Hca::destroy_qp(Qpn qpn) {
 }
 
 sim::Task<> Hca::destroy_qp_impl(Qpn qpn) {
-  sim::Time done = reserve_command_window(fabric_.config().qp_destroy_cost);
+  sim::Time done = reserve_command_window(kQpDestroyCost);
   co_await fabric_.engine().delay(done - fabric_.engine().now());
   // A second destroy issued while this one was in flight finds the slot
   // already empty.
@@ -74,11 +74,9 @@ sim::Task<MemoryRegion> Hca::register_memory_impl(AddressSpace& space,
                                                   VirtAddr start,
                                                   std::uint64_t len,
                                                   std::uint64_t modeled_len) {
-  const auto& cfg = fabric_.config();
   std::uint64_t cost_len = modeled_len != 0 ? modeled_len : len;
-  std::uint64_t pages = (cost_len + cfg.page_size - 1) / cfg.page_size;
-  co_await fabric_.engine().delay(cfg.mem_reg_base_cost +
-                                  pages * cfg.mem_reg_per_page_cost);
+  std::uint64_t pages = (cost_len + kPageSize - 1) / kPageSize;
+  co_await fabric_.engine().delay(kMemRegBaseCost + pages * kMemRegPerPageCost);
   RKey rkey = next_rkey_++;
   if (regions_.size() <= rkey) regions_.resize(rkey + 1);
   regions_[rkey] = Region{&space, start, len};
@@ -116,7 +114,7 @@ sim::Mailbox<RcMessage>& Hca::srq(RankId rank) {
 sim::Time Hca::reserve_injection_slot() {
   sim::Time now = fabric_.engine().now();
   sim::Time slot = std::max(now, next_injection_);
-  next_injection_ = slot + fabric_.config().min_packet_gap;
+  next_injection_ = slot + kMinPacketGap;
   return slot;
 }
 

@@ -94,8 +94,7 @@ sim::Task<> QueuePair::transition(QpState next) {
 }
 
 sim::Task<> QueuePair::transition_impl(QpState next) {
-  co_await hca_.fabric().engine().delay(
-      hca_.fabric().config().qp_transition_cost);
+  co_await hca_.fabric().engine().delay(kQpTransitionCost);
   state_ = next;
 }
 
@@ -179,7 +178,6 @@ sim::Task<Completion> QueuePair::post_impl(WorkRequest wr) {
   ++outstanding_;
   Fabric& fabric = hca_.fabric();
   sim::Engine& engine = fabric.engine();
-  const FabricConfig& cfg = fabric.config();
   InFlight op(engine, std::move(wr));
   const WcOpcode opcode = op.wr.opcode;
   const bool read = opcode == WcOpcode::kRdmaRead;
@@ -193,9 +191,9 @@ sim::Task<Completion> QueuePair::post_impl(WorkRequest wr) {
   const sim::Time arrival = schedule_arrival(read ? 0 : op.len);
   const sim::Time complete =
       read || is_atomic(opcode)
-          ? arrival + cfg.responder_overhead +
+          ? arrival + kResponderOverhead +
                 fabric.transfer_latency(remote_.lid, lid(), op.len)
-          : arrival + cfg.ack_latency;
+          : arrival + kAckLatency;
 
   if (opcode == WcOpcode::kSend) {
     QueuePair* remote_qp =
@@ -203,7 +201,7 @@ sim::Task<Completion> QueuePair::post_impl(WorkRequest wr) {
     if (remote_qp == nullptr) {
       // The peer QP vanished: real RC would retry and eventually fail with
       // a retry-exceeded completion; we fail immediately.
-      co_await engine.delay(cfg.ack_latency);
+      co_await engine.delay(kAckLatency);
       co_return finish(op.wr.wr_id, opcode, WcStatus::kRemoteAccessError, 0);
     }
     op.dst_rank = remote_qp->owner();
@@ -256,7 +254,7 @@ sim::Task<Completion> QueuePair::send_ud(Lid dlid, Qpn dqpn, UdPayload payload,
   if (payload == nullptr) {
     throw std::logic_error("QueuePair::send_ud: null payload");
   }
-  if (payload->size() > hca_.fabric().config().mtu) {
+  if (payload->size() > kMtu) {
     throw std::logic_error("QueuePair::send_ud: payload exceeds MTU");
   }
   return send_ud_impl(dlid, dqpn, std::move(payload), wr_id);
@@ -325,16 +323,16 @@ sim::Task<Completion> QueuePair::send_ud_impl(Lid dlid, Qpn dqpn,
     if (fabric.rng().chance(cfg.ud_duplicate_rate)) {
       sim::Time jitter2 = cfg.ud_jitter_max > 0
                               ? fabric.rng().next_below(cfg.ud_jitter_max)
-                              : cfg.wire_latency;
+                              : kWireLatency;
       deliver(depart + latency + jitter2 + 1, gram);
     }
     for (std::uint32_t copy = 0; copy < fault.duplicates; ++copy) {
-      deliver(depart + latency + (copy + 1) * (cfg.wire_latency + 1), gram);
+      deliver(depart + latency + (copy + 1) * (kWireLatency + 1), gram);
     }
   }
 
   sim::Gate done(engine);
-  engine.schedule_at(depart + cfg.hca_tx_overhead, [&done] { done.open(); });
+  engine.schedule_at(depart + kHcaTxOverhead, [&done] { done.open(); });
   co_await done.wait();
   co_return finish(wr_id, WcOpcode::kSend, WcStatus::kSuccess, byte_len);
 }

@@ -9,7 +9,7 @@ ShmDomain::ShmDomain(Fabric& fabric, NodeId node)
 
 sim::Task<> ShmDomain::export_segment(RankId rank, AddressSpace& space,
                                       VirtAddr base, std::uint64_t len) {
-  co_await fabric_.engine().delay(fabric_.config().shm_attach_cost);
+  co_await fabric_.engine().delay(kShmAttachCost);
   exports_[rank] = Export{&space, base, len};
   ++segments_exported_;
 }

@@ -43,7 +43,7 @@ class ShmDomain {
   [[nodiscard]] NodeId node() const noexcept { return node_; }
 
   /// Cross-map `[base, base + len)` of `space` so same-node peers can
-  /// load/store it directly. Charges `shm_attach_cost` of virtual time.
+  /// load/store it directly. Charges `kShmAttachCost` of virtual time.
   /// `space` must outlive the domain. Re-exporting replaces the mapping.
   [[nodiscard]] sim::Task<> export_segment(RankId rank, AddressSpace& space,
                                            VirtAddr base, std::uint64_t len);

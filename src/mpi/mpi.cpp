@@ -64,10 +64,9 @@ sim::Task<> MpiComm::handle_message(RankId src,
     // cost rendezvous exists to avoid; its bytes landed by RDMA write), and
     // never before an earlier message from this source (non-overtaking).
     if (bounce_copy) {
-      const fabric::FabricConfig& fcfg = conduit_.hca().fabric().config();
       arrival.visible_at += static_cast<sim::Time>(
           static_cast<double>(arrival.data.size()) /
-          fcfg.eager_copy_bytes_per_ns);
+          fabric::kEagerCopyBytesPerNs);
     }
     sim::Time& latest = visible_[src];
     arrival.visible_at = latest = std::max(latest, arrival.visible_at);

@@ -74,20 +74,16 @@ sim::Time JobManager::fence_cost(std::uint64_t bytes,
   // Gather up + broadcast down the tree; the root serializes `fanout`
   // copies of the full store on the way back down.
   auto wire = static_cast<sim::Time>(
-      static_cast<double>(bytes) * config_.tree_fanout /
-      config_.oob_bytes_per_ns);
-  return 2 * depth * config_.oob_latency + wire +
-         entries * config_.fence_per_entry;
+      static_cast<double>(bytes) * config_.tree_fanout / kOobBytesPerNs);
+  return 2 * depth * kOobLatency + wire + entries * kFencePerEntry;
 }
 
 sim::Time JobManager::allgather_cost(std::uint64_t bytes,
                                      std::uint64_t entries) const {
   std::uint32_t depth = tree_depth();
   auto wire = static_cast<sim::Time>(
-      static_cast<double>(bytes) * config_.tree_fanout /
-      config_.oob_bytes_per_ns);
-  return 2 * depth * config_.oob_latency + wire +
-         entries * config_.allgather_per_entry;
+      static_cast<double>(bytes) * config_.tree_fanout / kOobBytesPerNs);
+  return 2 * depth * kOobLatency + wire + entries * kAllgatherPerEntry;
 }
 
 JobManager::Round& JobManager::fence_round(std::uint32_t index) {
@@ -122,8 +118,7 @@ void JobManager::arrive_ring(std::uint32_t index, RankId rank,
   for (const auto& contribution : round.values) bytes += contribution.size();
   oob_bytes_moved_ += bytes;  // each value moves to exactly two neighbors
   count(metrics_, "pmi/oob_bytes", static_cast<std::int64_t>(bytes));
-  sim::Time cost = 2 * tree_depth() * config_.oob_latency +
-                   4 * config_.oob_latency;
+  sim::Time cost = 2 * tree_depth() * kOobLatency + 4 * kOobLatency;
   engine_.schedule_after(cost, [this, index] {
     Round& round = ring_round(index);
     round.completed = true;
@@ -200,15 +195,14 @@ PmiClient::PmiClient(JobManager& manager, RankId rank)
     : manager_(manager), rank_(rank), node_(manager.node_of(rank)) {}
 
 sim::Task<> PmiClient::put(std::string key, std::string value) {
-  const PmiConfig& cfg = manager_.config();
   count(manager_.metrics_, "pmi/puts");
   count(manager_.metrics_, "pmi/put_bytes",
         static_cast<std::int64_t>(key.size() + value.size()));
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/put");
-  auto busy = cfg.put_overhead +
+  auto busy = kPutOverhead +
               static_cast<sim::Time>(
                   static_cast<double>(key.size() + value.size()) /
-                  cfg.ipc_bytes_per_ns);
+                  kIpcBytesPerNs);
   sim::Time done = manager_.reserve_daemon(node_, busy);
   co_await manager_.engine().delay(done - manager_.engine().now());
   manager_.staged_bytes_ += key.size() + value.size();
@@ -216,15 +210,14 @@ sim::Task<> PmiClient::put(std::string key, std::string value) {
 }
 
 sim::Task<std::optional<std::string>> PmiClient::get(std::string key) {
-  const PmiConfig& cfg = manager_.config();
   count(manager_.metrics_, "pmi/gets");
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/get");
   // The reply size is not known until the lookup; charge for the key on the
   // request and for the value on the reply.
   sim::Time done = manager_.reserve_daemon(
-      node_, cfg.get_overhead +
+      node_, kGetOverhead +
                  static_cast<sim::Time>(static_cast<double>(key.size()) /
-                                        cfg.ipc_bytes_per_ns));
+                                        kIpcBytesPerNs));
   co_await manager_.engine().delay(done - manager_.engine().now());
   auto it = manager_.visible_.find(key);
   if (it == manager_.visible_.end()) {
@@ -232,36 +225,26 @@ sim::Task<std::optional<std::string>> PmiClient::get(std::string key) {
   }
   std::string value = it->second;
   co_await manager_.engine().delay(static_cast<sim::Time>(
-      static_cast<double>(value.size()) / cfg.ipc_bytes_per_ns));
+      static_cast<double>(value.size()) / kIpcBytesPerNs));
   co_return value;
 }
 
 sim::Task<> PmiClient::charge_gets(std::uint64_t count,
                                    std::uint64_t value_bytes) {
-  const PmiConfig& cfg = manager_.config();
-  auto per_get = cfg.get_overhead +
+  auto per_get = kGetOverhead +
                  static_cast<sim::Time>(static_cast<double>(value_bytes) /
-                                        cfg.ipc_bytes_per_ns);
+                                        kIpcBytesPerNs);
   sim::Time done = manager_.reserve_daemon(node_, count * per_get);
   co_await manager_.engine().delay(done - manager_.engine().now());
 }
 
 sim::Task<> PmiClient::fence() {
-  CollectiveTicket ticket = ifence_start();
-  co_await wait(ticket);
-}
-
-CollectiveTicket PmiClient::ifence_start() {
   std::uint32_t index = next_fence_++;
   count(manager_.metrics_, "pmi/fences_started");
   manager_.arrive_fence(index);
-  return CollectiveTicket{index};
-}
-
-sim::Task<> PmiClient::wait(CollectiveTicket ticket) {
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_,
                        "pmi/fence_wait");
-  co_await manager_.fence_round(ticket.round).gate.wait();
+  co_await manager_.fence_round(index).gate.wait();
 }
 
 CollectiveTicket PmiClient::iallgather_start(std::string value) {
@@ -279,16 +262,15 @@ sim::Task<std::pair<std::string, std::string>> PmiClient::ring(
   manager_.arrive_ring(index, rank_, std::move(value));
   JobManager::Round& round = manager_.ring_round(index);
   co_await round.gate.wait();
-  const PmiConfig& cfg = manager_.config();
   std::uint32_t n = manager_.ranks();
   RankId left = (rank_ + n - 1) % n;
   RankId right = (rank_ + 1) % n;
   std::uint64_t bytes = round.values[left].size() +
                         round.values[right].size();
   sim::Time done = manager_.reserve_daemon(
-      node_, cfg.get_overhead +
+      node_, kGetOverhead +
                  static_cast<sim::Time>(static_cast<double>(bytes) /
-                                        cfg.ipc_bytes_per_ns));
+                                        kIpcBytesPerNs));
   co_await manager_.engine().delay(done - manager_.engine().now());
   co_return std::make_pair(round.values[left], round.values[right]);
 }
@@ -301,11 +283,10 @@ PmiClient::iallgather_wait(CollectiveTicket ticket) {
   co_await round.gate.wait();
   // Bulk delivery of the gathered table over local IPC, serialized on the
   // node daemon.
-  const PmiConfig& cfg = manager_.config();
   sim::Time done = manager_.reserve_daemon(
-      node_, cfg.get_overhead +
+      node_, kGetOverhead +
                  static_cast<sim::Time>(static_cast<double>(round.bytes) /
-                                        cfg.ipc_bytes_per_ns));
+                                        kIpcBytesPerNs));
   co_await manager_.engine().delay(done - manager_.engine().now());
   co_return round.table;
 }

@@ -7,14 +7,13 @@
 // the processes of the job.
 //
 // Blocking API (PMI2):          put / get / fence
-// Non-blocking extensions:      ifence_start + wait   (PMIX_Ifence)
-//                               iallgather_start + iallgather_wait
+// Non-blocking extension:       iallgather_start + iallgather_wait
 //                               (PMIX_Iallgather + PMIX_Wait, §III-E)
 //
 // Correctness is real (values actually move through a shared store with
-// fence-visibility semantics); timing comes from a calibrated cost model:
-// per-call client↔daemon IPC overheads, per-node daemon serialization, and
-// tree-structured data movement for collective rounds.
+// fence-visibility semantics); timing comes from the calibrated constants
+// below: per-call client↔daemon IPC overheads, per-node daemon
+// serialization, and tree-structured data movement for collective rounds.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +35,26 @@ namespace odcm::pmi {
 using RankId = std::uint32_t;
 using NodeId = std::uint32_t;
 
+// ---- client <-> local daemon (shared memory / localhost socket) ----
+inline constexpr sim::Time kPutOverhead = 5 * sim::usec;
+inline constexpr sim::Time kGetOverhead = 26 * sim::usec;
+inline constexpr double kIpcBytesPerNs = 8.0;
+
+// ---- daemon <-> daemon (management Ethernet, TCP) ----
+inline constexpr sim::Time kOobLatency = 200 * sim::usec;
+/// ~10 GbE.
+inline constexpr double kOobBytesPerNs = 1.25;
+
+/// Per-entry KVS processing during a fence (hashing, marshalling).
+inline constexpr sim::Time kFencePerEntry = 2 * sim::usec;
+/// Per-entry processing cost of the symmetric allgather as the daemons
+/// progress it in the background over TCP. Cheaper than the generic
+/// Put-Fence-Get sequence per *consumer* (one bulk delivery instead of N
+/// gets), but the background dissemination itself still takes real time —
+/// which is exactly what PMIX_Iallgather lets the application hide
+/// (paper §IV-D).
+inline constexpr sim::Time kAllgatherPerEntry = 50 * sim::usec;
+
 struct PmiConfig {
   std::uint32_t ranks = 1;
   std::uint32_t ranks_per_node = 1;
@@ -43,25 +62,6 @@ struct PmiConfig {
   /// Fan-out of the daemon tree (SLURM uses a configurable tree; 8 is a
   /// common default at scale).
   std::uint32_t tree_fanout = 8;
-
-  // ---- client <-> local daemon (shared memory / localhost socket) ----
-  sim::Time put_overhead = 5 * sim::usec;
-  sim::Time get_overhead = 26 * sim::usec;
-  double ipc_bytes_per_ns = 8.0;
-
-  // ---- daemon <-> daemon (management Ethernet, TCP) ----
-  sim::Time oob_latency = 200 * sim::usec;
-  double oob_bytes_per_ns = 1.25;  ///< ~10 GbE.
-
-  /// Per-entry KVS processing during a fence (hashing, marshalling).
-  sim::Time fence_per_entry = 2 * sim::usec;
-  /// Per-entry processing cost of the symmetric allgather as the daemons
-  /// progress it in the background over TCP. Cheaper than the generic
-  /// Put-Fence-Get sequence per *consumer* (one bulk delivery instead of N
-  /// gets), but the background dissemination itself still takes real time —
-  /// which is exactly what PMIX_Iallgather lets the application hide
-  /// (paper §IV-D).
-  sim::Time allgather_per_entry = 50 * sim::usec;
 };
 
 class PmiClient;
@@ -187,11 +187,6 @@ class PmiClient {
   /// per-daemon get storm cost in one reservation (DESIGN.md §2).
   [[nodiscard]] sim::Task<> charge_gets(std::uint64_t count,
                                         std::uint64_t value_bytes);
-
-  /// PMIX_Ifence: split-phase fence. `ifence_start` returns immediately
-  /// with a ticket; `wait` blocks until that fence round completes.
-  [[nodiscard]] CollectiveTicket ifence_start();
-  [[nodiscard]] sim::Task<> wait(CollectiveTicket ticket);
 
   /// PMIX_Iallgather: contribute `value` to a symmetric all-gather that the
   /// process manager progresses in the background (combines Put-Fence-Get,

@@ -21,6 +21,13 @@ enum class RegistrationMode : std::uint8_t {
               ///< protocol, LRU pin-down cache).
 };
 
+// ---- Calibrated runtime costs (DESIGN.md §5.7) ----
+/// Local (self) put/get cost model.
+inline constexpr sim::Time kLocalCopyLatency = 80 * sim::nsec;
+inline constexpr double kLocalBytesPerNs = 16.0;
+/// Polling interval of shmem_wait_until.
+inline constexpr sim::Time kWaitPollInterval = 1 * sim::usec;
+
 struct ShmemConfig {
   /// Bytes of each PE's symmetric heap, the data that puts and gets really
   /// move. Demand-zero: host memory grows only with the pages written
@@ -39,13 +46,6 @@ struct ShmemConfig {
 
   /// Constant library bookkeeping during start_pes ("Other" in Fig 1).
   sim::Time init_misc = 400 * sim::msec;
-
-  /// Local (self) put/get cost model.
-  sim::Time local_copy_latency = 80 * sim::nsec;
-  double local_bytes_per_ns = 16.0;
-
-  /// Polling interval of shmem_wait_until.
-  sim::Time wait_poll_interval = 1 * sim::usec;
 
   /// Symmetric-heap registration strategy. The eager default is
   /// observably identical (traces, metrics, heap contents) to the

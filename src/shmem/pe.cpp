@@ -15,6 +15,17 @@ namespace {
 const sim::StatId kShmemPut = sim::stat_id("shmem_put");
 const sim::StatId kShmemGet = sim::stat_id("shmem_get");
 const sim::StatId kShmemAtomic = sim::stat_id("shmem_atomic");
+
+/// Whether `nelems` elements of `elem` bytes, `stride` elements apart, fit
+/// in a `size`-byte buffer: the last one starts at
+/// (nelems - 1) * stride * elem. Checked by division, so nothing can wrap.
+bool strided_fits(std::uint64_t size, std::uint32_t stride, std::uint32_t elem,
+                  std::uint32_t nelems) {
+  if (nelems == 0) return true;
+  if (elem > size) return false;
+  const std::uint64_t step = std::uint64_t{stride} * elem;
+  return (size - elem) / step >= nelems - 1;
+}
 }  // namespace
 
 using detail::kCollDataHandler;
@@ -178,13 +189,12 @@ sim::Task<> ShmemPe::start_pes() {
 sim::Task<> ShmemPe::broadcast_am_segments() {
   const std::uint32_t n = n_pes();
   if (n == 1) co_return;
-  if (n > conduit_.config().bulk_connect_threshold) {
+  if (conduit_.bulk_modeled()) {
     // Bulk path: charge the per-PE cost of sending N-1 small AMs; the
     // triplets are then read from their owners (every PE registered before
     // the PMI fence inside conduit init, so the data is available).
-    const fabric::FabricConfig& fcfg = job_.conduit_job().fabric().config();
     co_await engine().delay(
-        (n - 1) * (fcfg.hca_tx_overhead + fcfg.min_packet_gap));
+        (n - 1) * (fabric::kHcaTxOverhead + fabric::kMinPacketGap));
     co_return;
   }
   segments_gate_ = std::make_unique<sim::Gate>(engine());
@@ -261,28 +271,26 @@ fabric::VirtAddr ShmemPe::remote_va(RankId dst, SymAddr addr,
 
 sim::Task<> ShmemPe::local_copy_in(SymAddr dest,
                                    std::span<const std::byte> data) {
-  const ShmemConfig& cfg = config();
   co_await engine().delay(
-      cfg.local_copy_latency +
+      kLocalCopyLatency +
       static_cast<sim::Time>(static_cast<double>(data.size()) /
-                             cfg.local_bytes_per_ns));
+                             kLocalBytesPerNs));
   auto window = local_window(dest, data.size());
   std::copy(data.begin(), data.end(), window.begin());
 }
 
 sim::Task<> ShmemPe::local_copy_out(SymAddr src, std::span<std::byte> dest) {
-  const ShmemConfig& cfg = config();
   co_await engine().delay(
-      cfg.local_copy_latency +
+      kLocalCopyLatency +
       static_cast<sim::Time>(static_cast<double>(dest.size()) /
-                             cfg.local_bytes_per_ns));
+                             kLocalBytesPerNs));
   auto window = local_window(src, dest.size());
   std::copy(window.begin(), window.end(), dest.begin());
 }
 
 sim::Task<std::uint64_t> ShmemPe::local_atomic(SymAddr addr,
                                                const core::RmaOp& op) {
-  co_await engine().delay(config().local_copy_latency);
+  co_await engine().delay(kLocalCopyLatency);
   std::uint64_t old = local_read<std::uint64_t>(addr);
   if (op.kind == core::RmaKind::kFetchAdd) {
     local_write<std::uint64_t>(addr, old + op.operand);
@@ -409,9 +417,7 @@ void ShmemPe::iput(RankId dst, SymAddr dest, std::span<const std::byte> data,
   if (dst_stride == 0 || src_stride == 0 || elem == 0) {
     throw std::invalid_argument("ShmemPe::iput: zero stride or element");
   }
-  if (static_cast<std::uint64_t>(nelems - 1) * src_stride * elem + elem >
-          data.size() &&
-      nelems > 0) {
+  if (!strided_fits(data.size(), src_stride, elem, nelems)) {
     throw std::out_of_range("ShmemPe::iput: source too small");
   }
   if (nelems == 0) return;  // validated no-op: nothing issued, nothing pinned
@@ -429,9 +435,7 @@ sim::Task<> ShmemPe::iget(RankId dst, std::span<std::byte> dest, SymAddr src,
   if (dst_stride == 0 || src_stride == 0 || elem == 0) {
     throw std::invalid_argument("ShmemPe::iget: zero stride or element");
   }
-  if (static_cast<std::uint64_t>(nelems - 1) * dst_stride * elem + elem >
-          dest.size() &&
-      nelems > 0) {
+  if (!strided_fits(dest.size(), dst_stride, elem, nelems)) {
     throw std::out_of_range("ShmemPe::iget: destination too small");
   }
   if (nelems == 0) co_return;  // validated no-op
@@ -478,7 +482,7 @@ sim::Task<> ShmemPe::wait_until(SymAddr addr, WaitCmp cmp,
     return false;
   };
   while (!satisfied()) {
-    co_await engine().delay(config().wait_poll_interval);
+    co_await engine().delay(kWaitPollInterval);
   }
 }
 

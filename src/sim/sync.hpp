@@ -317,47 +317,6 @@ class MatchTable {
   std::map<Key, Entry> entries_{};
 };
 
-/// Counting semaphore; used to model finite NIC processing slots.
-class Semaphore {
- public:
-  Semaphore(Engine& engine, std::size_t initial)
-      : engine_(&engine), count_(initial) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  [[nodiscard]] Task<> acquire() {
-    while (count_ == 0) {
-      co_await AvailableAwaiter{*this};
-    }
-    --count_;
-  }
-
-  void release() {
-    ++count_;
-    if (!waiters_.empty()) {
-      auto handle = waiters_.front();
-      waiters_.pop_front();
-      engine_->schedule_resume(engine_->now(), handle);
-    }
-  }
-
-  [[nodiscard]] std::size_t available() const noexcept { return count_; }
-
- private:
-  struct AvailableAwaiter {
-    Semaphore& semaphore;
-    bool await_ready() const noexcept { return semaphore.count_ > 0; }
-    void await_suspend(std::coroutine_handle<> handle) {
-      semaphore.waiters_.push_back(handle);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  Engine* engine_;
-  std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_{};
-};
-
 /// Join helper: counts down as spawned children finish; `wait()` resumes
 /// when all registered children completed. Children must not outlive it.
 class JoinCounter {

@@ -36,7 +36,7 @@ TEST(QueuePair, CreateChargesVirtualTime) {
   }(env, qp));
   env.engine.run();
   ASSERT_NE(qp, nullptr);
-  EXPECT_EQ(env.engine.now(), env.fabric.config().qp_create_cost);
+  EXPECT_EQ(env.engine.now(), kQpCreateCost);
   EXPECT_EQ(qp->state(), QpState::kReset);
   EXPECT_EQ(env.fabric.hca(0).qps_created(), 1u);
 }
@@ -154,7 +154,7 @@ TEST(Hca, DenseQpTable) {
     const Qpn qpn = a->qpn();
     sim::spawn_discard(e.engine, h.destroy_qp(qpn));
     co_await h.destroy_qp(qpn);
-    co_await e.engine.delay(e.fabric.config().qp_destroy_cost);
+    co_await e.engine.delay(kQpDestroyCost);
     EXPECT_EQ(h.find_qp(qpn), nullptr);
     EXPECT_EQ(h.qps_active(), 2u);
     EXPECT_EQ(h.cache_penalty(), 0u);
@@ -223,9 +223,8 @@ TEST(Memory, RegistrationReturnsTriplet) {
 
 TEST(Memory, RegistrationCostScalesWithPages) {
   Env env;
-  const auto& cfg = env.fabric.config();
-  AddressSpace small(0, make_va_base(0), cfg.page_size);
-  AddressSpace large(0, make_va_base(0, 1), 64 * cfg.page_size);
+  AddressSpace small(0, make_va_base(0), kPageSize);
+  AddressSpace large(0, make_va_base(0, 1), 64 * kPageSize);
   sim::Time t_small = 0;
   sim::Time t_large = 0;
   env.engine.spawn([](Env& e, AddressSpace& s, AddressSpace& l,
@@ -238,8 +237,8 @@ TEST(Memory, RegistrationCostScalesWithPages) {
     tl = e.engine.now() - t0;
   }(env, small, large, t_small, t_large));
   env.engine.run();
-  EXPECT_EQ(t_small, cfg.mem_reg_base_cost + cfg.mem_reg_per_page_cost);
-  EXPECT_EQ(t_large, cfg.mem_reg_base_cost + 64 * cfg.mem_reg_per_page_cost);
+  EXPECT_EQ(t_small, kMemRegBaseCost + kMemRegPerPageCost);
+  EXPECT_EQ(t_large, kMemRegBaseCost + 64 * kMemRegPerPageCost);
 }
 
 TEST(Memory, OutOfRangeRegistrationThrows) {

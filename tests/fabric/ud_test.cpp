@@ -45,7 +45,7 @@ TEST(Ud, DatagramDeliveredWithSourceAddress) {
 TEST(Ud, MtuEnforced) {
   UdEnv env;
   env.engine.spawn([](UdEnv& e) -> sim::Task<> {
-    std::vector<std::byte> big(e.fabric.config().mtu + 1);
+    std::vector<std::byte> big(kMtu + 1);
     EXPECT_THROW((void)e.ud_a->send_ud(e.ud_b->lid(), e.ud_b->qpn(), big),
                  std::logic_error);
     co_return;
@@ -134,7 +134,7 @@ TEST(Latency, InjectionSlotsSerialize) {
   Hca& hca = env.fabric.hca(0);
   sim::Time first = hca.reserve_injection_slot();
   sim::Time second = hca.reserve_injection_slot();
-  EXPECT_EQ(second, first + env.fabric.config().min_packet_gap);
+  EXPECT_EQ(second, first + kMinPacketGap);
 }
 
 TEST(Latency, CachePenaltyKicksInAboveCacheSize) {

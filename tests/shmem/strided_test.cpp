@@ -78,6 +78,41 @@ TEST(Iput, SourceTooSmallThrows) {
   }));
 }
 
+// The last element's offset (nelems - 1) * stride * elem is
+// 2^30 * 2^31 * 8 = 2^64: a bound that multiplies wraps it to 0 and lets
+// element 1 touch memory 16 GiB past an 8-byte buffer.
+constexpr std::uint32_t kWrapStride = 1u << 31;
+constexpr std::uint32_t kWrapElems = (1u << 30) + 1;
+
+TEST(Iput, StridedBoundDoesNotWrap) {
+  JobEnv env(small_job(2, 2));
+  env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
+    SymAddr buf = pe.heap().allocate(64);
+    std::vector<std::byte> src(8);
+    const std::size_t live = pe.engine().live_root_tasks();
+    EXPECT_THROW(pe.iput(1 - pe.rank(), buf, src, /*dst_stride=*/1,
+                         kWrapStride, /*elem=*/8, kWrapElems),
+                 std::out_of_range);
+    EXPECT_EQ(pe.engine().live_root_tasks(), live);  // no put spawned
+    co_await pe.quiet();
+    co_await pe.barrier_all();
+  }));
+}
+
+TEST(Iget, StridedBoundDoesNotWrap) {
+  JobEnv env(small_job(2, 2));
+  env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
+    SymAddr buf = pe.heap().allocate(64);
+    std::vector<std::byte> dest(8);
+    const std::int64_t gets = pe.stats().counter("shmem_get");
+    EXPECT_THROW(co_await pe.iget(1 - pe.rank(), dest, buf, kWrapStride,
+                                  /*src_stride=*/1, /*elem=*/8, kWrapElems),
+                 std::out_of_range);
+    EXPECT_EQ(pe.stats().counter("shmem_get"), gets);  // no get issued
+    co_await pe.barrier_all();
+  }));
+}
+
 TEST(Fence, OrdersPutsToSamePeer) {
   JobEnv env(small_job(2, 1));
   env.run(with_init([](ShmemPe& pe) -> sim::Task<> {

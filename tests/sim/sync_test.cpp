@@ -1,5 +1,4 @@
-// Unit tests for Gate, Trigger, Mailbox, MatchTable, Semaphore and
-// JoinCounter.
+// Unit tests for Gate, Trigger, Mailbox, MatchTable and JoinCounter.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -229,27 +228,6 @@ TEST(MatchTable, MatchesInPostingOrderAndErasesDrainedKeys) {
   engine.run();
   EXPECT_EQ(received, (std::vector<int>{20, 21, 30}));
   EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(Semaphore, LimitsConcurrency) {
-  Engine engine;
-  Semaphore semaphore(engine, 2);
-  int concurrent = 0;
-  int peak = 0;
-  for (int i = 0; i < 6; ++i) {
-    engine.spawn(
-        [](Engine& eng, Semaphore& sem, int& cur, int& max) -> Task<> {
-          co_await sem.acquire();
-          ++cur;
-          max = std::max(max, cur);
-          co_await eng.delay(10);
-          --cur;
-          sem.release();
-        }(engine, semaphore, concurrent, peak));
-  }
-  engine.run();
-  EXPECT_EQ(peak, 2);
-  EXPECT_EQ(semaphore.available(), 2u);
 }
 
 TEST(JoinCounter, WaitsForAllChildren) {
