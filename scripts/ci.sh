@@ -13,7 +13,8 @@ if command -v ninja > /dev/null 2>&1; then
 fi
 
 echo "==> tier-1 build + tests (${prefix})"
-cmake -B "${prefix}" -S . "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "${prefix}" -S . "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DODCM_WERROR=ON
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
@@ -49,16 +50,18 @@ fi
 echo "==> one RC work-request path: QueuePair::post and fabric::execute"
 # Every RC op is one fabric::WorkRequest through QueuePair::post, whose
 # state lives in the posting frame; its target effect is fabric::execute,
-# which the conduit's shm leg calls too (DESIGN.md §5 item 3). A per-op
-# body, a per-op make_shared or a read-modify-write in src/core would be a
-# second copy of that path.
+# which the conduit's shm leg and a PE's local atomics call too (DESIGN.md
+# §5 item 3). A per-op body, a per-op make_shared or a read-modify-write in
+# src/core or src/shmem would be a second copy of that path.
 if grep -rnE '\b(send|rdma_write|rdma_read|fetch_add|compare_swap|swap)_impl\b|\bAtomicResult\b' \
     src/fabric ||
     awk '/---- UD operations ----/ { exit }
          /make_shared/ { print FILENAME ":" FNR ": " $0; found = 1 }
          END { exit !found }' src/fabric/qp.cpp ||
-    grep -rlF 'memcpy(&value' src/core |
-      xargs -r grep -nF 'RmaKind::kFetchAdd'; then
+    grep -rlF 'memcpy(&value' src/core src/shmem |
+      xargs -r grep -nF 'RmaKind::kFetchAdd' ||
+    grep -rnE '(==|!=)[[:space:]]*(core::)?RmaKind::k(FetchAdd|Swap|CompareSwap)\b' \
+      src/core src/shmem; then
   echo "ci.sh: a second RC op body or RMW reappeared; build a" \
     "fabric::WorkRequest and use QueuePair::post / fabric::execute" >&2
   exit 1
@@ -105,9 +108,11 @@ if grep -nF 'std::vector<std::byte>' src/fabric/address_space.hpp; then
 fi
 
 echo "==> calibrated constants are constants"
-# The cost model's calibrated values are inline constexpr constants beside
-# their config struct (DESIGN.md §5 item 7); a config member by one of
-# these names would make a fixed calibration a knob again.
+# The cost model's calibrated values, the handshake's first timeout and
+# retry budget, and the PMI daemon-tree fan-out are inline constexpr
+# constants beside their config struct (DESIGN.md §5 item 7); a config
+# member by one of these names would make a fixed value a knob again.
+# (`conn_rto_max` stays a field: benches vary it.)
 calibrated='qp_create_cost|qp_transition_cost|qp_destroy_cost'
 calibrated="${calibrated}|mem_reg_base_cost|mem_reg_per_page_cost|page_size"
 calibrated="${calibrated}|hca_tx_overhead|wire_latency|bytes_per_ns"
@@ -121,10 +126,14 @@ calibrated="${calibrated}|oob_latency|oob_bytes_per_ns|fence_per_entry"
 calibrated="${calibrated}|allgather_per_entry|am_handler_overhead"
 calibrated="${calibrated}|intranode_barrier_hop|local_copy_latency"
 calibrated="${calibrated}|local_bytes_per_ns|wait_poll_interval"
-if grep -nE "^[[:space:]]*[^/[:space:]].*\b(${calibrated})[[:space:]]*[=;{]" \
+calibrated="${calibrated}|conn_rto|conn_max_retries|tree_fanout"
+member='^[[:space:]]*[^/[:space:]].*\b'
+if grep -nE "${member}(${calibrated})[[:space:]]*[=;{]" \
     src/core/config.hpp src/shmem/config.hpp src/fabric/config.hpp \
-    src/pmi/pmi.hpp; then
-  echo "ci.sh: a calibrated cost became a config field again; use its" \
+    src/pmi/pmi.hpp ||
+    grep -nE "${member}max_retries[[:space:]]*[=;{]" \
+      src/check/invariants.hpp; then
+  echo "ci.sh: a fixed value became a config field again; use its" \
     "inline constexpr constant" >&2
   exit 1
 fi

@@ -62,7 +62,6 @@ sim::Task<> grid_kernel_pe(shmem::ShmemPe& pe, GridKernelParams params,
   co_await pe.barrier_all();
 
   std::vector<std::byte> face(face_bytes);
-  const std::uint64_t arrivals_per_iter = 8ULL * params.sweeps;
 
   for (std::uint32_t t = 0; t < params.iters; ++t) {
     for (std::uint32_t sweep = 0; sweep < params.sweeps; ++sweep) {

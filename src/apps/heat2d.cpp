@@ -104,8 +104,6 @@ sim::Task<> heat2d_pe(shmem::ShmemPe& pe, Heat2dParams params,
   auto east = grid.neighbor(1, 0);
   auto north = grid.neighbor(0, -1);
   auto south = grid.neighbor(0, 1);
-  const std::uint64_t n_neighbors = (west ? 1 : 0) + (east ? 1 : 0) +
-                                    (north ? 1 : 0) + (south ? 1 : 0);
 
   co_await pe.barrier_all();  // everyone initialized
 

@@ -188,8 +188,10 @@ FaultPlan FaultPlan::from_recipe(std::uint32_t recipe, std::uint64_t seed,
       break;
     }
     case 7: {  // a blackout window early in the run.
-      // Keep windows well under conn_rto * conn_max_retries (32 ms with the
-      // defaults) so the client's retry budget always covers the outage.
+      // Keep windows (under 1.5 ms, ending before 2 ms) well under the
+      // retry budget: kConnMaxRetries backed-off retransmissions starting at
+      // kConnRto span about half a second with the default `conn_rto_max`,
+      // so the client always outlasts the outage.
       Blackout window;
       window.begin = static_cast<sim::Time>(params.next_below(500 * sim::usec));
       window.end = window.begin + 200 * sim::usec +

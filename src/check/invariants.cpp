@@ -102,8 +102,8 @@ void InvariantChecker::on_event(const ProtocolEvent& event) {
       check_phase_change(event, pair);
       break;
     case ProtocolEvent::Kind::kRetransmit:
-      if (event.attempt > options_.max_retries) {
-        fail(event, "retransmit attempt exceeds conn_max_retries");
+      if (event.attempt > core::kConnMaxRetries) {
+        fail(event, "retransmit attempt exceeds kConnMaxRetries");
       }
       if (pair.phase != PeerPhase::kRequesting) {
         fail(event, "retransmit while not in Requesting");
@@ -114,7 +114,7 @@ void InvariantChecker::on_event(const ProtocolEvent& event) {
       if (pair.phase != PeerPhase::kRequesting) {
         fail(event, "connect failure reported while not in Requesting");
       }
-      if (event.attempt <= options_.max_retries) {
+      if (event.attempt <= core::kConnMaxRetries) {
         fail(event, "connect failure reported before the retry budget "
                     "was exhausted");
       }
@@ -403,7 +403,7 @@ void InvariantChecker::check_final(core::ConduitJob& job,
                  "at pe" + std::to_string(r));
     }
     std::uint64_t budget = counter("conn_requests_initiated") *
-                           static_cast<std::uint64_t>(options_.max_retries);
+                           static_cast<std::uint64_t>(core::kConnMaxRetries);
     if (counter("conn_retransmits") > budget) {
       fail(none, "stats: conn_retransmits exceeds the per-request retry "
                  "budget at pe" + std::to_string(r));

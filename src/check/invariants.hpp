@@ -53,8 +53,6 @@ class InvariantViolation : public std::runtime_error {
 class InvariantChecker final : public core::ProtocolObserver {
  public:
   struct Options {
-    /// Mirrors ConduitConfig::conn_max_retries.
-    std::uint32_t max_retries = 64;
     /// The workload installed payload hooks, so non-static remote
     /// connections must install the peer payload before kConnected.
     bool payloads_expected = false;

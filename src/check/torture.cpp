@@ -142,7 +142,6 @@ TortureResult run_case(const TortureCase& c) {
   plan.install(job.fabric());
 
   InvariantChecker::Options options;
-  options.max_retries = config.conduit.conn_max_retries;
   options.payloads_expected = on_demand;
   options.intranode_shm = c.mode == TortureMode::kShm;
   options.ranks_per_node = c.ppn;

@@ -1,6 +1,6 @@
 // Retransmission backoff for the UD connection handshake.
 //
-// A fixed `conn_rto` makes lossy-startup clients retransmit in lockstep:
+// A fixed timeout makes lossy-startup clients retransmit in lockstep:
 // every client whose request was dropped at time t retransmits at exactly
 // t + rto, so the same burst re-collides at the server's UD queue on every
 // attempt. The schedule here doubles the timeout per attempt (capped at
@@ -31,7 +31,7 @@ namespace odcm::core {
 /// Timeout armed after transmission number `attempt` (0-based: the wait
 /// following the first send uses attempt 0).
 ///
-///   base   = min(conn_rto * 2^attempt, max(conn_rto_max, conn_rto))
+///   base   = min(kConnRto * 2^attempt, max(conn_rto_max, kConnRto))
 ///   jitter = backoff_hash(src, dst, attempt) % (base / 4)
 ///
 /// The result is base + jitter, i.e. within [base, 1.25 * base).
@@ -40,8 +40,8 @@ namespace odcm::core {
                                               fabric::RankId dst,
                                               std::uint32_t attempt) noexcept {
   sim::Time cap = config.conn_rto_max;
-  if (cap < config.conn_rto) cap = config.conn_rto;
-  sim::Time base = config.conn_rto;
+  if (cap < kConnRto) cap = kConnRto;
+  sim::Time base = kConnRto;
   for (std::uint32_t k = 0; k < attempt && base < cap; ++k) {
     base = (base > cap / 2) ? cap : base * 2;
   }

@@ -46,9 +46,8 @@ const sim::StatId kTierCounter[] = {sim::stat_id("bulk_tier_eager"),
 /// invalidation beats the CTS on every attempt — retrying forever would
 /// livelock. The pipelined tier pins one chunk at a time and always fits.
 constexpr int kRdvMaxRetries = 4;
+}  // namespace
 
-/// The work request of `op`'s bytes `[offset, offset + len)`: a put's
-/// bytes are captured here, at issue.
 fabric::WorkRequest work_request(const RmaOp& op, std::uint64_t offset,
                                  std::uint64_t len, fabric::RKey rkey) {
   fabric::WorkRequest wr{.opcode = kRmaOpcode[kind_index(op.kind)],
@@ -64,7 +63,6 @@ fabric::WorkRequest work_request(const RmaOp& op, std::uint64_t offset,
   }
   return wr;
 }
-}  // namespace
 
 Conduit::Conduit(ConduitJob& job, RankId rank)
     : job_(job),

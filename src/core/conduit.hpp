@@ -130,6 +130,14 @@ struct RmaOp {
   }
 };
 
+/// The work request of `op`'s bytes `[offset, offset + len)`: a put's
+/// bytes are captured here, at issue. `fabric::execute` applies it to a
+/// target window; the RC, shm and a PE's local paths all go through it.
+[[nodiscard]] fabric::WorkRequest work_request(const RmaOp& op,
+                                               std::uint64_t offset,
+                                               std::uint64_t len,
+                                               fabric::RKey rkey);
+
 /// The rkey covering a prefix of an RC transfer.
 struct RkeyGrant {
   std::uint64_t len = 0;  ///< bytes of the request the rkey covers

@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "fabric/config.hpp"
-#include "pmi/pmi.hpp"
 #include "sim/time.hpp"
 
 namespace odcm::core {
@@ -59,20 +58,24 @@ inline constexpr sim::Time kAmHandlerOverhead = 150 * sim::nsec;
 /// Per-hop cost of the shared-memory intra-node barrier.
 inline constexpr sim::Time kIntranodeBarrierHop = 300 * sim::nsec;
 
+// ---- UD handshake retransmission (paper Fig. 4) ----
+/// First retransmission timeout of a ConnectRequest; it doubles per
+/// attempt up to `ConduitConfig::conn_rto_max` (see core/backoff.hpp).
+inline constexpr sim::Time kConnRto = 500 * sim::usec;
+/// Retransmissions before a handshake fails with "retries exceeded".
+inline constexpr std::uint32_t kConnMaxRetries = 64;
+
 struct ConduitConfig {
   ConnectionMode connection_mode = ConnectionMode::kOnDemand;
   PmiMode pmi_mode = PmiMode::kNonBlocking;
   BarrierMode init_barrier_mode = BarrierMode::kIntraNode;
   IntranodeTransport intranode_transport = IntranodeTransport::kRc;
 
-  /// Client-side retransmission timeout for connection requests sent over
-  /// the unreliable datagram transport, and the retry budget. The timeout
-  /// doubles per attempt up to `conn_rto_max` with deterministic
+  /// Cap of the ConnectRequest retransmission timeout, which starts at
+  /// `kConnRto` and doubles per attempt with deterministic
   /// per-(src, dst, attempt) jitter (see core/backoff.hpp), so colliding
   /// clients never retransmit in lockstep.
-  sim::Time conn_rto = 500 * sim::usec;
   sim::Time conn_rto_max = 8 * sim::msec;
-  std::uint32_t conn_max_retries = 64;
 
   /// Above this job size the static connector charges the aggregate cost
   /// of the full mesh analytically instead of simulating every handshake
@@ -141,7 +144,6 @@ struct JobConfig {
   std::uint32_t ranks_per_node = 2;
   ConduitConfig conduit{};
   fabric::FabricConfig fabric{};  ///< `nodes` is derived from ranks/ppn.
-  pmi::PmiConfig pmi{};           ///< `ranks`/`ranks_per_node` are overwritten.
 };
 
 /// Convenience: the paper's baseline configuration.

@@ -199,7 +199,7 @@ sim::Task<> Conduit::client_connect(RankId dst, std::uint32_t serial) {
     if (p.phase == Peer::Phase::kEstablishing) {
       co_return;  // reply arrived (or a takeover is completing); done here
     }
-    if (attempts > config().conn_max_retries) {
+    if (attempts > kConnMaxRetries) {
       // Retry budget exhausted: fail the handshake cleanly instead of
       // letting the exception escape this detached root task, which would
       // leave the established gate closed and strand every waiter parked

@@ -15,11 +15,10 @@ ConduitJob::ConduitJob(sim::Engine& engine, JobConfig config)
   std::uint32_t nodes = (config_.ranks + config_.ranks_per_node - 1) /
                         config_.ranks_per_node;
   config_.fabric.nodes = nodes;
-  config_.pmi.ranks = config_.ranks;
-  config_.pmi.ranks_per_node = config_.ranks_per_node;
 
   fabric_ = std::make_unique<fabric::Fabric>(engine_, config_.fabric);
-  pmi_ = std::make_unique<pmi::JobManager>(engine_, config_.pmi);
+  pmi_ = std::make_unique<pmi::JobManager>(engine_, config_.ranks,
+                                              config_.ranks_per_node);
 
   node_barriers_.reserve(nodes);
   for (std::uint32_t n = 0; n < nodes; ++n) {

@@ -19,19 +19,16 @@ void count(sim::MetricsSink* sink, std::string_view name,
 
 }  // namespace
 
-JobManager::JobManager(sim::Engine& engine, PmiConfig config)
-    : engine_(engine), config_(config) {
-  if (config_.ranks == 0 || config_.ranks_per_node == 0) {
+JobManager::JobManager(sim::Engine& engine, std::uint32_t ranks,
+                       std::uint32_t ranks_per_node)
+    : engine_(engine), ranks_(ranks), ranks_per_node_(ranks_per_node) {
+  if (ranks_ == 0 || ranks_per_node_ == 0) {
     throw std::invalid_argument("JobManager: ranks and ranks_per_node > 0");
   }
-  if (config_.tree_fanout < 2) {
-    throw std::invalid_argument("JobManager: tree_fanout must be >= 2");
-  }
-  nodes_ = (config_.ranks + config_.ranks_per_node - 1) /
-           config_.ranks_per_node;
+  nodes_ = (ranks_ + ranks_per_node_ - 1) / ranks_per_node_;
   daemon_free_.assign(nodes_, 0);
-  clients_.reserve(config_.ranks);
-  for (RankId rank = 0; rank < config_.ranks; ++rank) {
+  clients_.reserve(ranks_);
+  for (RankId rank = 0; rank < ranks_; ++rank) {
     clients_.push_back(std::make_unique<PmiClient>(*this, rank));
   }
 }
@@ -39,10 +36,10 @@ JobManager::JobManager(sim::Engine& engine, PmiConfig config)
 JobManager::~JobManager() = default;
 
 NodeId JobManager::node_of(RankId rank) const {
-  if (rank >= config_.ranks) {
+  if (rank >= ranks_) {
     throw std::out_of_range("JobManager::node_of: bad rank");
   }
-  return rank / config_.ranks_per_node;
+  return rank / ranks_per_node_;
 }
 
 PmiClient& JobManager::client(RankId rank) {
@@ -54,9 +51,9 @@ PmiClient& JobManager::client(RankId rank) {
 
 std::uint32_t JobManager::tree_depth() const {
   std::uint32_t depth = 1;
-  std::uint64_t covered = config_.tree_fanout;
+  std::uint64_t covered = kDaemonTreeFanout;
   while (covered < nodes_) {
-    covered *= config_.tree_fanout;
+    covered *= kDaemonTreeFanout;
     ++depth;
   }
   return depth;
@@ -74,7 +71,7 @@ sim::Time JobManager::fence_cost(std::uint64_t bytes,
   // Gather up + broadcast down the tree; the root serializes `fanout`
   // copies of the full store on the way back down.
   auto wire = static_cast<sim::Time>(
-      static_cast<double>(bytes) * config_.tree_fanout / kOobBytesPerNs);
+      static_cast<double>(bytes) * kDaemonTreeFanout / kOobBytesPerNs);
   return 2 * depth * kOobLatency + wire + entries * kFencePerEntry;
 }
 
@@ -82,7 +79,7 @@ sim::Time JobManager::allgather_cost(std::uint64_t bytes,
                                      std::uint64_t entries) const {
   std::uint32_t depth = tree_depth();
   auto wire = static_cast<sim::Time>(
-      static_cast<double>(bytes) * config_.tree_fanout / kOobBytesPerNs);
+      static_cast<double>(bytes) * kDaemonTreeFanout / kOobBytesPerNs);
   return 2 * depth * kOobLatency + wire + entries * kAllgatherPerEntry;
 }
 
@@ -96,7 +93,7 @@ JobManager::Round& JobManager::fence_round(std::uint32_t index) {
 JobManager::Round& JobManager::ring_round(std::uint32_t index) {
   while (ring_rounds_.size() <= index) {
     auto round = std::make_unique<Round>(engine_);
-    round->values.resize(config_.ranks);
+    round->values.resize(ranks_);
     ring_rounds_.push_back(std::move(round));
   }
   return *ring_rounds_[index];
@@ -109,7 +106,7 @@ void JobManager::arrive_ring(std::uint32_t index, RankId rank,
     throw std::logic_error("JobManager: ring round already completed");
   }
   round.values[rank] = std::move(value);
-  if (++round.arrived < config_.ranks) {
+  if (++round.arrived < ranks_) {
     return;
   }
   // Constant per-rank data movement: the ring exchange costs one daemon
@@ -129,7 +126,7 @@ void JobManager::arrive_ring(std::uint32_t index, RankId rank,
 JobManager::Round& JobManager::allgather_round(std::uint32_t index) {
   while (allgather_rounds_.size() <= index) {
     auto round = std::make_unique<Round>(engine_);
-    round->values.resize(config_.ranks);
+    round->values.resize(ranks_);
     allgather_rounds_.push_back(std::move(round));
   }
   return *allgather_rounds_[index];
@@ -140,7 +137,7 @@ void JobManager::arrive_fence(std::uint32_t index) {
   if (round.completed) {
     throw std::logic_error("JobManager: fence round already completed");
   }
-  if (++round.arrived < config_.ranks) {
+  if (++round.arrived < ranks_) {
     return;
   }
   // Last arrival: snapshot the staged entries and run the dissemination.
@@ -172,7 +169,7 @@ void JobManager::arrive_allgather(std::uint32_t index, RankId rank,
     throw std::logic_error("JobManager: allgather round already completed");
   }
   round.values[rank] = std::move(value);
-  if (++round.arrived < config_.ranks) {
+  if (++round.arrived < ranks_) {
     return;
   }
   std::uint64_t bytes = 0;
@@ -183,7 +180,7 @@ void JobManager::arrive_allgather(std::uint32_t index, RankId rank,
   oob_bytes_moved_ += bytes * 2 * tree_depth();
   count(metrics_, "pmi/oob_bytes",
         static_cast<std::int64_t>(bytes * 2 * tree_depth()));
-  engine_.schedule_after(allgather_cost(bytes, config_.ranks),
+  engine_.schedule_after(allgather_cost(bytes, ranks_),
                          [this, index] {
                            Round& round = allgather_round(index);
                            round.completed = true;

@@ -55,14 +55,9 @@ inline constexpr sim::Time kFencePerEntry = 2 * sim::usec;
 /// (paper §IV-D).
 inline constexpr sim::Time kAllgatherPerEntry = 50 * sim::usec;
 
-struct PmiConfig {
-  std::uint32_t ranks = 1;
-  std::uint32_t ranks_per_node = 1;
-
-  /// Fan-out of the daemon tree (SLURM uses a configurable tree; 8 is a
-  /// common default at scale).
-  std::uint32_t tree_fanout = 8;
-};
+/// Fan-out of the daemon tree (SLURM uses a configurable tree; 8 is a
+/// common default at scale).
+inline constexpr std::uint32_t kDaemonTreeFanout = 8;
 
 class PmiClient;
 
@@ -74,14 +69,14 @@ struct CollectiveTicket {
 /// The job-wide process manager: daemons, tree, and key-value store.
 class JobManager {
  public:
-  JobManager(sim::Engine& engine, PmiConfig config);
+  JobManager(sim::Engine& engine, std::uint32_t ranks,
+             std::uint32_t ranks_per_node);
   ~JobManager();
   JobManager(const JobManager&) = delete;
   JobManager& operator=(const JobManager&) = delete;
 
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
-  [[nodiscard]] const PmiConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::uint32_t ranks() const noexcept { return config_.ranks; }
+  [[nodiscard]] std::uint32_t ranks() const noexcept { return ranks_; }
   [[nodiscard]] std::uint32_t nodes() const noexcept { return nodes_; }
   [[nodiscard]] NodeId node_of(RankId rank) const;
 
@@ -143,7 +138,8 @@ class JobManager {
   void arrive_ring(std::uint32_t index, RankId rank, std::string value);
 
   sim::Engine& engine_;
-  PmiConfig config_;
+  std::uint32_t ranks_;
+  std::uint32_t ranks_per_node_;
   std::uint32_t nodes_;
   std::vector<std::unique_ptr<PmiClient>> clients_{};
   std::vector<sim::Time> daemon_free_{};

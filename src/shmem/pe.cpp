@@ -291,13 +291,8 @@ sim::Task<> ShmemPe::local_copy_out(SymAddr src, std::span<std::byte> dest) {
 sim::Task<std::uint64_t> ShmemPe::local_atomic(SymAddr addr,
                                                const core::RmaOp& op) {
   co_await engine().delay(kLocalCopyLatency);
-  std::uint64_t old = local_read<std::uint64_t>(addr);
-  if (op.kind == core::RmaKind::kFetchAdd) {
-    local_write<std::uint64_t>(addr, old + op.operand);
-  } else if (op.kind == core::RmaKind::kSwap || old == op.expect) {
-    local_write<std::uint64_t>(addr, op.operand);
-  }
-  co_return old;
+  co_return fabric::execute(core::work_request(op, 0, op.len(), 0),
+                            local_window(addr, op.len()), {});
 }
 
 // ---- RMA ----

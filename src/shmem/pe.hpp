@@ -279,6 +279,7 @@ class ShmemPe : private core::RkeyHook {
   sim::Task<> local_copy_out(SymAddr src, std::span<std::byte> dest);
   /// Shared body of the atomics: `op` carries the kind and operands.
   sim::Task<std::uint64_t> atomic(RankId dst, SymAddr addr, core::RmaOp op);
+  /// `op` on this PE's own heap: `fabric::execute` after the local latency.
   sim::Task<std::uint64_t> local_atomic(SymAddr addr, const core::RmaOp& op);
   sim::Task<> broadcast_am_segments();
 

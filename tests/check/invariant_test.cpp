@@ -105,15 +105,13 @@ TEST(InvariantChecker, AcceptsConnectedAfterPayload) {
 }
 
 TEST(InvariantChecker, RejectsRetransmitOverBudget) {
-  InvariantChecker::Options options;
-  options.max_retries = 4;
-  InvariantChecker checker(options);
+  InvariantChecker checker;
   checker.on_event(phase_event(0, 1, PeerPhase::kIdle,
                                PeerPhase::kRequesting));
   ProtocolEvent retransmit = simple(ProtocolEvent::Kind::kRetransmit, 0, 1);
-  retransmit.attempt = 4;
+  retransmit.attempt = core::kConnMaxRetries;
   checker.on_event(retransmit);
-  retransmit.attempt = 5;
+  retransmit.attempt = core::kConnMaxRetries + 1;
   EXPECT_THROW(checker.on_event(retransmit), InvariantViolation);
 }
 

@@ -383,7 +383,6 @@ TEST(Torture, KilledUdEndpointFailsLoudlyNotSilently) {
   config.ranks = 2;
   config.ranks_per_node = 2;
   config.conduit = core::proposed_design();
-  config.conduit.conn_max_retries = 8;  // keep the failing run short
   core::ConduitJob job(engine, config);
 
   FaultPlan plan(1);

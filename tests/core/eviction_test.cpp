@@ -173,7 +173,7 @@ TEST(Eviction, DrainingPeerReestablishesUnderUdLoss) {
       Conduit& c = env.job.conduit(r);
       EXPECT_LE(c.stats().counter("conn_retransmits"),
                 c.stats().counter("conn_requests_initiated") *
-                    static_cast<std::int64_t>(c.config().conn_max_retries))
+                    static_cast<std::int64_t>(kConnMaxRetries))
           << "seed " << seed;
     }
     std::int64_t evictions = 0;

@@ -115,12 +115,11 @@ TEST(LruOrder, TiesBreakTowardLowestRank) {
 
 TEST(Backoff, DeterministicGrowsAndCaps) {
   ConduitConfig config = proposed_design();
-  config.conn_rto = 500 * sim::usec;
   config.conn_rto_max = 8 * sim::msec;
   sim::Time prev_base = 0;
   for (std::uint32_t attempt = 0; attempt < 12; ++attempt) {
     sim::Time rto = backoff_rto(config, 3, 7, attempt);
-    sim::Time expected_base = config.conn_rto << attempt;
+    sim::Time expected_base = kConnRto << attempt;
     if (expected_base > config.conn_rto_max) {
       expected_base = config.conn_rto_max;
     }
@@ -149,12 +148,12 @@ TEST(Backoff, DeterministicGrowsAndCaps) {
 
 TEST(Backoff, RtoMaxBelowRtoIsClampedUp) {
   ConduitConfig config = proposed_design();
-  config.conn_rto = 2 * sim::msec;
   config.conn_rto_max = sim::usec;  // misconfigured below the base
+  static_assert(sim::usec < kConnRto);
   for (std::uint32_t attempt = 0; attempt < 4; ++attempt) {
     sim::Time rto = backoff_rto(config, 0, 1, attempt);
-    EXPECT_GE(rto, config.conn_rto);
-    EXPECT_LT(rto, config.conn_rto + config.conn_rto / 4);
+    EXPECT_GE(rto, kConnRto);
+    EXPECT_LT(rto, kConnRto + kConnRto / 4);
   }
 }
 
@@ -194,10 +193,7 @@ TEST(Eviction, FreshServerConnectionIsNotImmediateVictim) {
 // ---- retry exhaustion surfaces to every waiter ----
 
 TEST(ConnectFailure, RetryExhaustionPropagatesToAllWaiters) {
-  JobConfig config = small_job(2, 2, proposed_design());
-  config.conduit.conn_max_retries = 2;
-  config.conduit.conn_rto = 100 * sim::usec;
-  JobEnv env(config);
+  JobEnv env(small_job(2, 2, proposed_design()));
   // Swallow every datagram rank 0 sends (requests never arrive, so no
   // replies exist) until the handshake gives up; then let traffic through.
   bool drop_active = true;

@@ -158,7 +158,7 @@ TEST(Protocol, CollisionUnderHeavyLossLeavesOneConnection) {
       EXPECT_EQ(c.stats().counter("connections_established"), 1)
           << "seed " << seed;
       EXPECT_LE(c.stats().counter("conn_retransmits"),
-                static_cast<std::int64_t>(c.config().conn_max_retries))
+                static_cast<std::int64_t>(kConnMaxRetries))
           << "seed " << seed;
     }
     // Finalize destroyed every QP — colliding attempts did not leak any.
@@ -233,8 +233,6 @@ TEST(Protocol, ReplyLossTriggersCachedResend) {
 TEST(Protocol, RetriesExceededSurfacesError) {
   JobConfig config = small_job(2, 1);
   config.fabric.ud_drop_rate = 1.0;  // nothing ever arrives
-  config.conduit.conn_max_retries = 3;
-  config.conduit.conn_rto = 10 * sim::usec;
   JobEnv env(config);
   env.job.spawn_all([](Conduit& c) -> sim::Task<> {
     c.register_handler(20, [](RankId, std::vector<std::byte>) -> sim::Task<> {
@@ -246,6 +244,11 @@ TEST(Protocol, RetriesExceededSurfacesError) {
     }
   });
   EXPECT_THROW(env.engine.run(), std::runtime_error);
+  // The full budget was spent before the handshake gave up, exactly once.
+  Conduit& c0 = env.job.conduit(0);
+  EXPECT_EQ(c0.stats().counter("conn_retransmits"),
+            static_cast<std::int64_t>(kConnMaxRetries));
+  EXPECT_EQ(c0.stats().counter("conn_failures"), 1);
 }
 
 TEST(Protocol, NonBlockingPmiDefersExchangeUntilFirstUse) {

@@ -123,9 +123,7 @@ TEST(MpiBulk, RendezvousIsAuditedByChecker) {
   // cover it.
   BulkEnv env(2, tiered_design());
   core::EventLog log;
-  check::InvariantChecker::Options options;
-  options.max_retries = tiered_design().conn_max_retries;
-  check::InvariantChecker checker(options);
+  check::InvariantChecker checker;
   env.job->conduit_job().add_observer(&log);
   env.job->conduit_job().add_observer(&checker);
   env.run([](MpiComm& comm) -> sim::Task<> {

@@ -1,5 +1,5 @@
 // Parameterized PMI sweeps: KVS and Iallgather correctness across job
-// geometries and daemon-tree fan-outs.
+// geometries.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -10,20 +10,14 @@
 namespace odcm::pmi {
 namespace {
 
-using Geometry =
-    std::tuple<std::uint32_t /*ranks*/, std::uint32_t /*ppn*/,
-               std::uint32_t /*fanout*/>;
+using Geometry = std::tuple<std::uint32_t /*ranks*/, std::uint32_t /*ppn*/>;
 
 class PmiGeometry : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(PmiGeometry, PutFenceGetAcrossAllRanks) {
-  auto [ranks, ppn, fanout] = GetParam();
+  auto [ranks, ppn] = GetParam();
   sim::Engine engine;
-  PmiConfig config;
-  config.ranks = ranks;
-  config.ranks_per_node = ppn;
-  config.tree_fanout = fanout;
-  JobManager manager(engine, config);
+  JobManager manager(engine, ranks, ppn);
   int failures = 0;
   for (RankId rank = 0; rank < ranks; ++rank) {
     engine.spawn([](JobManager& jm, RankId r, std::uint32_t n,
@@ -48,13 +42,9 @@ TEST_P(PmiGeometry, PutFenceGetAcrossAllRanks) {
 }
 
 TEST_P(PmiGeometry, IallgatherDeliversEveryValue) {
-  auto [ranks, ppn, fanout] = GetParam();
+  auto [ranks, ppn] = GetParam();
   sim::Engine engine;
-  PmiConfig config;
-  config.ranks = ranks;
-  config.ranks_per_node = ppn;
-  config.tree_fanout = fanout;
-  JobManager manager(engine, config);
+  JobManager manager(engine, ranks, ppn);
   int failures = 0;
   for (RankId rank = 0; rank < ranks; ++rank) {
     engine.spawn([](JobManager& jm, RankId r, std::uint32_t n,
@@ -82,20 +72,16 @@ TEST_P(PmiGeometry, IallgatherDeliversEveryValue) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PmiGeometry,
-    ::testing::Values(Geometry{1, 1, 2}, Geometry{2, 1, 2},
-                      Geometry{7, 3, 2}, Geometry{16, 4, 4},
-                      Geometry{16, 16, 8}, Geometry{33, 8, 8},
-                      Geometry{64, 16, 8}, Geometry{100, 10, 3}));
+    ::testing::Values(Geometry{1, 1}, Geometry{2, 1}, Geometry{7, 3},
+                      Geometry{16, 4}, Geometry{16, 16}, Geometry{33, 8},
+                      Geometry{64, 16}, Geometry{100, 10}));
 
 // Cost-model properties over geometry: fence time grows with rank count,
-// and a deeper tree (smaller fanout) is slower at fixed size.
+// and more nodes make a deeper, slower daemon tree at fixed size.
 TEST(PmiCostProperties, FenceGrowsWithRanks) {
   auto fence_time = [](std::uint32_t ranks) {
     sim::Engine engine;
-    PmiConfig config;
-    config.ranks = ranks;
-    config.ranks_per_node = 8;
-    JobManager manager(engine, config);
+    JobManager manager(engine, ranks, 8);
     for (RankId rank = 0; rank < ranks; ++rank) {
       engine.spawn([](JobManager& jm, RankId r) -> sim::Task<> {
         PmiClient& client = jm.client(r);
@@ -111,14 +97,10 @@ TEST(PmiCostProperties, FenceGrowsWithRanks) {
   EXPECT_LT(t64, t512);
 }
 
-TEST(PmiCostProperties, SmallerFanoutMeansDeeperSlowerTree) {
-  auto fence_time = [](std::uint32_t fanout) {
+TEST(PmiCostProperties, MoreNodesMeansDeeperSlowerTree) {
+  auto fence_time = [](std::uint32_t ppn) {
     sim::Engine engine;
-    PmiConfig config;
-    config.ranks = 512;
-    config.ranks_per_node = 8;  // 64 nodes
-    config.tree_fanout = fanout;
-    JobManager manager(engine, config);
+    JobManager manager(engine, 512, ppn);
     for (RankId rank = 0; rank < 512; ++rank) {
       engine.spawn([](JobManager& jm, RankId r) -> sim::Task<> {
         co_await jm.client(r).fence();
@@ -127,7 +109,11 @@ TEST(PmiCostProperties, SmallerFanoutMeansDeeperSlowerTree) {
     engine.run();
     return engine.now();
   };
-  EXPECT_GT(fence_time(2), fence_time(8));
+  // An empty fence costs one gather up and one broadcast down the tree:
+  // 8 nodes fit under one level of the 8-ary tree, 512 nodes need three.
+  static_assert(kDaemonTreeFanout == 8);
+  EXPECT_EQ(fence_time(64), 2 * 1 * kOobLatency);
+  EXPECT_EQ(fence_time(1), 2 * 3 * kOobLatency);
 }
 
 }  // namespace

@@ -9,10 +9,7 @@ namespace {
 
 struct Env {
   explicit Env(std::uint32_t ranks, std::uint32_t ppn = 2) {
-    PmiConfig config;
-    config.ranks = ranks;
-    config.ranks_per_node = ppn;
-    manager = std::make_unique<JobManager>(engine, config);
+    manager = std::make_unique<JobManager>(engine, ranks, ppn);
   }
   sim::Engine engine;
   std::unique_ptr<JobManager> manager;

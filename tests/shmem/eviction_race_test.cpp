@@ -54,7 +54,6 @@ void run_capped_working_set(std::uint64_t fabric_seed) {
   config.shmem.modeled_heap_bytes = 256ULL << 20;
   JobEnv env(config);
   check::InvariantChecker::Options options;
-  options.max_retries = config.job.conduit.conn_max_retries;
   options.payloads_expected = true;
   options.ranks_per_node = kPpn;
   check::InvariantChecker checker(options);

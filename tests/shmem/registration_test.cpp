@@ -200,7 +200,6 @@ TEST(OnDemandReg, InvariantCheckerAcceptsFullRun) {
   ShmemJobConfig config = on_demand_job(4, 1, 2 * kChunk);
   JobEnv env(config);
   check::InvariantChecker::Options options;
-  options.max_retries = config.job.conduit.conn_max_retries;
   options.payloads_expected = true;
   options.ranks_per_node = 1;
   options.reg_chunk_bytes = kChunk;

@@ -66,7 +66,6 @@ RegTortureResult run_reg_torture(std::uint64_t seed, std::uint32_t recipe,
   plan.install(env.job.conduit_job().fabric());
 
   check::InvariantChecker::Options options;
-  options.max_retries = conduit.conn_max_retries;
   options.payloads_expected = true;
   options.ranks_per_node = 1;
   options.reg_chunk_bytes = kChunk;
