@@ -8,6 +8,7 @@
 
 #include "shmem/job.hpp"
 #include "sim/time.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace odcm::bench {
 
@@ -77,13 +78,22 @@ struct JobRun {
   double wall_s = 0;  ///< makespan, virtual seconds
 };
 
-/// Run `program` on a fresh job.
+/// Run `program` on a fresh job: the one place a run_all bench builds an
+/// engine and a `ShmemJob` (DESIGN.md §7). A given `telemetry` session
+/// observes the run: it is attached before, then finished and detached
+/// after, so it may outlive the job.
 inline JobRun run_job(shmem::ShmemJobConfig config,
-                      std::function<sim::Task<>(shmem::ShmemPe&)> program) {
+                      std::function<sim::Task<>(shmem::ShmemPe&)> program,
+                      telemetry::Telemetry* telemetry = nullptr) {
   JobRun run;
   run.engine = std::make_unique<sim::Engine>();
   run.job = std::make_unique<shmem::ShmemJob>(*run.engine, config);
+  if (telemetry != nullptr) telemetry->attach(run.job->conduit_job());
   run.wall_s = sim::to_seconds(run.job->run(std::move(program)));
+  if (telemetry != nullptr) {
+    telemetry->finish(run.engine->now());
+    telemetry->detach();
+  }
   return run;
 }
 

@@ -73,6 +73,9 @@ struct BenchDef {
 using Kernel =
     std::function<sim::Task<>(shmem::ShmemPe&, apps::KernelResult&)>;
 
+/// One timed operation of PE 0 on the symmetric address `buf`.
+using RmaOp = std::function<sim::Task<>(shmem::ShmemPe&, shmem::SymAddr)>;
+
 // ---------------------------------------------------------------------------
 // Shared measurement plumbing.
 
@@ -121,34 +124,63 @@ HelloSample hello_sample(
            {"total_s", total}}};
 }
 
-/// Mean one-way latency (us) of `op` on PE 0 of a 2-PE / 2-node job.
-template <typename MakeOp>
-double pt2pt_loop(const BenchContext& ctx, core::ConduitConfig conduit,
-                  std::uint32_t iters, MakeOp make_op) {
+/// A 2-PE job with one PE per node, so every transfer takes the IB path.
+shmem::ShmemJobConfig two_node_job(const BenchContext& ctx,
+                                   core::ConduitConfig conduit,
+                                   std::uint64_t heap_bytes) {
   shmem::ShmemJobConfig config;
   config.job.ranks = 2;
-  config.job.ranks_per_node = 1;  // two nodes, IB path
+  config.job.ranks_per_node = 1;
   config.job.conduit = conduit;
   config.job.fabric.seed = ctx.seed;
-  config.shmem.heap_bytes = 4 << 20;
-  sim::Engine engine;
-  shmem::ShmemJob job(engine, config);
+  config.shmem.heap_bytes = heap_bytes;
+  return config;
+}
+
+/// Mean latency (us) of `op` on PE 0 of `config`'s job, timed over `iters`
+/// ops after `warmup` untimed ones (which absorb connection setup). `buf`
+/// is the base of the symmetric heap, all of which the op may address.
+double pt2pt_loop(const shmem::ShmemJobConfig& config, std::uint32_t iters,
+                  std::uint32_t warmup, const RmaOp& op) {
   double latency_us = 0;
-  job.spawn_all([&](shmem::ShmemPe& pe) -> sim::Task<> {
+  (void)run_job(config, [&](shmem::ShmemPe& pe) -> sim::Task<> {
     co_await pe.start_pes();
-    shmem::SymAddr buf = pe.heap().allocate(1 << 20, 8);
+    shmem::SymAddr buf = pe.heap().allocate(pe.heap().capacity());
     co_await pe.barrier_all();
     if (pe.rank() == 0) {
-      for (std::uint32_t i = 0; i < 10; ++i) co_await make_op(pe, buf);
+      for (std::uint32_t i = 0; i < warmup; ++i) co_await op(pe, buf);
       sim::Time t0 = pe.engine().now();
-      for (std::uint32_t i = 0; i < iters; ++i) co_await make_op(pe, buf);
+      for (std::uint32_t i = 0; i < iters; ++i) co_await op(pe, buf);
       latency_us = sim::to_usec(pe.engine().now() - t0) / iters;
     }
     co_await pe.barrier_all();
     co_await pe.finalize();
   });
-  engine.run();
   return latency_us;
+}
+
+/// Mean one-way latency (us) of `op` on PE 0 of a 2-node job with 4 MiB
+/// heaps, after 10 warm-up ops.
+double ib_latency_us(const BenchContext& ctx, core::ConduitConfig conduit,
+                     std::uint32_t iters, const RmaOp& op) {
+  return pt2pt_loop(two_node_job(ctx, conduit, 4 << 20), iters,
+                    /*warmup=*/10, op);
+}
+
+/// A `size`-byte put to PE 1.
+RmaOp put_op(std::uint32_t size) {
+  return [size](shmem::ShmemPe& pe, shmem::SymAddr buf) -> sim::Task<> {
+    std::vector<std::byte> data(size, std::byte{7});
+    co_await pe.put(1, buf, data);
+  };
+}
+
+/// A `size`-byte get from PE 1.
+RmaOp get_op(std::uint32_t size) {
+  return [size](shmem::ShmemPe& pe, shmem::SymAddr buf) -> sim::Task<> {
+    std::vector<std::byte> dest(size);
+    co_await pe.get(1, buf, dest);
+  };
 }
 
 /// Mean us/round of `iters` rounds of a collective on `pes` PEs.
@@ -156,21 +188,19 @@ template <typename Body>
 double collective_loop(const BenchContext& ctx, std::uint32_t pes,
                        core::ConduitConfig conduit, std::uint32_t iters,
                        std::uint64_t heap_bytes, Body body) {
-  sim::Engine engine;
-  shmem::ShmemJob job(engine, seeded_job(ctx, pes, 8, conduit, heap_bytes));
   double latency_us = 0;
-  job.spawn_all([&](shmem::ShmemPe& pe) -> sim::Task<> {
-    co_await pe.start_pes();
-    co_await body(pe);  // warmup round
-    co_await pe.barrier_all();
-    sim::Time t0 = pe.engine().now();
-    for (std::uint32_t i = 0; i < iters; ++i) co_await body(pe);
-    if (pe.rank() == 0) {
-      latency_us = sim::to_usec(pe.engine().now() - t0) / iters;
-    }
-    co_await pe.finalize();
-  });
-  engine.run();
+  (void)run_job(seeded_job(ctx, pes, 8, conduit, heap_bytes),
+                [&](shmem::ShmemPe& pe) -> sim::Task<> {
+                  co_await pe.start_pes();
+                  co_await body(pe);  // warmup round
+                  co_await pe.barrier_all();
+                  sim::Time t0 = pe.engine().now();
+                  for (std::uint32_t i = 0; i < iters; ++i) co_await body(pe);
+                  if (pe.rank() == 0) {
+                    latency_us = sim::to_usec(pe.engine().now() - t0) / iters;
+                  }
+                  co_await pe.finalize();
+                });
   return latency_us;
 }
 
@@ -191,6 +221,22 @@ JobRun kernel_job(const BenchContext& ctx, std::uint32_t pes,
     for (const auto& r : results) *verified = *verified && r.verified;
   }
   return run;
+}
+
+/// `pe`'s MPI communicator. The first call builds one `MpiComm` per rank of
+/// the job, each over that rank's conduit, so every rank has one before any
+/// rank sends. `comms` may outlive the job: an `MpiComm`'s destructor does
+/// not use its conduit.
+mpi::MpiComm& mpi_comm(std::vector<std::unique_ptr<mpi::MpiComm>>& comms,
+                       shmem::ShmemPe& pe) {
+  if (comms.empty()) {
+    shmem::ShmemJob& job = pe.job();
+    for (std::uint32_t r = 0; r < job.n_pes(); ++r) {
+      comms.push_back(
+          std::make_unique<mpi::MpiComm>(job.conduit_job().conduit(r)));
+    }
+  }
+  return *comms[pe.rank()];
 }
 
 /// The reduced-size NAS/Heat kernel zoo the resource benches share.
@@ -397,18 +443,6 @@ void bench_fig6(const BenchContext& ctx, telemetry::BenchReport& report) {
   report.set_config("pes", std::int64_t{2});
   report.set_config("iters", static_cast<std::int64_t>(iters));
 
-  auto put_op = [](std::uint32_t size) {
-    return [size](shmem::ShmemPe& pe, shmem::SymAddr buf) -> sim::Task<> {
-      std::vector<std::byte> data(size, std::byte{7});
-      co_await pe.put(1, buf, data);
-    };
-  };
-  auto get_op = [](std::uint32_t size) {
-    return [size](shmem::ShmemPe& pe, shmem::SymAddr buf) -> sim::Task<> {
-      std::vector<std::byte> dest(size);
-      co_await pe.get(1, buf, dest);
-    };
-  };
   // Third series: the proposed design with the rendezvous tier enabled
   // above 4 KiB (small transfers stay on the unchanged eager path).
   core::ConduitConfig rdv_conduit = tiered_design(/*eager=*/0,
@@ -416,26 +450,21 @@ void bench_fig6(const BenchContext& ctx, telemetry::BenchReport& report) {
   report.set_config("rendezvous_us_tiers", tier_config(rdv_conduit));
   for (std::uint32_t size : sizes) {
     std::uint32_t n = size >= (256 << 10) ? iters / 10 : iters;
-    double stat = pt2pt_loop(ctx, core::current_design(), n, get_op(size));
-    double dyn = pt2pt_loop(ctx, core::proposed_design(), n, get_op(size));
-    double rdv = pt2pt_loop(ctx, rdv_conduit, n, get_op(size));
-    report.add_row("get_latency", size,
-                   {{"static_us", stat},
-                    {"ondemand_us", dyn},
-                    {"rendezvous_us", rdv},
-                    {"diff_pct", 100.0 * (dyn - stat) / stat}});
-    stat = pt2pt_loop(ctx, core::current_design(), n, put_op(size));
-    dyn = pt2pt_loop(ctx, core::proposed_design(), n, put_op(size));
-    rdv = pt2pt_loop(ctx, rdv_conduit, n, put_op(size));
-    report.add_row("put_latency", size,
-                   {{"static_us", stat},
-                    {"ondemand_us", dyn},
-                    {"rendezvous_us", rdv},
-                    {"diff_pct", 100.0 * (dyn - stat) / stat}});
+    const std::pair<const char*, RmaOp> transfers[] = {
+        {"get_latency", get_op(size)}, {"put_latency", put_op(size)}};
+    for (const auto& [series, op] : transfers) {
+      double stat = ib_latency_us(ctx, core::current_design(), n, op);
+      double dyn = ib_latency_us(ctx, core::proposed_design(), n, op);
+      double rdv = ib_latency_us(ctx, rdv_conduit, n, op);
+      report.add_row(series, size,
+                     {{"static_us", stat},
+                      {"ondemand_us", dyn},
+                      {"rendezvous_us", rdv},
+                      {"diff_pct", 100.0 * (dyn - stat) / stat}});
+    }
   }
 
-  using AtomicOp = std::function<sim::Task<>(shmem::ShmemPe&, shmem::SymAddr)>;
-  std::vector<std::pair<const char*, AtomicOp>> ops;
+  std::vector<std::pair<const char*, RmaOp>> ops;
   ops.emplace_back("fadd",
                    [](shmem::ShmemPe& pe, shmem::SymAddr a) -> sim::Task<> {
                      (void)co_await pe.atomic_fetch_add(1, a, 1);
@@ -464,15 +493,8 @@ void bench_fig6(const BenchContext& ctx, telemetry::BenchReport& report) {
   }
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const auto& [name, op] = ops[i];
-    auto run = [&](core::ConduitConfig conduit) {
-      return pt2pt_loop(ctx, conduit, iters,
-                        [op](shmem::ShmemPe& pe,
-                             shmem::SymAddr buf) -> sim::Task<> {
-                          co_await op(pe, buf);
-                        });
-    };
-    double stat = run(core::current_design());
-    double dyn = run(core::proposed_design());
+    double stat = ib_latency_us(ctx, core::current_design(), iters, op);
+    double dyn = ib_latency_us(ctx, core::proposed_design(), iters, op);
     report.add_row("atomic_latency", static_cast<double>(i),
                    {{"static_us", stat},
                     {"ondemand_us", dyn},
@@ -594,27 +616,15 @@ void bench_fig8b(const BenchContext& ctx, telemetry::BenchReport& report) {
   set_pes_config(report, pes_list);
   report.set_config("ppn", std::int64_t{8});
   for (std::uint32_t pes : pes_list) {
+    apps::Graph500Params params;  // paper defaults: 1,024 / 16,384
+    params.compute_ns_per_edge = ctx.quick ? 5.0e4 : 5.0e5;
     auto run = [&](core::ConduitConfig conduit, bool* verified) {
-      sim::Engine engine;
-      shmem::ShmemJob job(engine,
-                          seeded_job(ctx, pes, 8, conduit, 2ULL << 20));
       std::vector<std::unique_ptr<mpi::MpiComm>> comms;
-      for (std::uint32_t r = 0; r < pes; ++r) {
-        comms.push_back(
-            std::make_unique<mpi::MpiComm>(job.conduit_job().conduit(r)));
-      }
-      apps::Graph500Params params;  // paper defaults: 1,024 / 16,384
-      params.compute_ns_per_edge = ctx.quick ? 5.0e4 : 5.0e5;
-      std::vector<apps::KernelResult> results(pes);
-      sim::Time wall = job.run([&](shmem::ShmemPe& pe) -> sim::Task<> {
-        co_await pe.start_pes();
-        co_await apps::graph500_pe(pe, *comms[pe.rank()], params,
-                                   results[pe.rank()]);
-        co_await pe.finalize();
-      });
-      *verified = true;
-      for (const auto& r : results) *verified = *verified && r.verified;
-      return sim::to_seconds(wall);
+      Kernel graph500 = [&](shmem::ShmemPe& pe,
+                            apps::KernelResult& out) -> sim::Task<> {
+        co_await apps::graph500_pe(pe, mpi_comm(comms, pe), params, out);
+      };
+      return kernel_job(ctx, pes, 8, conduit, graph500, verified).wall_s;
     };
     bool ok_static = false;
     bool ok_dynamic = false;
@@ -703,6 +713,54 @@ void bench_table1(const BenchContext& ctx, telemetry::BenchReport& report) {
   }
 }
 
+/// Handshake tallies of one first-contact run, read from the telemetry
+/// pipeline's registry.
+struct FirstContactSample {
+  double wall_s = 0;
+  double retransmits = 0;
+  double reply_resends = 0;
+  double collisions = 0;
+  double handshakes = 0;
+  double handshake_p99_us = 0;
+};
+
+/// Every PE puts to every peer right after start_pes, over a UD channel
+/// that drops `drop` of its datagrams, duplicates a quarter as many and
+/// jitters them: first contact with every peer at once is the handshake's
+/// worst case (maximum collisions + loss).
+FirstContactSample first_contact_sample(const BenchContext& ctx,
+                                        std::uint32_t pes,
+                                        core::ConduitConfig conduit,
+                                        double drop) {
+  shmem::ShmemJobConfig config = seeded_job(ctx, pes, 8, conduit);
+  config.job.fabric.ud_drop_rate = drop;
+  config.job.fabric.ud_duplicate_rate = drop / 4;
+  config.job.fabric.ud_jitter_max = 2 * sim::usec;
+  telemetry::Telemetry tel;
+  JobRun run = run_job(
+      config,
+      [pes](shmem::ShmemPe& pe) -> sim::Task<> {
+        co_await pe.start_pes();
+        shmem::SymAddr slot = pe.heap().allocate(8 * pes, 8);
+        for (std::uint32_t peer = 0; peer < pes; ++peer) {
+          if (peer != pe.rank()) {
+            co_await pe.put_value<std::uint64_t>(peer, slot + 8 * pe.rank(),
+                                                 pe.rank());
+          }
+        }
+        co_await pe.finalize();
+      },
+      &tel);
+  const telemetry::MetricsRegistry& m = tel.metrics();
+  const telemetry::Histogram* hs = m.histogram("conn/handshake_time");
+  return {run.wall_s,
+          static_cast<double>(m.counter("conn/retransmits")),
+          static_cast<double>(m.counter("conn/reply_resends")),
+          static_cast<double>(m.counter("conn/collisions")),
+          static_cast<double>(m.counter("conn/handshakes_completed")),
+          hs != nullptr ? sim::to_usec(hs->percentile(99)) : 0.0};
+}
+
 void bench_ud_loss(const BenchContext& ctx, telemetry::BenchReport& report) {
   std::uint32_t pes = ctx.quick ? 16 : 64;
   std::vector<double> drops = ctx.quick
@@ -711,44 +769,15 @@ void bench_ud_loss(const BenchContext& ctx, telemetry::BenchReport& report) {
   report.set_config("pes", static_cast<std::int64_t>(pes));
   report.set_config("ppn", std::int64_t{8});
   for (double drop : drops) {
-    shmem::ShmemJobConfig config =
-        seeded_job(ctx, pes, 8, core::proposed_design());
-    config.job.fabric.ud_drop_rate = drop;
-    config.job.fabric.ud_duplicate_rate = drop / 4;
-    config.job.fabric.ud_jitter_max = 2 * sim::usec;
-    sim::Engine engine;
-    shmem::ShmemJob job(engine, config);
-    // The telemetry pipeline observes the handshakes; its registry is the
-    // source for the retransmit/resend tallies below.
-    telemetry::Telemetry tel;
-    tel.attach(job.conduit_job());
-    sim::Time wall = job.run([pes](shmem::ShmemPe& pe) -> sim::Task<> {
-      co_await pe.start_pes();
-      shmem::SymAddr slot = pe.heap().allocate(8 * pes, 8);
-      // First contact with every peer at once: the worst case for the
-      // handshake (maximum collisions + loss).
-      for (std::uint32_t peer = 0; peer < pes; ++peer) {
-        if (peer != pe.rank()) {
-          co_await pe.put_value<std::uint64_t>(peer, slot + 8 * pe.rank(),
-                                               pe.rank());
-        }
-      }
-      co_await pe.finalize();
-    });
-    tel.finish(engine.now());
-    const telemetry::MetricsRegistry& m = tel.metrics();
-    const telemetry::Histogram* hs = m.histogram("conn/handshake_time");
-    report.add_row(
-        "loss", drop,
-        {{"wall_s", sim::to_seconds(wall)},
-         {"retransmits", static_cast<double>(m.counter("conn/retransmits"))},
-         {"reply_resends",
-          static_cast<double>(m.counter("conn/reply_resends"))},
-         {"collisions", static_cast<double>(m.counter("conn/collisions"))},
-         {"handshakes",
-          static_cast<double>(m.counter("conn/handshakes_completed"))},
-         {"handshake_p99_us",
-          hs != nullptr ? sim::to_usec(hs->percentile(99)) : 0.0}});
+    FirstContactSample sample =
+        first_contact_sample(ctx, pes, core::proposed_design(), drop);
+    report.add_row("loss", drop,
+                   {{"wall_s", sample.wall_s},
+                    {"retransmits", sample.retransmits},
+                    {"reply_resends", sample.reply_resends},
+                    {"collisions", sample.collisions},
+                    {"handshakes", sample.handshakes},
+                    {"handshake_p99_us", sample.handshake_p99_us}});
   }
 
   // Backoff-cap sweep: fix the heaviest drop rate above and vary
@@ -760,36 +789,13 @@ void bench_ud_loss(const BenchContext& ctx, telemetry::BenchReport& report) {
   for (double cap_ms : caps_ms) {
     core::ConduitConfig conduit = core::proposed_design();
     conduit.conn_rto_max = static_cast<sim::Time>(cap_ms * sim::msec);
-    shmem::ShmemJobConfig config = seeded_job(ctx, pes, 8, conduit);
-    config.job.fabric.ud_drop_rate = drops.back();
-    config.job.fabric.ud_duplicate_rate = drops.back() / 4;
-    config.job.fabric.ud_jitter_max = 2 * sim::usec;
-    sim::Engine engine;
-    shmem::ShmemJob job(engine, config);
-    telemetry::Telemetry tel;
-    tel.attach(job.conduit_job());
-    sim::Time wall = job.run([pes](shmem::ShmemPe& pe) -> sim::Task<> {
-      co_await pe.start_pes();
-      shmem::SymAddr slot = pe.heap().allocate(8 * pes, 8);
-      for (std::uint32_t peer = 0; peer < pes; ++peer) {
-        if (peer != pe.rank()) {
-          co_await pe.put_value<std::uint64_t>(peer, slot + 8 * pe.rank(),
-                                               pe.rank());
-        }
-      }
-      co_await pe.finalize();
-    });
-    tel.finish(engine.now());
-    const telemetry::MetricsRegistry& m = tel.metrics();
-    const telemetry::Histogram* hs = m.histogram("conn/handshake_time");
-    report.add_row(
-        "rto_max", cap_ms,
-        {{"wall_s", sim::to_seconds(wall)},
-         {"retransmits", static_cast<double>(m.counter("conn/retransmits"))},
-         {"handshakes",
-          static_cast<double>(m.counter("conn/handshakes_completed"))},
-         {"handshake_p99_us",
-          hs != nullptr ? sim::to_usec(hs->percentile(99)) : 0.0}});
+    FirstContactSample sample =
+        first_contact_sample(ctx, pes, conduit, drops.back());
+    report.add_row("rto_max", cap_ms,
+                   {{"wall_s", sample.wall_s},
+                    {"retransmits", sample.retransmits},
+                    {"handshakes", sample.handshakes},
+                    {"handshake_p99_us", sample.handshake_p99_us}});
   }
 }
 
@@ -807,6 +813,7 @@ void bench_connect_storm(const BenchContext& ctx,
   set_pes_config(report, pes_list);
   report.set_config("cap", std::int64_t{64});
   for (std::uint32_t pes : pes_list) {
+    // A bare ConduitJob, outside run_job: host_ms times engine.run() alone.
     sim::Engine engine;
     core::JobConfig config;
     config.ranks = pes;
@@ -859,15 +866,9 @@ void bench_hello_trace(const BenchContext& ctx,
   config.job.fabric.ud_duplicate_rate = 0.05;
   config.job.fabric.ud_jitter_max = 2 * sim::usec;
   report.set_config("ud_drop_rate", config.job.fabric.ud_drop_rate);
-  sim::Engine engine;
-  shmem::ShmemJob job(engine, config);
   telemetry::Telemetry tel;
-  tel.attach(job.conduit_job());
-  sim::Time wall = job.run([](shmem::ShmemPe& pe) -> sim::Task<> {
-    co_await apps::hello_pe(pe, apps::HelloParams{});
-  });
-  tel.finish(engine.now());
-  report.set_metric("wall_s", sim::to_seconds(wall));
+  JobRun run = run_job(config, hello_program, &tel);
+  report.set_metric("wall_s", run.wall_s);
   report.set_metrics_from(tel.metrics());
 
   std::filesystem::path trace_path =
@@ -886,30 +887,10 @@ void bench_hello_trace(const BenchContext& ctx,
 double same_node_put_us(const BenchContext& ctx, std::uint32_t ppn,
                         core::IntranodeTransport transport,
                         std::uint32_t bytes) {
-  constexpr std::uint32_t kIters = 32;
   core::ConduitConfig conduit = core::proposed_design();
   conduit.intranode_transport = transport;
-  sim::Engine engine;
-  shmem::ShmemJob job(engine, seeded_job(ctx, ppn, ppn, conduit));
-  double latency_us = 0;
-  job.spawn_all([bytes, &latency_us](shmem::ShmemPe& pe) -> sim::Task<> {
-    co_await pe.start_pes();
-    shmem::SymAddr slot = pe.heap().allocate(bytes, 8);
-    co_await pe.barrier_all();
-    if (pe.rank() == 0) {
-      std::vector<std::byte> buf(bytes, std::byte{0x5a});
-      co_await pe.put(1, slot, buf);  // warm-up: connection setup, if any
-      sim::Time start = pe.engine().now();
-      for (std::uint32_t i = 0; i < kIters; ++i) {
-        co_await pe.put(1, slot, buf);
-      }
-      latency_us = sim::to_usec(pe.engine().now() - start) / kIters;
-    }
-    co_await pe.barrier_all();
-    co_await pe.finalize();
-  });
-  engine.run();
-  return latency_us;
+  return pt2pt_loop(seeded_job(ctx, ppn, ppn, conduit), /*iters=*/32,
+                    /*warmup=*/1, put_op(bytes));
 }
 
 struct IntranodeQpSample {
@@ -1126,42 +1107,31 @@ void bench_ablation_registration(const BenchContext& ctx,
 /// under MpiComm, so the same loop measures eager vs rendezvous delivery.
 double mpi_pingpong_us(const BenchContext& ctx, core::ConduitConfig conduit,
                        std::uint32_t iters, std::uint32_t bytes) {
-  shmem::ShmemJobConfig config;
-  config.job.ranks = 2;
-  config.job.ranks_per_node = 1;  // two nodes, IB path
-  config.job.conduit = conduit;
-  config.job.fabric.seed = ctx.seed;
-  config.shmem.heap_bytes = 1 << 16;
-  sim::Engine engine;
-  shmem::ShmemJob job(engine, config);
-  std::vector<std::unique_ptr<mpi::MpiComm>> comms;
-  for (std::uint32_t r = 0; r < 2; ++r) {
-    comms.push_back(
-        std::make_unique<mpi::MpiComm>(job.conduit_job().conduit(r)));
-  }
-  double rtt_us = 0;
   constexpr std::uint32_t kWarmup = 5;
-  job.conduit_job().spawn_all([&](core::Conduit& c) -> sim::Task<> {
-    mpi::MpiComm& comm = *comms[c.rank()];
-    co_await comm.init();
-    std::vector<std::byte> payload(bytes, std::byte{5});
-    sim::Time t0{};
-    for (std::uint32_t i = 0; i < iters + kWarmup; ++i) {
-      if (i == kWarmup) t0 = engine.now();
-      if (comm.rank() == 0) {
-        co_await comm.send(1, 1, payload);
-        (void)co_await comm.recv(1, 2);
-      } else {
-        (void)co_await comm.recv(0, 1);
-        co_await comm.send_value<std::uint64_t>(0, 2, i);
-      }
-    }
-    if (comm.rank() == 0) {
-      rtt_us = sim::to_usec(engine.now() - t0) / iters;
-    }
-    co_await comm.barrier();
-  });
-  engine.run();
+  std::vector<std::unique_ptr<mpi::MpiComm>> comms;
+  double rtt_us = 0;
+  (void)run_job(
+      two_node_job(ctx, conduit, 1 << 16),
+      [&](shmem::ShmemPe& pe) -> sim::Task<> {
+        mpi::MpiComm& comm = mpi_comm(comms, pe);
+        co_await comm.init();
+        std::vector<std::byte> payload(bytes, std::byte{5});
+        sim::Time t0{};
+        for (std::uint32_t i = 0; i < iters + kWarmup; ++i) {
+          if (i == kWarmup) t0 = pe.engine().now();
+          if (comm.rank() == 0) {
+            co_await comm.send(1, 1, payload);
+            (void)co_await comm.recv(1, 2);
+          } else {
+            (void)co_await comm.recv(0, 1);
+            co_await comm.send_value<std::uint64_t>(0, 2, i);
+          }
+        }
+        if (comm.rank() == 0) {
+          rtt_us = sim::to_usec(pe.engine().now() - t0) / iters;
+        }
+        co_await comm.barrier();
+      });
   return rtt_us;
 }
 
@@ -1226,10 +1196,6 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
   // a fixed size, isolating what fragmentation and the RTS/CTS handshake
   // cost relative to the untouched eager RDMA path.
   constexpr std::uint32_t kPutBytes = 64 << 10;
-  auto put_op = [](shmem::ShmemPe& pe, shmem::SymAddr buf) -> sim::Task<> {
-    std::vector<std::byte> data(kPutBytes, std::byte{7});
-    co_await pe.put(1, buf, data);
-  };
   struct TierPoint {
     const char* label;
     core::ConduitConfig conduit;
@@ -1245,11 +1211,8 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
     report.set_config(std::string("shmem_put_64k_") + tiers[i].label +
                           "_tiers",
                       tier_config(tiers[i].conduit));
-    double us = pt2pt_loop(ctx, tiers[i].conduit, iters,
-                           [&](shmem::ShmemPe& pe,
-                               shmem::SymAddr buf) -> sim::Task<> {
-                             co_await put_op(pe, buf);
-                           });
+    double us =
+        ib_latency_us(ctx, tiers[i].conduit, iters, put_op(kPutBytes));
     report.add_row("shmem_put_64k", static_cast<double>(i),
                    {{"latency_us", us}}, tiers[i].label);
   }

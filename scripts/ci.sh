@@ -186,6 +186,23 @@ if grep -E '^[[:space:]]*add_executable\(' bench/CMakeLists.txt |
   exit 1
 fi
 
+echo "==> one job runner: every run_all bench job goes through run_job"
+# bench::run_job (bench/bench_util.hpp) is the one place a run_all bench
+# builds a sim::Engine and a shmem::ShmemJob, so a hook attached there sees
+# every job (DESIGN.md §7). connect_storm keeps its bare core::ConduitJob:
+# its host_ms times engine.run() alone.
+runner='sim::Engine[[:space:]]+[A-Za-z_]|(sim::Engine|shmem::ShmemJob)>'
+runner="${runner}|shmem::ShmemJob[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[({]"
+runner="${runner}|engine(\.|->)run\(|(\.|->)spawn_all\(|\bjob(\.|->)run\("
+if awk '/^void bench_connect_storm\(/ { skip = 1 }
+        !skip { print FILENAME ":" FNR ":" $0 }
+        skip && /^}/ { skip = 0 }' bench/run_all.cpp |
+    grep -E "${runner}"; then
+  echo "ci.sh: a run_all bench builds or runs a job outside" \
+    "bench::run_job; call run_job" >&2
+  exit 1
+fi
+
 echo "==> repository benchmark self-test (about two minutes)"
 # Pins the per-layer counters (bulk_tier_*, credit_stalls, reg_*) the
 # benchmark reads, and its run-to-run determinism.

@@ -113,6 +113,14 @@ struct Grid3D {
     }
     return static_cast<RankId>((nz * py + ny) * px + nx);
   }
+
+  /// Neighbor at offset with periodic (torus) wrap-around on every axis.
+  [[nodiscard]] RankId neighbor_wrap(int dx, int dy, int dz) const {
+    std::int64_t nx = (static_cast<std::int64_t>(x) + dx + px) % px;
+    std::int64_t ny = (static_cast<std::int64_t>(y) + dy + py) % py;
+    std::int64_t nz = (static_cast<std::int64_t>(z) + dz + pz) % pz;
+    return static_cast<RankId>((nz * py + ny) * px + nx);
+  }
 };
 
 /// Deterministic pattern for halo-content verification: a value every PE

@@ -15,16 +15,8 @@ sim::Task<> mg_pe(shmem::ShmemPe& pe, MgParams params, KernelResult& result) {
       {{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}};
   std::array<RankId, 6> neighbor{};
   for (std::uint32_t d = 0; d < 6; ++d) {
-    auto wrap = [&](std::int64_t v, std::uint32_t extent) {
-      return static_cast<std::uint32_t>((v + extent) % extent);
-    };
-    std::uint32_t nx = wrap(static_cast<std::int64_t>(grid.x) +
-                                kDirections[d][0], grid.px);
-    std::uint32_t ny = wrap(static_cast<std::int64_t>(grid.y) +
-                                kDirections[d][1], grid.py);
-    std::uint32_t nz = wrap(static_cast<std::int64_t>(grid.z) +
-                                kDirections[d][2], grid.pz);
-    neighbor[d] = (nz * grid.py + ny) * grid.px + nx;
+    neighbor[d] = grid.neighbor_wrap(kDirections[d][0], kDirections[d][1],
+                                     kDirections[d][2]);
   }
 
   const std::uint64_t max_face_bytes = 8ULL * params.finest_face_elems;

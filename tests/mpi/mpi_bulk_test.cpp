@@ -15,7 +15,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "check/invariants.hpp"
@@ -346,11 +345,7 @@ TEST_P(MpiBulkSchedule, ManyConcurrentRendezvousStreamsReconcile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedules, MpiBulkSchedule,
-                         ::testing::Values(3u, 11u),
-                         [](const ::testing::TestParamInfo<std::uint64_t>&
-                                info) {
-                           return "Shuffle" + std::to_string(info.param);
-                         });
+                         ::testing::Values(3u, 11u));
 
 }  // namespace
 }  // namespace odcm::mpi
