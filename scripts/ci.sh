@@ -203,6 +203,40 @@ if awk '/^void bench_connect_storm\(/ { skip = 1 }
   exit 1
 fi
 
+echo "==> one connection lifecycle: each step of Fig. 4 has one body"
+# Every RC connection comes up and goes down through the conduit's
+# lifecycle steps (DESIGN.md §5 item 4): only Conduit::new_rc_qp creates an
+# RC QP, only connect_rc_qp moves one to RTR, only bind_qp/unbind_qp write
+# Peer::qp and report it, and only establish sets a peer kConnected. Each
+# line matching a pattern must sit in the top-level definition of its step.
+# The eviction victim has one selection, the LRU list head (the reference
+# scan lives in tests/core/hotpath_test.cpp).
+# An awk error stops the script (set -e) instead of passing the guard.
+lifecycle="$(awk 'BEGIN {
+    step["create_qp\\(fabric::QpType::kRc"] = "new_rc_qp"
+    step["QpState::kRtr"] = "connect_rc_qp"
+    step["Kind::kQpBound"] = "bind_qp"
+    step["Kind::kQpUnbound"] = "unbind_qp"
+    step["(\\.|->)qp = "] = "bind_qp|unbind_qp"
+    step["set_phase\\(.*Phase::kConnected\\)"] = "establish"
+  }
+  FNR == 1 { fn = "" }
+  /^[A-Za-z].*\(/ { fn = "" }
+  /^[A-Za-z].*Conduit::[a-z_]+\(/ {
+    match($0, /Conduit::[a-z_]+\(/)
+    fn = substr($0, RSTART + 9, RLENGTH - 10)
+  }
+  { for (re in step) if ($0 ~ re && fn !~ ("^(" step[re] ")$"))
+      print FILENAME ":" FNR ": " $0 }' \
+  $(ls src/core/*.cpp src/core/*.hpp | grep -v '/observer\.'))"
+if grep -rn 'debug_reference_victim' src/core || [ -n "${lifecycle}" ]; then
+  [ -z "${lifecycle}" ] || printf '%s\n' "${lifecycle}"
+  echo "ci.sh: a connection lifecycle step is written out outside its" \
+    "Conduit step; call new_rc_qp, connect_rc_qp, bind_qp/unbind_qp or" \
+    "establish" >&2
+  exit 1
+fi
+
 echo "==> repository benchmark self-test (about two minutes)"
 # Pins the per-layer counters (bulk_tier_*, credit_stalls, reg_*) the
 # benchmark reads, and its run-to-run determinism.

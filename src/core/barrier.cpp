@@ -73,13 +73,13 @@ sim::Task<> Conduit::barrier_tree() {
   if (tree.is_root()) {
     state.release.open();
   } else {
-    co_await am_send(barrier_actual_rank(tree.parent()), /*handler=*/0,
-                     encode_round(round));
+    co_await am_send(barrier_actual_rank(tree.parent()),
+                     kBarrierArriveHandler, encode_round(round));
     co_await state.release.wait();
   }
   for (std::uint32_t c = 0; c < tree.child_count(); ++c) {
-    co_await am_send(barrier_actual_rank(tree.child(c)), /*handler=*/1,
-                     encode_round(round));
+    co_await am_send(barrier_actual_rank(tree.child(c)),
+                     kBarrierReleaseHandler, encode_round(round));
   }
   barrier_rounds_.erase(round);
 }

@@ -109,7 +109,7 @@ sim::Task<> Conduit::init() {
       sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");
       co_await publish_ud_endpoint();
     }
-  } else if (size() > config().bulk_connect_threshold) {
+  } else if (bulk_sized()) {
     co_await static_connect_bulk();
   } else {
     co_await static_connect_all();
@@ -178,8 +178,7 @@ sim::Task<> Conduit::finalize() {
   for (Peer* peer : peers_by_rank()) {
     if (peer->qp != nullptr) {
       co_await hca().destroy_qp(peer->qp->qpn());
-      peer->qp = nullptr;
-      notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = peer->rank});
+      unbind_qp(*peer);
     }
   }
   for (fabric::QueuePair* qp : retired_qps_) {
@@ -243,23 +242,23 @@ sim::Task<> Conduit::srq_listener() {
 sim::Task<> Conduit::dispatch_am(AmPacket packet, fabric::Qpn src_qpn) {
   stats_.add(kAmReceived);
   switch (packet.handler) {
-    case 0: {  // barrier arrive
+    case kBarrierArriveHandler: {
       wire::Reader reader(packet.payload);
       handle_barrier_arrive(packet.src_rank, reader.read_int<std::uint32_t>());
       co_return;
     }
-    case 1: {  // barrier release
+    case kBarrierReleaseHandler: {
       wire::Reader reader(packet.payload);
       handle_barrier_release(reader.read_int<std::uint32_t>());
       co_return;
     }
-    case 2:  // disconnect notice (adaptive connection management)
+    case kDisconnectNoticeHandler:  // adaptive connection management
       handle_disconnect_notice(packet.src_rank, src_qpn);
       co_return;
-    case 3:  // disconnect ack
+    case kDisconnectAckHandler:
       handle_disconnect_ack(packet.src_rank);
       co_return;
-    case 4: {  // ring-bootstrap table entry
+    case kRingEntryHandler: {
       wire::Reader reader(packet.payload);
       RingEntry entry;
       entry.rank = reader.read_int<std::uint32_t>();
@@ -560,7 +559,7 @@ sim::Task<> Conduit::ring_distribute() {
     wire::put_int<std::uint32_t>(payload, current.rank);
     wire::put_int<std::uint16_t>(payload, current.addr.lid);
     wire::put_int<std::uint32_t>(payload, current.addr.qpn);
-    co_await am_send(right, /*handler=*/4, std::move(payload));
+    co_await am_send(right, kRingEntryHandler, std::move(payload));
     current = co_await ring_entries_->pop();
     ud_table_[current.rank] = current.addr;
   }

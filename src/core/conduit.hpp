@@ -69,14 +69,18 @@ using PayloadConsumer =
     std::function<void(RankId peer, std::span<const std::byte> payload)>;
 
 /// First active-message handler id available to upper layers; smaller ids
-/// are reserved for conduit-internal protocols (barrier).
+/// are reserved for conduit-internal protocols.
 inline constexpr std::uint16_t kFirstUserHandler = 16;
 
-/// Conduit-internal AM id of the rendezvous RTS/CTS exchange. Internal
-/// handlers never consume flow-control credits, so a rendezvous handshake
-/// (or an eviction notice) can always make progress even when the data
-/// window toward the peer is exhausted.
-inline constexpr std::uint16_t kRendezvousHandler = 5;
+// Conduit-internal AM ids. Internal handlers never consume flow-control
+// credits, so barriers, eviction drains and rendezvous handshakes progress
+// even when the data window toward the peer is exhausted.
+inline constexpr std::uint16_t kBarrierArriveHandler = 0;
+inline constexpr std::uint16_t kBarrierReleaseHandler = 1;
+inline constexpr std::uint16_t kDisconnectNoticeHandler = 2;
+inline constexpr std::uint16_t kDisconnectAckHandler = 3;
+inline constexpr std::uint16_t kRingEntryHandler = 4;   ///< ring bootstrap
+inline constexpr std::uint16_t kRendezvousHandler = 5;  ///< RTS/CTS/FIN
 
 /// Which data path a transfer of a given size takes (DESIGN.md §5.17).
 enum class BulkTier : std::uint8_t { kEager, kPipelined, kRendezvous };
@@ -421,6 +425,21 @@ class Conduit {
   /// event stream.
   void set_phase(RankId peer_rank, Peer& p, PeerPhase next);
 
+  // The connection lifecycle (Fig. 4): every path that brings an RC
+  // connection up or down runs these steps and keeps no copy of them.
+  /// Create an RC QP and move it RESET→INIT.
+  [[nodiscard]] sim::Task<fabric::QueuePair*> new_rc_qp();
+  /// Point `qp` at `remote` and move it INIT→RTR→RTS.
+  [[nodiscard]] sim::Task<> connect_rc_qp(fabric::QueuePair* qp,
+                                          fabric::EndpointAddr remote);
+  /// The only writes of `Peer::qp`, reporting kQpBound / kQpUnbound.
+  void bind_qp(Peer& p, fabric::QueuePair* qp);
+  void unbind_qp(Peer& p);
+  /// Take `role` and enter kConnected, counted unless the bulk model counted
+  /// it at init. The caller opens the established gate (a server only once
+  /// its reply is sent).
+  void establish(Peer& p, PeerRole role);
+
   // Listener loops (detached root tasks).
   sim::Task<> ud_listener();
   sim::Task<> srq_listener();
@@ -460,16 +479,11 @@ class Conduit {
   sim::Task<> evict_connection(RankId victim, fabric::QueuePair* qp);
   /// Count down one tracked eviction task; wake finalize at zero.
   void settle_eviction();
-  void retire_qp(RankId rank, Peer& peer);
+  void retire_qp(Peer& peer);
   /// Destroy the slot's retired QP once its work queue drains (called at
   /// the drain-resolution points, so `retired_qps_` stays bounded under
   /// eviction churn instead of growing until finalize).
   void reclaim_retired(Peer& peer);
-#ifndef NDEBUG
-  /// Reference implementation of victim selection (the historical O(N)
-  /// scan); the LRU list must agree with it on every eviction.
-  [[nodiscard]] Peer* debug_reference_victim(RankId just_connected);
-#endif
   /// `notice_qpn` is the peer QP the notice arrived from; it identifies
   /// the connection epoch being drained (QPNs are never reused) so stale
   /// notices from an already-resolved epoch can be discarded.
@@ -507,6 +521,10 @@ class Conduit {
   void release_credit(RankId dst, std::uint32_t epoch);
 
   // Static mesh setup.
+  /// Static mode at this job size charges the mesh in aggregate at init.
+  [[nodiscard]] bool bulk_sized() const noexcept {
+    return size() > config().bulk_connect_threshold;
+  }
   sim::Task<> static_connect_all();
   sim::Task<> static_connect_bulk();
   /// Materialize a bulk-modeled connection into real QPs on first use.

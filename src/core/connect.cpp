@@ -1,7 +1,6 @@
 // Connection establishment: the on-demand two-phase UD handshake (Fig. 4)
 // with retransmission, duplicate suppression and collision resolution, plus
 // the baseline static all-to-all connector and its bulk aggregate model.
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -55,6 +54,42 @@ void Conduit::set_phase(RankId peer_rank, Peer& p, PeerPhase next) {
     }
   }
   p.phase = next;
+}
+
+// ---- the connection lifecycle (Fig. 4) ----
+
+sim::Task<fabric::QueuePair*> Conduit::new_rc_qp() {
+  fabric::QueuePair* qp =
+      co_await hca().create_qp(fabric::QpType::kRc, rank_);
+  stats_.add("qp_created_rc");
+  co_await qp->transition(fabric::QpState::kInit);
+  co_return qp;
+}
+
+sim::Task<> Conduit::connect_rc_qp(fabric::QueuePair* qp,
+                                   fabric::EndpointAddr remote) {
+  qp->set_remote(remote);
+  co_await qp->transition(fabric::QpState::kRtr);
+  co_await qp->transition(fabric::QpState::kRts);
+}
+
+void Conduit::bind_qp(Peer& p, fabric::QueuePair* qp) {
+  p.qp = qp;
+  notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = p.rank});
+}
+
+void Conduit::unbind_qp(Peer& p) {
+  p.qp = nullptr;
+  notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = p.rank});
+}
+
+void Conduit::establish(Peer& p, PeerRole role) {
+  p.role = role;
+  set_phase(p.rank, p, Peer::Phase::kConnected);
+  // A bulk-modeled mesh counted every connection at init.
+  if (role != Peer::Role::kStatic || !bulk_sized()) {
+    stats_.add("connections_established");
+  }
 }
 
 void Conduit::open_established(sim::Engine& engine, Peer& peer) {
@@ -137,17 +172,10 @@ sim::Task<> Conduit::self_connect() {
   if (!p.established) {
     p.established = std::make_unique<sim::Gate>(engine());
   }
-  fabric::QueuePair* qp =
-      co_await hca().create_qp(fabric::QpType::kRc, rank_);
-  stats_.add("qp_created_rc");
-  co_await qp->transition(fabric::QpState::kInit);
-  qp->set_remote(qp->addr());  // loopback
-  co_await qp->transition(fabric::QpState::kRtr);
-  co_await qp->transition(fabric::QpState::kRts);
-  p.qp = qp;
-  notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = rank_});
-  set_phase(rank_, p, Peer::Phase::kConnected);
-  stats_.add("connections_established");
+  fabric::QueuePair* qp = co_await new_rc_qp();
+  co_await connect_rc_qp(qp, qp->addr());  // loopback
+  bind_qp(p, qp);
+  establish(p, Peer::Role::kClient);
   p.established->open();
   maybe_evict(rank_);  // self connections have no drain protocol
 }
@@ -164,17 +192,13 @@ sim::Task<> Conduit::client_connect(RankId dst, std::uint32_t serial) {
     // full cycle the gate object may already have been torn down.
     co_return;
   }
-  fabric::QueuePair* qp =
-      co_await hca().create_qp(fabric::QpType::kRc, rank_);
-  stats_.add("qp_created_rc");
-  co_await qp->transition(fabric::QpState::kInit);
+  fabric::QueuePair* qp = co_await new_rc_qp();
   if (p.connect_serial != serial || p.phase != Peer::Phase::kRequesting) {
     // Our QP is not yet bound to the slot, so nobody else can reference it.
     co_await hca().destroy_qp(qp->qpn());
     co_return;
   }
-  p.qp = qp;
-  notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = dst});
+  bind_qp(p, qp);
 
   ConnectPacket request;
   request.type = UdMsgType::kConnectRequest;
@@ -211,8 +235,7 @@ sim::Task<> Conduit::client_connect(RankId dst, std::uint32_t serial) {
               .peer = dst,
               .attempt = attempts});
       fabric::QueuePair* failed_qp = p.qp;
-      p.qp = nullptr;
-      notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = dst});
+      unbind_qp(p);
       p.role = Peer::Role::kNone;
       ++p.fail_epoch;
       p.fail_reason = "Conduit: connection retries exceeded to rank " +
@@ -286,7 +309,7 @@ void Conduit::handle_conn_request(ConnectPacket packet,
       // old epoch's QP first (the in-flight notice send keeps it alive in
       // retired_qps_) so the fresh server-side QP does not leak it, then
       // reclaim it — the drain is resolved.
-      retire_qp(src, p);
+      retire_qp(p);
       reclaim_retired(p);
       p.role = Peer::Role::kServer;
       set_phase(src, p, Peer::Phase::kEstablishing);
@@ -320,23 +343,17 @@ sim::Task<> Conduit::serve_request(RankId src,
     co_await ready_gate_->wait();
   }
 
-  fabric::QueuePair* qp = nullptr;
-  bool fresh_qp = false;
-  if (collision && p.qp != nullptr &&
-      p.qp->state() == fabric::QpState::kInit) {
-    qp = p.qp;  // reuse the QP our own client attempt created
-  } else {
-    qp = co_await hca().create_qp(fabric::QpType::kRc, rank_);
-    stats_.add("qp_created_rc");
-    co_await qp->transition(fabric::QpState::kInit);
-    fresh_qp = true;
+  // After a collision the QP our own client attempt created (and bound) is
+  // reused.
+  fabric::QueuePair* qp = p.qp;
+  const bool reuse = collision && qp != nullptr &&
+                     qp->state() == fabric::QpState::kInit;
+  if (!reuse) {
+    qp = co_await new_rc_qp();
   }
-  qp->set_remote(client_addr);
-  co_await qp->transition(fabric::QpState::kRtr);
-  co_await qp->transition(fabric::QpState::kRts);
-  p.qp = qp;
-  if (fresh_qp) {
-    notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = src});
+  co_await connect_rc_qp(qp, client_addr);
+  if (!reuse) {
+    bind_qp(p, qp);
   }
 
   if (payload_consumer_ && !payload.empty()) {
@@ -353,9 +370,7 @@ sim::Task<> Conduit::serve_request(RankId src,
   }
   p.cached_reply = reply.encode_shared();
   p.reply_to = reply_to;
-  p.role = Peer::Role::kServer;
-  set_phase(src, p, Peer::Phase::kConnected);
-  stats_.add("connections_established");
+  establish(p, Peer::Role::kServer);
   (void)co_await ud_qp_->send_ud(reply_to.lid, reply_to.qpn, p.cached_reply);
   open_established(engine(), p);
   after_established(src);
@@ -377,15 +392,12 @@ sim::Task<> Conduit::finish_client(RankId src,
                                    fabric::EndpointAddr server_addr,
                                    std::vector<std::byte> payload) {
   Peer& p = peer(src);
-  p.qp->set_remote(server_addr);
-  co_await p.qp->transition(fabric::QpState::kRtr);
-  co_await p.qp->transition(fabric::QpState::kRts);
+  co_await connect_rc_qp(p.qp, server_addr);
   if (payload_consumer_ && !payload.empty()) {
     payload_consumer_(src, payload);
     notify({.kind = ProtocolEvent::Kind::kPayloadInstalled, .peer = src});
   }
-  set_phase(src, p, Peer::Phase::kConnected);
-  stats_.add("connections_established");
+  establish(p, Peer::Role::kClient);
   open_established(engine(), p);
   after_established(src);
 }
@@ -411,23 +423,6 @@ void Conduit::after_established(RankId src) {
   maybe_evict(src);
 }
 
-#ifndef NDEBUG
-Conduit::Peer* Conduit::debug_reference_victim(RankId just_connected) {
-  // The historical full scan: rank-ascending, strictly-smaller last_used
-  // wins — i.e. least last_used with ties broken toward the lowest rank.
-  Peer* victim = nullptr;
-  for_each_peer([&](RankId rank, Peer& candidate) {
-    if (candidate.phase != Peer::Phase::kConnected) return;
-    if (candidate.role == Peer::Role::kStatic) return;
-    if (rank == just_connected) return;
-    if (victim == nullptr || candidate.last_used < victim->last_used) {
-      victim = &candidate;
-    }
-  });
-  return victim;
-}
-#endif
-
 void Conduit::maybe_evict(RankId just_connected) {
   const std::uint32_t cap = config().max_active_connections;
   if (cap == 0 || config().connection_mode != ConnectionMode::kOnDemand) {
@@ -435,16 +430,12 @@ void Conduit::maybe_evict(RankId just_connected) {
   }
   while (connected_count_ > cap) {
     // O(1) victim selection: the LRU list is sorted ascending by
-    // (last_used, rank), so the first eligible node from the head is
-    // exactly what the historical full scan selected. The skip walk only
-    // ever passes the just-connected peer and (in mixed setups) static
-    // peers, both O(1) amortized.
+    // (last_used, rank), so the victim is the head unless the head is the
+    // just-connected peer (on-demand mode has no static peers to skip).
     Peer* victim = lru_.front();
-    while (victim != nullptr && (victim->role == Peer::Role::kStatic ||
-                                 victim->rank == just_connected)) {
+    if (victim != nullptr && victim->rank == just_connected) {
       victim = victim->lru_next;
     }
-    assert(victim == debug_reference_victim(just_connected));
     if (victim == nullptr) break;  // nothing evictable
     RankId victim_rank = victim->rank;
     set_phase(victim_rank, *victim, Peer::Phase::kDraining);
@@ -463,7 +454,7 @@ sim::Task<> Conduit::evict_connection(RankId victim, fabric::QueuePair* qp) {
   Peer& p = peer(victim);
   if (victim == rank_) {
     // Self connection: no protocol needed; reclaim immediately.
-    retire_qp(victim, p);
+    retire_qp(p);
     set_phase(victim, p, Peer::Phase::kIdle);
     p.drained->open();
     reclaim_retired(p);
@@ -491,13 +482,13 @@ sim::Task<> Conduit::evict_connection(RankId victim, fabric::QueuePair* qp) {
     // before this task first ran: the peer is draining too and only our
     // notice resolves its side. The retired QP stays alive until this send
     // completes (reclaim_retired waits for the work queue to empty).
-    AmPacket notice{/*handler=*/2, rank_, {}};
+    AmPacket notice{kDisconnectNoticeHandler, rank_, {}};
     (void)co_await qp->send(notice.encode());
     // While the notice was in flight the drain may already have resolved
     // (symmetric eviction, or the peer's re-request doubling as the ack);
     // those paths retire the QP themselves and a new epoch may own p.qp.
     if (p.qp == qp) {
-      retire_qp(victim, p);
+      retire_qp(p);
     }
   }
   settle_eviction();
@@ -510,15 +501,14 @@ void Conduit::settle_eviction() {
   }
 }
 
-void Conduit::retire_qp(RankId rank, Peer& peer) {
+void Conduit::retire_qp(Peer& peer) {
   if (peer.qp != nullptr) {
     retired_qps_.push_back(peer.qp);
     // Remember the epoch's QP so the drain-resolution path can reclaim it.
     // If an older retired QP was never reclaimed (it should have been), it
     // stays in retired_qps_ and the finalize backstop destroys it.
     peer.retired_qp = peer.qp;
-    peer.qp = nullptr;
-    notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = rank});
+    unbind_qp(peer);
   }
   peer.role = Peer::Role::kNone;
   peer.cached_reply.reset();
@@ -556,7 +546,7 @@ void Conduit::perform_passive_drain(RankId src) {
   Peer& p = peer(src);
   stats_.add("conn_evictions_passive");
   fabric::QueuePair* old = p.qp;
-  retire_qp(src, p);
+  retire_qp(p);
   set_phase(src, p, Peer::Phase::kIdle);
   p.remote_drain_pending = false;
   // Ack over the retired QP (still alive and RTS). Tracked like an
@@ -565,7 +555,7 @@ void Conduit::perform_passive_drain(RankId src) {
   ++pending_evictions_;
   engine().spawn([](Conduit& c, RankId src, fabric::QueuePair* qp)
                      -> sim::Task<> {
-    AmPacket ack{/*handler=*/3, c.rank_, {}};
+    AmPacket ack{kDisconnectAckHandler, c.rank_, {}};
     (void)co_await qp->send(ack.encode());
     c.reclaim_retired(c.peer(src));
     c.settle_eviction();
@@ -600,7 +590,7 @@ void Conduit::handle_disconnect_notice(RankId src, fabric::Qpn notice_qpn) {
       // evict_connection may still be sending its notice; retire the QP
       // here so the peer slot is clean before any reconnect starts.
       // reclaim_retired waits for that in-flight notice to complete.
-      retire_qp(src, p);
+      retire_qp(p);
       set_phase(src, p, Peer::Phase::kIdle);
       if (p.drained) p.drained->open();
       reclaim_retired(p);
@@ -622,7 +612,7 @@ void Conduit::handle_disconnect_notice(RankId src, fabric::Qpn notice_qpn) {
 void Conduit::handle_disconnect_ack(RankId src) {
   Peer& p = peer(src);
   if (p.phase == Peer::Phase::kDraining) {
-    retire_qp(src, p);  // usually a no-op: evict_connection retired it
+    retire_qp(p);  // usually a no-op: evict_connection retired it
     set_phase(src, p, Peer::Phase::kIdle);
     if (p.drained) p.drained->open();
     reclaim_retired(p);
@@ -637,10 +627,8 @@ sim::Task<> Conduit::static_connect_all() {
   {
     sim::PhaseTimer timer(engine(), &stats_, "connection_setup");
     for (RankId r = 0; r < n; ++r) {
-      qps[r] = co_await hca().create_qp(fabric::QpType::kRc, rank_);
-      co_await qps[r]->transition(fabric::QpState::kInit);
+      qps[r] = co_await new_rc_qp();
     }
-    stats_.add("qp_created_rc", n);
   }
 
   // Publish <lid, qpn[0..n)> and fetch every peer's table.
@@ -685,16 +673,11 @@ sim::Task<> Conduit::static_connect_all() {
   {
     sim::PhaseTimer timer(engine(), &stats_, "connection_setup");
     for (RankId r = 0; r < n; ++r) {
-      qps[r]->set_remote(remote[r]);
-      co_await qps[r]->transition(fabric::QpState::kRtr);
-      co_await qps[r]->transition(fabric::QpState::kRts);
+      co_await connect_rc_qp(qps[r], remote[r]);
       Peer& p = peer(r);
-      p.qp = qps[r];
-      notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = r});
-      p.role = Peer::Role::kStatic;
-      set_phase(r, p, Peer::Phase::kConnected);
+      bind_qp(p, qps[r]);
+      establish(p, Peer::Role::kStatic);
     }
-    stats_.add("connections_established", n);
   }
 }
 
@@ -732,32 +715,23 @@ fabric::QueuePair* Conduit::materialize_bulk(RankId dst) {
   if (p.qp != nullptr) {
     return p.qp;
   }
-  fabric::QueuePair& mine = hca().materialize_qp(fabric::QpType::kRc, rank_);
-  if (dst == rank_) {
-    mine.set_remote(mine.addr());
-    mine.force_state(fabric::QpState::kRts);
-    p.qp = &mine;
-    notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = rank_});
-    p.role = Peer::Role::kStatic;
-    set_phase(rank_, p, Peer::Phase::kConnected);
-    return p.qp;
-  }
+  // Both ends of the pair; a self connection is one QP looped back.
   Conduit& other = job_.conduit(dst);
-  Peer& q = other.peer(rank_);
+  fabric::QueuePair& mine = hca().materialize_qp(fabric::QpType::kRc, rank_);
   fabric::QueuePair& theirs =
-      other.hca().materialize_qp(fabric::QpType::kRc, dst);
+      dst == rank_ ? mine
+                   : other.hca().materialize_qp(fabric::QpType::kRc, dst);
   mine.set_remote(theirs.addr());
   theirs.set_remote(mine.addr());
   mine.force_state(fabric::QpState::kRts);
   theirs.force_state(fabric::QpState::kRts);
-  p.qp = &mine;
-  notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = dst});
-  p.role = Peer::Role::kStatic;
-  set_phase(dst, p, Peer::Phase::kConnected);
-  q.qp = &theirs;
-  other.notify({.kind = ProtocolEvent::Kind::kQpBound, .peer = rank_});
-  q.role = Peer::Role::kStatic;
-  other.set_phase(rank_, q, Peer::Phase::kConnected);
+  bind_qp(p, &mine);
+  establish(p, Peer::Role::kStatic);
+  if (dst != rank_) {
+    Peer& q = other.peer(rank_);
+    other.bind_qp(q, &theirs);
+    other.establish(q, Peer::Role::kStatic);
+  }
   return p.qp;
 }
 

@@ -174,6 +174,32 @@ TEST(Conduit, StaticBulkMatchesCountersAndWorks) {
   }
 }
 
+TEST(Conduit, StaticBulkSelfSendMaterializesLoopback) {
+  // A bulk-modeled self connection materializes as one QP looped back; the
+  // bulk model already counted it at init.
+  ConduitConfig conduit = current_design();
+  conduit.bulk_connect_threshold = 4;  // force the bulk path at N=6
+  JobEnv env(small_job(6, 2, conduit));
+  int received = 0;
+  env.run([&received](Conduit& c) -> sim::Task<> {
+    c.register_handler(20, [&received, &c](RankId src, std::vector<std::byte>)
+                               -> sim::Task<> {
+      EXPECT_EQ(src, c.rank());
+      ++received;
+      co_return;
+    });
+    co_await c.init();
+    co_await c.am_send(c.rank(), 20, text_bytes("self"));
+    co_await c.barrier_intranode();
+  });
+  EXPECT_EQ(received, 6);
+  for (RankId r = 0; r < 6; ++r) {
+    Conduit& c = env.job.conduit(r);
+    EXPECT_EQ(c.peer_phase(r), PeerPhase::kConnected) << "rank " << r;
+    EXPECT_EQ(c.stats().counter("qp_created_rc"), 6) << "rank " << r;
+  }
+}
+
 TEST(Conduit, StaticBulkModelMatchesSimulatedTime) {
   // DESIGN.md ablation A4: the aggregate static model must reproduce the
   // fully simulated handshake cost at small scale.
