@@ -207,8 +207,13 @@ echo "==> one connection lifecycle: each step of Fig. 4 has one body"
 # Every RC connection comes up and goes down through the conduit's
 # lifecycle steps (DESIGN.md §5 item 4): only Conduit::new_rc_qp creates an
 # RC QP, only connect_rc_qp moves one to RTR, only bind_qp/unbind_qp write
-# Peer::qp and report it, and only establish sets a peer kConnected. Each
-# line matching a pattern must sit in the top-level definition of its step.
+# Peer::qp and report it, and only establish sets a peer kConnected. A peer
+# enters kEstablishing only in the server's accept step (accept_request),
+# on the client's reply (handle_conn_reply) or in self_connect, and a drain
+# resolves (retire_qp, then kIdle) only in resolve_drain; the passive drain
+# of a connected peer is perform_passive_drain. Each line matching a
+# pattern must sit in the top-level definition of its step. The phase
+# relation itself is core::kPhaseEdges: src/check switches on no phase.
 # The eviction victim has one selection, the LRU list head (the reference
 # scan lives in tests/core/hotpath_test.cpp).
 # An awk error stops the script (set -e) instead of passing the guard.
@@ -219,21 +224,30 @@ lifecycle="$(awk 'BEGIN {
     step["Kind::kQpUnbound"] = "unbind_qp"
     step["(\\.|->)qp = "] = "bind_qp|unbind_qp"
     step["set_phase\\(.*Phase::kConnected\\)"] = "establish"
+    step["set_phase\\(.*Phase::kEstablishing\\)"] = \
+      "accept_request|handle_conn_reply|self_connect"
   }
-  FNR == 1 { fn = "" }
+  FNR == 1 { fn = ""; last = "" }
   /^[A-Za-z].*\(/ { fn = "" }
   /^[A-Za-z].*Conduit::[a-z_]+\(/ {
     match($0, /Conduit::[a-z_]+\(/)
     fn = substr($0, RSTART + 9, RLENGTH - 10)
   }
   { for (re in step) if ($0 ~ re && fn !~ ("^(" step[re] ")$"))
-      print FILENAME ":" FNR ": " $0 }' \
+      print FILENAME ":" FNR ": " $0 }
+  last ~ /retire_qp\(/ && /set_phase\(.*Phase::kIdle\)/ &&
+      fn !~ /^(resolve_drain|perform_passive_drain)$/ {
+    print FILENAME ":" FNR ": " $0
+  }
+  !/^[ \t]*(\/\/|$)/ { last = $0 }' \
   $(ls src/core/*.cpp src/core/*.hpp | grep -v '/observer\.'))"
-if grep -rn 'debug_reference_victim' src/core || [ -n "${lifecycle}" ]; then
+if grep -rn 'debug_reference_victim' src/core ||
+    grep -rn 'case .*PeerPhase::' src/check || [ -n "${lifecycle}" ]; then
   [ -z "${lifecycle}" ] || printf '%s\n' "${lifecycle}"
   echo "ci.sh: a connection lifecycle step is written out outside its" \
-    "Conduit step; call new_rc_qp, connect_rc_qp, bind_qp/unbind_qp or" \
-    "establish" >&2
+    "Conduit step; call new_rc_qp, connect_rc_qp, bind_qp/unbind_qp," \
+    "establish, accept_request or resolve_drain, and read phase edges from" \
+    "core::kPhaseEdges" >&2
   exit 1
 fi
 
@@ -293,29 +307,33 @@ cmake -B "${prefix}-asan" -S . "${generator[@]}" \
 cmake --build "${prefix}-asan" -j "${jobs}"
 # Leak detection stays off: deadlock- and exception-path tests abandon
 # suspended coroutine frames by design (the engine documents this), which
-# LSan reports as leaks. ASan OOB/use-after-free and UBSan stay active.
-ASAN_OPTIONS=detect_leaks=0 \
+# LSan reports as leaks. ASan OOB/use-after-free and UBSan stay active, and
+# a UBSan finding halts the process with a stack trace (the build passes
+# -fno-sanitize-recover=undefined), so it fails its test.
+sanitizer_env=(env ASAN_OPTIONS=detect_leaks=0
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1)
+"${sanitizer_env[@]}" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}"
 # The transport matrix again under ASan/UBSan: the shm path is raw
 # cross-mapped memory, exactly where the sanitizers earn their keep.
-ASAN_OPTIONS=detect_leaks=0 \
+"${sanitizer_env[@]}" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -L transport
 # And the registration suite: the pin-down cache's chunked regions and the
 # rkey-fault/invalidation drain are the newest pointer-heavy paths.
-ASAN_OPTIONS=detect_leaks=0 \
+"${sanitizer_env[@]}" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -L registration
 # Schedule-perturbed suites under ASan: permuted wakeup orders reshuffle
 # coroutine frame lifetimes, which is exactly where use-after-free hides.
-ASAN_OPTIONS=detect_leaks=0 \
+"${sanitizer_env[@]}" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -L schedule
 # The bulk tier engine under ASan: fragment streams hold spans and rkey
 # leases across suspension points — lifetime bugs would surface here.
-ASAN_OPTIONS=detect_leaks=0 \
+"${sanitizer_env[@]}" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -L bulkproto
-ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 10
-ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 2 \
+"${sanitizer_env[@]}" "${prefix}-asan/bench/check_sweep" --seeds 10
+"${sanitizer_env[@]}" "${prefix}-asan/bench/check_sweep" --seeds 2 \
   --schedule-seeds 4
-ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 5 \
+"${sanitizer_env[@]}" "${prefix}-asan/bench/check_sweep" --seeds 5 \
   --bulkproto
 
 echo "==> ci.sh: all green"

@@ -9,31 +9,6 @@ using core::PeerPhase;
 using core::PeerRole;
 using core::ProtocolEvent;
 
-namespace {
-
-bool legal_transition(PeerPhase from, PeerPhase to, PeerRole role) {
-  switch (from) {
-    case PeerPhase::kIdle:
-      return to == PeerPhase::kRequesting || to == PeerPhase::kEstablishing ||
-             // Only the static connector may skip the handshake entirely.
-             (to == PeerPhase::kConnected && role == PeerRole::kStatic);
-    case PeerPhase::kRequesting:
-      // kIdle: the client exhausted its retries and failed the handshake.
-      return to == PeerPhase::kEstablishing || to == PeerPhase::kIdle;
-    case PeerPhase::kEstablishing:
-      return to == PeerPhase::kConnected;
-    case PeerPhase::kConnected:
-      return to == PeerPhase::kDraining || to == PeerPhase::kIdle;
-    case PeerPhase::kDraining:
-      // kEstablishing: the peer's new ConnectRequest doubles as the drain
-      // ack (handle_conn_request).
-      return to == PeerPhase::kIdle || to == PeerPhase::kEstablishing;
-  }
-  return false;
-}
-
-}  // namespace
-
 void InvariantChecker::remember(const ProtocolEvent& event) {
   if (history_.size() == kHistoryLimit) history_.pop_front();
   history_.push_back(event);
@@ -63,12 +38,17 @@ void InvariantChecker::check_phase_change(const ProtocolEvent& event,
                     std::string(to_string(pair.phase)) +
                     ", conduit reports " + to_string(event.from) + ")");
   }
-  if (event.from == event.to) {
-    fail(event, "self-transition (phase set to its current value)");
-  }
-  if (!legal_transition(event.from, event.to, event.role)) {
-    fail(event, std::string("illegal transition ") + to_string(event.from) +
-                    " -> " + to_string(event.to));
+  // The table holds no self-edge, so setting a phase to its current value
+  // is illegal too.
+  if (!core::legal_transition(event.from, event.to, event.role)) {
+    std::string reason = std::string("illegal transition ") +
+                         to_string(event.from) + " -> " + to_string(event.to) +
+                         "; legal exits:";
+    for (const core::PhaseEdge& edge : core::kPhaseEdges) {
+      if (edge.from != event.from) continue;
+      reason += std::string(" ") + to_string(edge.to) + " (" + edge.why + ")";
+    }
+    fail(event, reason);
   }
   if (event.to == PeerPhase::kConnected) {
     if (!pair.has_qp) {

@@ -3,7 +3,7 @@
 // `InvariantChecker` observes the job-wide `ProtocolEvent` stream (see
 // core/observer.hpp) and validates, after every event:
 //
-//   * phase transitions follow the legal phase graph;
+//   * phase transitions are edges of `core::kPhaseEdges`;
 //   * the observer's mirror of each (self, peer) phase matches what the
 //     conduit reports in the event — an unobserved mutation (a `p.phase =`
 //     that bypassed `set_phase`) is itself a violation;

@@ -450,6 +450,11 @@ class Conduit {
   sim::Task<> self_connect();
   void handle_conn_request(ConnectPacket packet,
                            fabric::EndpointAddr reply_to);
+  /// The server's accept step: take the Server role (a collision keeps the
+  /// Client role of its own attempt until `establish`), enter kEstablishing
+  /// and spawn `serve_request`.
+  void accept_request(RankId src, Peer& p, ConnectPacket packet,
+                      fabric::EndpointAddr reply_to, bool collision);
   sim::Task<> serve_request(RankId src, fabric::EndpointAddr client_addr,
                             std::vector<std::byte> payload,
                             fabric::EndpointAddr reply_to, bool collision);
@@ -484,6 +489,8 @@ class Conduit {
   /// the drain-resolution points, so `retired_qps_` stays bounded under
   /// eviction churn instead of growing until finalize).
   void reclaim_retired(Peer& peer);
+  /// Resolve a drain: retire the QP, enter kIdle, open `drained` and reclaim.
+  void resolve_drain(Peer& p);
   /// `notice_qpn` is the peer QP the notice arrived from; it identifies
   /// the connection epoch being drained (QPNs are never reused) so stale
   /// notices from an already-resolved epoch can be discarded.

@@ -272,11 +272,8 @@ void Conduit::handle_conn_request(ConnectPacket packet,
         // TEST ONLY (see ConduitConfig): mishandle the duplicate as a
         // fresh request. The Connected → Establishing transition is
         // illegal and the invariant checker must flag it.
-        p.role = Peer::Role::kServer;
-        set_phase(src, p, Peer::Phase::kEstablishing);
-        engine().spawn(serve_request(src, packet.rc_addr,
-                                     std::move(packet.payload), reply_to,
-                                     /*collision=*/false));
+        accept_request(src, p, std::move(packet), reply_to,
+                       /*collision=*/false);
         return;
       }
       if (p.role == Peer::Role::kServer && p.cached_reply != nullptr) {
@@ -295,10 +292,8 @@ void Conduit::handle_conn_request(ConnectPacket packet,
       if (src < rank_) {
         stats_.add("conn_collisions");
         notify({.kind = ProtocolEvent::Kind::kCollision, .peer = src});
-        set_phase(src, p, Peer::Phase::kEstablishing);
-        engine().spawn(serve_request(src, packet.rc_addr,
-                                     std::move(packet.payload), reply_to,
-                                     /*collision=*/true));
+        accept_request(src, p, std::move(packet), reply_to,
+                       /*collision=*/true);
       }
       return;
     case Peer::Phase::kEstablishing:
@@ -308,24 +303,24 @@ void Conduit::handle_conn_request(ConnectPacket packet,
       // re-initiating; its request doubles as the drain ack. Retire the
       // old epoch's QP first (the in-flight notice send keeps it alive in
       // retired_qps_) so the fresh server-side QP does not leak it, then
-      // reclaim it — the drain is resolved.
+      // reclaim it — the drain is resolved — and accept as from kIdle.
       retire_qp(p);
       reclaim_retired(p);
-      p.role = Peer::Role::kServer;
-      set_phase(src, p, Peer::Phase::kEstablishing);
       if (p.drained) p.drained->open();
-      engine().spawn(serve_request(src, packet.rc_addr,
-                                   std::move(packet.payload), reply_to,
-                                   /*collision=*/false));
-      return;
+      [[fallthrough]];
     case Peer::Phase::kIdle:
-      p.role = Peer::Role::kServer;
-      set_phase(src, p, Peer::Phase::kEstablishing);
-      engine().spawn(serve_request(src, packet.rc_addr,
-                                   std::move(packet.payload), reply_to,
-                                   /*collision=*/false));
+      accept_request(src, p, std::move(packet), reply_to,
+                     /*collision=*/false);
       return;
   }
+}
+
+void Conduit::accept_request(RankId src, Peer& p, ConnectPacket packet,
+                             fabric::EndpointAddr reply_to, bool collision) {
+  if (!collision) p.role = Peer::Role::kServer;
+  set_phase(src, p, Peer::Phase::kEstablishing);
+  engine().spawn(serve_request(src, packet.rc_addr, std::move(packet.payload),
+                               reply_to, collision));
 }
 
 sim::Task<> Conduit::serve_request(RankId src,
@@ -453,11 +448,7 @@ void Conduit::maybe_evict(RankId just_connected) {
 sim::Task<> Conduit::evict_connection(RankId victim, fabric::QueuePair* qp) {
   Peer& p = peer(victim);
   if (victim == rank_) {
-    // Self connection: no protocol needed; reclaim immediately.
-    retire_qp(p);
-    set_phase(victim, p, Peer::Phase::kIdle);
-    p.drained->open();
-    reclaim_retired(p);
+    resolve_drain(p);  // self connection: no protocol needed
   } else {
     // Notify the peer over the existing RC connection, then deactivate our
     // side. The QP object survives (retired) until the drain resolves.
@@ -513,6 +504,13 @@ void Conduit::retire_qp(Peer& peer) {
   peer.role = Peer::Role::kNone;
   peer.cached_reply.reset();
   peer.established.reset();
+}
+
+void Conduit::resolve_drain(Peer& p) {
+  retire_qp(p);  // a no-op when evict_connection already retired it
+  set_phase(p.rank, p, Peer::Phase::kIdle);
+  if (p.drained) p.drained->open();
+  reclaim_retired(p);
 }
 
 void Conduit::reclaim_retired(Peer& peer) {
@@ -590,10 +588,7 @@ void Conduit::handle_disconnect_notice(RankId src, fabric::Qpn notice_qpn) {
       // evict_connection may still be sending its notice; retire the QP
       // here so the peer slot is clean before any reconnect starts.
       // reclaim_retired waits for that in-flight notice to complete.
-      retire_qp(p);
-      set_phase(src, p, Peer::Phase::kIdle);
-      if (p.drained) p.drained->open();
-      reclaim_retired(p);
+      resolve_drain(p);
       return;
     case Peer::Phase::kRequesting:
     case Peer::Phase::kEstablishing:
@@ -611,12 +606,7 @@ void Conduit::handle_disconnect_notice(RankId src, fabric::Qpn notice_qpn) {
 
 void Conduit::handle_disconnect_ack(RankId src) {
   Peer& p = peer(src);
-  if (p.phase == Peer::Phase::kDraining) {
-    retire_qp(p);  // usually a no-op: evict_connection retired it
-    set_phase(src, p, Peer::Phase::kIdle);
-    if (p.drained) p.drained->open();
-    reclaim_retired(p);
-  }
+  if (p.phase == Peer::Phase::kDraining) resolve_drain(p);
 }
 
 // ---- static (baseline) connector ----

@@ -20,19 +20,8 @@
 
 namespace odcm::core {
 
-/// Connection phase of one `(self, peer)` endpoint pair. The legal phase
-/// graph (enforced by `check::InvariantChecker`) is:
-///
-///   kIdle        → kRequesting (client initiates)
-///   kIdle        → kEstablishing (server accepts / self-connect)
-///   kIdle        → kConnected (static connector only)
-///   kRequesting  → kEstablishing (reply received / collision takeover)
-///   kRequesting  → kIdle (handshake failed after retry exhaustion)
-///   kEstablishing→ kConnected
-///   kConnected   → kDraining (active eviction)
-///   kConnected   → kIdle (passive drain on peer's notice)
-///   kDraining    → kIdle (drain ack / symmetric eviction)
-///   kDraining    → kEstablishing (peer's new request doubles as the ack)
+/// Connection phase of one `(self, peer)` endpoint pair. Its legal edges
+/// are the rows of `kPhaseEdges`.
 enum class PeerPhase : std::uint8_t {
   kIdle,
   kRequesting,
@@ -63,6 +52,59 @@ enum class PeerRole : std::uint8_t { kNone, kClient, kServer, kStatic };
     case PeerRole::kStatic: return "Static";
   }
   return "?";
+}
+
+/// One legal edge of the Fig. 4 phase machine.
+struct PhaseEdge {
+  PeerPhase from;
+  PeerPhase to;
+  bool static_only;    ///< Taken only with role kStatic.
+  bool opens_attempt;  ///< Starts a connection attempt (a handshake span).
+  const char* why;
+};
+
+/// The Fig. 4 phase machine: `check::InvariantChecker` rejects any other
+/// edge and `telemetry::ConnectionTimeline` opens a handshake span on the
+/// `opens_attempt` ones.
+inline constexpr PhaseEdge kPhaseEdges[] = {
+    {PeerPhase::kIdle, PeerPhase::kRequesting, false, true,
+     "client initiates"},
+    {PeerPhase::kIdle, PeerPhase::kEstablishing, false, true,
+     "server accepts / self-connect"},
+    {PeerPhase::kIdle, PeerPhase::kConnected, true, true,
+     "static connector only"},
+    {PeerPhase::kRequesting, PeerPhase::kEstablishing, false, false,
+     "reply received / collision takeover"},
+    {PeerPhase::kRequesting, PeerPhase::kIdle, false, false,
+     "handshake failed after retry exhaustion"},
+    {PeerPhase::kEstablishing, PeerPhase::kConnected, false, false,
+     "RC QP at RTS"},
+    {PeerPhase::kConnected, PeerPhase::kDraining, false, false,
+     "active eviction"},
+    {PeerPhase::kConnected, PeerPhase::kIdle, false, false,
+     "passive drain on the peer's notice"},
+    {PeerPhase::kDraining, PeerPhase::kIdle, false, false,
+     "drain ack / symmetric eviction"},
+    {PeerPhase::kDraining, PeerPhase::kEstablishing, false, true,
+     "the peer's new request doubles as the drain ack"},
+};
+
+[[nodiscard]] constexpr bool legal_transition(PeerPhase from, PeerPhase to,
+                                              PeerRole role) noexcept {
+  for (const PhaseEdge& edge : kPhaseEdges) {
+    if (edge.from == from && edge.to == to) {
+      return !edge.static_only || role == PeerRole::kStatic;
+    }
+  }
+  return false;
+}
+
+[[nodiscard]] constexpr bool opens_attempt(PeerPhase from,
+                                           PeerPhase to) noexcept {
+  for (const PhaseEdge& edge : kPhaseEdges) {
+    if (edge.from == from && edge.to == to) return edge.opens_attempt;
+  }
+  return false;
 }
 
 /// One observed protocol step at PE `self` concerning `peer`.

@@ -50,10 +50,4 @@ sim::Time Fabric::transfer_latency(Lid src, Lid dst,
          static_cast<sim::Time>(static_cast<double>(bytes) / kBytesPerNs);
 }
 
-std::uint64_t Fabric::total_qps_created() const {
-  std::uint64_t total = 0;
-  for (const auto& hca : hcas_) total += hca->qps_created();
-  return total;
-}
-
 }  // namespace odcm::fabric

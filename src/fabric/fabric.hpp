@@ -433,9 +433,6 @@ class Fabric {
     return ud_sent_;
   }
 
-  /// Job-wide QP count (diagnostics / Fig 9 aggregation).
-  [[nodiscard]] std::uint64_t total_qps_created() const;
-
  private:
   sim::Engine& engine_;
   FabricConfig config_;

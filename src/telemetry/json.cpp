@@ -18,11 +18,6 @@ namespace {
 
 }  // namespace
 
-bool JsonValue::as_bool() const {
-  if (kind_ != Kind::kBool) type_error("as_bool", kind_);
-  return bool_;
-}
-
 std::int64_t JsonValue::as_int() const {
   if (kind_ != Kind::kInt) type_error("as_int", kind_);
   return int_;

@@ -66,7 +66,6 @@ class JsonValue {
     return kind_ == Kind::kInt || kind_ == Kind::kDouble;
   }
 
-  [[nodiscard]] bool as_bool() const;
   [[nodiscard]] std::int64_t as_int() const;
   /// Numeric value as double (works for both kInt and kDouble).
   [[nodiscard]] double as_double() const;

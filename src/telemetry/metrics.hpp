@@ -121,8 +121,6 @@ class MetricsRegistry : public sim::MetricsSink {
     return histograms_;
   }
 
-  void clear();
-
   /// Full registry export:
   /// {counters:{}, gauges:{}, histograms:{name: summary}}.
   [[nodiscard]] JsonValue to_json() const;

@@ -109,13 +109,7 @@ void ConnectionTimeline::on_event(const ProtocolEvent& event) {
   // the last non-None one so Connected/Draining intervals stay attributed.
   if (event.role != PeerRole::kNone) s.role = event.role;
 
-  const bool entering_handshake =
-      s.phase == PeerPhase::kIdle && (event.to == PeerPhase::kRequesting ||
-                                      event.to == PeerPhase::kEstablishing ||
-                                      event.to == PeerPhase::kConnected);
-  const bool draining_reconnect = s.phase == PeerPhase::kDraining &&
-                                  event.to == PeerPhase::kEstablishing;
-  if ((entering_handshake || draining_reconnect) && s.open_handshake == 0) {
+  if (core::opens_attempt(s.phase, event.to) && s.open_handshake == 0) {
     handshakes_.push_back(Handshake{event.self, event.peer, s.role,
                                     event.time, event.time, false, 0, 0, 0,
                                     0, {}});
