@@ -87,9 +87,11 @@ fi
 echo "==> per-PE state follows touched peers"
 # A PE stores what it learned from the peers it touched; a dense N-sized
 # per-PE table is host memory per PE *pair* (DESIGN.md §5 item 21). Ring
-# mode's UD table and the conduit's peer_slot_ index are the two kept.
+# mode's ud_table_ is the only dense table kept: PMIX_Ring forwards every
+# entry to every PE. The peer index grows with touched peers and the shm
+# peer bitmap spans one node.
 if grep -rnE 'optional<SegmentInfo>>|segments_\.assign\(' src/shmem ||
-    grep -rnF 'ud_table_.resize(' src/core ||
+    grep -rnE 'ud_table_\.resize\(|peer_slot_|shm_peers_\.assign\(' src/core ||
     grep -rnE 'Task<std::vector<std::string>>[[:space:]]*(PmiClient::)?iallgather_wait' \
       src/pmi; then
   echo "ci.sh: a dense per-peer table reappeared; store touched peers" \

@@ -1,5 +1,4 @@
 // Conduit lifecycle, listeners, active messages and the RMA data path.
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -166,7 +165,7 @@ sim::Task<> Conduit::finalize() {
 
   if (bulk_connected_) {
     std::uint64_t materialized = 0;
-    for (const Peer& peer : peer_slots_) {
+    for (const Peer& peer : peers_.slots()) {
       if (peer.qp != nullptr) ++materialized;
     }
     // Aggregate teardown cost of the never-materialized bulk connections,
@@ -341,11 +340,14 @@ fabric::ShmDomain& Conduit::shm_domain() {
 }
 
 void Conduit::mark_shm_peer(RankId dst) {
-  if (shm_peers_.empty()) {
-    shm_peers_.assign(size(), false);
+  // shm routes only within the node, and nodes are contiguous rank blocks.
+  const std::uint32_t per_node = job_.config().ranks_per_node;
+  if (shm_node_peers_.empty()) {
+    shm_node_peers_.resize(per_node);
   }
-  if (!shm_peers_[dst]) {
-    shm_peers_[dst] = true;
+  const std::size_t bit = dst - node_ * per_node;
+  if (!shm_node_peers_[bit]) {
+    shm_node_peers_[bit] = true;
     ++shm_peer_count_;
   }
 }
@@ -609,34 +611,10 @@ sim::Task<fabric::EndpointAddr> Conduit::resolve_ud(RankId dst) {
 
 // ---- accounting ----
 
-Conduit::Peer& Conduit::peer(RankId rank) {
-  if (peer_slot_.empty()) {
-    peer_slot_.assign(size(), kNoPeerSlot);
-  }
-  std::uint32_t& slot = peer_slot_[rank];
-  if (slot == kNoPeerSlot) {
-    slot = static_cast<std::uint32_t>(peer_slots_.size());
-    Peer& p = peer_slots_.emplace_back();
-    p.rank = rank;
-    return p;
-  }
-  return peer_slots_[slot];
-}
-
-std::vector<Conduit::Peer*> Conduit::peers_by_rank() {
-  std::vector<Peer*> peers;
-  peers.reserve(peer_slots_.size());
-  for (Peer& p : peer_slots_) peers.push_back(&p);
-  std::sort(peers.begin(), peers.end(),
-            [](const Peer* a, const Peer* b) { return a->rank < b->rank; });
-  return peers;
-}
+Conduit::Peer& Conduit::peer(RankId rank) { return peers_.get(rank); }
 
 const Conduit::Peer* Conduit::find_peer(RankId rank) const noexcept {
-  if (rank >= peer_slot_.size() || peer_slot_[rank] == kNoPeerSlot) {
-    return nullptr;
-  }
-  return &peer_slots_[peer_slot_[rank]];
+  return peers_.find(rank);
 }
 
 std::uint64_t Conduit::connected_peer_count() const {

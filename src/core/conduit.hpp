@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -39,6 +38,7 @@
 #include "core/config.hpp"
 #include "core/lru.hpp"
 #include "core/observer.hpp"
+#include "core/peer_table.hpp"
 #include "core/wire.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/reg/rkey_table.hpp"
@@ -616,29 +616,25 @@ class Conduit {
   bool finalized_ = false;
 
   fabric::QueuePair* ud_qp_ = nullptr;
-  // Flat indexed peer storage: `peer_slot_` maps a dense RankId to an index
-  // into `peer_slots_` (a deque, so references stay stable across inserts —
-  // `Peer&` is held across co_await throughout the protocol code). The hot
-  // path is one vector load + one deque index instead of a std::map walk;
-  // rank-order walks sort the touched slots instead (`peers_by_rank`).
-  static constexpr std::uint32_t kNoPeerSlot = 0xffffffffu;
-  std::vector<std::uint32_t> peer_slot_{};
-  std::deque<Peer> peer_slots_{};
+  // One slot per touched peer, found through an index that grows with the
+  // touched peers, not with N (core/peer_table.hpp).
+  PeerTable<Peer> peers_{};
   /// Exact count of kConnected peers, maintained by `set_phase`.
   std::uint64_t connected_count_ = 0;
   /// Connected peers ordered by (last_used, rank): O(1) victim selection.
   LruList<Peer> lru_{};
   bool bulk_connected_ = false;  // static bulk model in effect
   std::uint64_t bulk_endpoints_ = 0;
-  /// Distinct peers reached over the shm transport (dense bitmap; sized
+  /// Distinct same-node peers reached over the shm transport: one bit per
+  /// PE of this node, indexed by `dst - node_ * ranks_per_node` (sized
   /// lazily on first shm op).
-  std::vector<bool> shm_peers_{};
+  std::vector<bool> shm_node_peers_{};
   std::uint64_t shm_peer_count_ = 0;
 
   /// Every touched peer slot in ascending rank order (deterministic;
   /// finalize tears connections down in rank order). O(k log k) in the k
   /// touched peers, not O(N).
-  [[nodiscard]] std::vector<Peer*> peers_by_rank();
+  [[nodiscard]] std::vector<Peer*> peers_by_rank() { return peers_.by_rank(); }
   template <typename F>
   void for_each_peer(F&& f) {
     for (Peer* p : peers_by_rank()) f(p->rank, *p);

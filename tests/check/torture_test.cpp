@@ -37,6 +37,14 @@ std::uint32_t sweep(TortureMode mode, std::uint32_t recipes,
   return cases;
 }
 
+TEST(Torture, ModeNamesAreTheCheckSweepSpelling) {
+  EXPECT_STREQ(to_string(TortureMode::kOnDemand), "on-demand");
+  EXPECT_STREQ(to_string(TortureMode::kStatic), "static");
+  EXPECT_STREQ(to_string(TortureMode::kEvictionCapped), "eviction-capped");
+  EXPECT_STREQ(to_string(TortureMode::kShm), "intranode-shm");
+  EXPECT_STREQ(to_string(TortureMode::kMpiHybrid), "mpi-hybrid");
+}
+
 TEST(Torture, OnDemandSweep) {
   EXPECT_EQ(sweep(TortureMode::kOnDemand, FaultPlan::kRecipeCount,
                   /*seeds_per_recipe=*/60, /*seed_base=*/1000),

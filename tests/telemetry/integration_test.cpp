@@ -141,6 +141,55 @@ TEST(TelemetryIntegration, LossyHandshakesCarryRetransmitAnnotations) {
   EXPECT_NE(trace.str().find("\"retransmit\""), std::string::npos);
 }
 
+TEST(TelemetryIntegration, RegAndBulkMarksMatchConduitCounters) {
+  // On-demand registration with the size tiers on: every first touch of a
+  // remote chunk sends an rkey fault, and every transfer above the
+  // rendezvous threshold opens with an RTS. The timeline's point marks
+  // must agree with the counters the conduits keep themselves.
+  constexpr std::uint32_t kRanks = 4;
+  shmem::ShmemJobConfig config = hello_config();
+  config.job.ranks = kRanks;
+  config.job.ranks_per_node = 1;
+  config.job.conduit.eager_threshold = 512;
+  config.job.conduit.rendezvous_threshold = 4096;
+  config.job.conduit.bulk_chunk_bytes = 512;
+  config.shmem.registration = shmem::RegistrationMode::kOnDemand;
+  config.shmem.reg_chunk_bytes = 8192;
+  sim::Engine engine;
+  shmem::ShmemJob job(engine, config);
+  Telemetry tel;
+  tel.attach(job.conduit_job());
+  job.run([](shmem::ShmemPe& pe) -> sim::Task<> {
+    co_await pe.start_pes();
+    const shmem::SymAddr dst = pe.heap().allocate(16 << 10);
+    co_await pe.barrier_all();
+    const fabric::RankId right = (pe.rank() + 1) % pe.n_pes();
+    for (std::size_t len : {64u, 2048u, 16384u}) {
+      co_await pe.put(right, dst, std::vector<std::byte>(len));
+    }
+    co_await pe.barrier_all();
+  });
+  tel.finish(engine.now());
+
+  std::int64_t faults = 0;
+  std::int64_t rts = 0;
+  for (const auto& mark : tel.timeline().reg_marks()) {
+    if (mark.kind == core::ProtocolEvent::Kind::kRegFault) ++faults;
+  }
+  for (const auto& mark : tel.timeline().bulk_marks()) {
+    if (mark.kind == core::ProtocolEvent::Kind::kRtsIssued) ++rts;
+  }
+  const sim::StatSet totals = job.conduit_job().aggregate_stats();
+  EXPECT_FALSE(tel.timeline().reg_marks().empty());
+  EXPECT_FALSE(tel.timeline().bulk_marks().empty());
+  EXPECT_GT(faults, 0);
+  EXPECT_EQ(faults, totals.counter("reg_rkey_misses"));
+  EXPECT_EQ(rts, kRanks);  // one rendezvous-sized put per PE
+  EXPECT_EQ(rts, totals.counter("bulk_tier_rendezvous"));
+  EXPECT_EQ(tel.metrics().counter("reg/faults"), faults);
+  EXPECT_EQ(tel.metrics().counter("bulk/rts"), rts);
+}
+
 TEST(BenchReport, EmitterOutputValidates) {
   RunResult run = run_hello(true);
   JsonValue doc = JsonValue::parse(run.bench_json);
