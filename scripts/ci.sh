@@ -86,12 +86,13 @@ fi
 
 echo "==> per-PE state follows touched peers"
 # A PE stores what it learned from the peers it touched; a dense N-sized
-# per-PE table is host memory per PE *pair* (DESIGN.md §5 item 21). Ring
-# mode's ud_table_ is the only dense table kept: PMIX_Ring forwards every
-# entry to every PE. The peer index grows with touched peers and the shm
-# peer bitmap spans one node.
+# per-PE table is host memory per PE *pair* (DESIGN.md §5 item 21). No
+# dense table is kept: ring and non-blocking PMI modes read the round's one
+# shared endpoint table in place (a ring hop only checks its entry against
+# it), the peer index grows with touched peers and the shm peer bitmap
+# spans one node.
 if grep -rnE 'optional<SegmentInfo>>|segments_\.assign\(' src/shmem ||
-    grep -rnE 'ud_table_\.resize\(|peer_slot_|shm_peers_\.assign\(' src/core ||
+    grep -rnE 'ud_table_|RingEntry|peer_slot_|shm_peers_\.assign\(' src/core ||
     grep -rnE 'Task<std::vector<std::string>>[[:space:]]*(PmiClient::)?iallgather_wait' \
       src/pmi; then
   echo "ci.sh: a dense per-peer table reappeared; store touched peers" \

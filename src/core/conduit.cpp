@@ -1,4 +1,5 @@
 // Conduit lifecycle, listeners, active messages and the RMA data path.
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -45,6 +46,11 @@ const sim::StatId kTierCounter[] = {sim::stat_id("bulk_tier_eager"),
 /// invalidation beats the CTS on every attempt — retrying forever would
 /// livelock. The pipelined tier pins one chunk at a time and always fits.
 constexpr int kRdvMaxRetries = 4;
+
+/// A PMI value's bytes as a ring hop carries them.
+std::span<const std::byte> value_bytes(const std::string& value) {
+  return std::as_bytes(std::span(value));
+}
 }  // namespace
 
 fabric::WorkRequest work_request(const RmaOp& op, std::uint64_t offset,
@@ -91,7 +97,6 @@ sim::Task<> Conduit::init() {
   }
   listeners_done_ = std::make_unique<sim::JoinCounter>(engine());
   listeners_done_->add();
-  ++listener_count_;
   engine().spawn(srq_listener());
 
   if (config().connection_mode == ConnectionMode::kOnDemand) {
@@ -102,7 +107,6 @@ sim::Task<> Conduit::init() {
       stats_.add("qp_created_ud");
     }
     listeners_done_->add();
-    ++listener_count_;
     engine().spawn(ud_listener());
     {
       sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");
@@ -125,8 +129,8 @@ sim::Task<> Conduit::finalize() {
   // Ring bootstrap must finish before receive queues close: every PE's
   // table completes with exactly the messages already in flight, so no PE
   // closes a queue another PE's ring task still needs.
-  if (config().pmi_mode == PmiMode::kRing && ud_table_gate_) {
-    co_await ud_table_gate_->wait();
+  if (config().pmi_mode == PmiMode::kRing && ud_gate_) {
+    co_await ud_gate_->wait();
   }
 
   // Stop listeners first: close the receive queues, let the loops drain and
@@ -257,13 +261,17 @@ sim::Task<> Conduit::dispatch_am(AmPacket packet, fabric::Qpn src_qpn) {
     case kDisconnectAckHandler:
       handle_disconnect_ack(packet.src_rank);
       co_return;
-    case kRingEntryHandler: {
-      wire::Reader reader(packet.payload);
-      RingEntry entry;
-      entry.rank = reader.read_int<std::uint32_t>();
-      entry.addr.lid = reader.read_int<std::uint16_t>();
-      entry.addr.qpn = reader.read_int<std::uint32_t>();
-      ring_entries_->push(entry);
+    case kRingHopHandler: {
+      // A forwarded ring entry: a rank, then its published endpoint bytes.
+      // PEs read endpoints from the shared table; a hop must agree with it.
+      const RankId entry = wire::Reader(packet.payload).read_int<RankId>();
+      const std::span<const std::byte> addr =
+          std::span<const std::byte>(packet.payload).subspan(sizeof(entry));
+      if (!ud_values_ || entry >= size() ||
+          !std::ranges::equal(addr, value_bytes((*ud_values_)[entry]))) {
+        throw std::logic_error("Conduit: ring hop disagrees with PMI table");
+      }
+      ring_arrivals_->push(entry);
       co_return;
     }
     case kRendezvousHandler:  // rendezvous RTS/CTS/FIN (large messages)
@@ -492,11 +500,17 @@ sim::Task<fabric::Completion> Conduit::rma(RankId dst, RmaOp op) {
       const std::uint32_t seq = ++rdv_seq_;
       std::vector<RdvRange> ranges{
           RdvRange{op.raddr + offset, grant.len, grant.rkey}};
-      co_await stream_fragments(
-          dst, is_get, seq, std::move(ranges),
-          is_get ? std::span<const std::byte>{}
-                 : op.src.subspan(offset, grant.len),
-          is_get ? op.dest.subspan(offset, grant.len) : std::span<std::byte>{});
+      // Only the transfer's own direction has bytes to slice: a put's
+      // `dest` and a get's `src` are empty.
+      std::span<const std::byte> src_data;
+      std::span<std::byte> dest_data;
+      if (is_get) {
+        dest_data = op.dest.subspan(offset, grant.len);
+      } else {
+        src_data = op.src.subspan(offset, grant.len);
+      }
+      co_await stream_fragments(dst, is_get, seq, std::move(ranges), src_data,
+                                dest_data);
     } else {
       stats_.add(kRmaCounter[kind_index(op.kind)]);
       notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
@@ -521,7 +535,7 @@ void Conduit::report_rkey_used(RankId dst, const RkeyGrant& grant) {
   }
 }
 
-// ---- PMI endpoint publication ----
+// ---- PMI endpoint exchange ----
 
 sim::Task<> Conduit::publish_ud_endpoint() {
   std::string value = encode_endpoint(ud_qp_->addr());
@@ -531,14 +545,10 @@ sim::Task<> Conduit::publish_ud_endpoint() {
     co_await pmi().fence();
   } else if (config().pmi_mode == PmiMode::kRing) {
     // PMIX_Ring bootstrap: constant-cost out-of-band exchange of the ring
-    // neighbors' endpoints, then the full table travels over InfiniBand.
-    auto [left, right] = co_await pmi().ring(std::move(value));
-    ud_table_.assign(size(), std::nullopt);
-    ud_table_[rank_] = ud_qp_->addr();
-    ud_table_[(rank_ + size() - 1) % size()] = decode_endpoint(left);
-    ud_table_[(rank_ + 1) % size()] = decode_endpoint(right);
-    ud_table_gate_ = std::make_unique<sim::Gate>(engine());
-    ring_entries_ = std::make_unique<sim::Mailbox<RingEntry>>(engine());
+    // neighbors' endpoints, then the rest travels over InfiniBand.
+    ud_values_ = co_await pmi().ring(std::move(value));
+    ud_gate_ = std::make_unique<sim::Gate>(engine());
+    ring_arrivals_ = std::make_unique<sim::Mailbox<RankId>>(engine());
     engine().spawn(ring_distribute());
   } else {
     // PMIX_Iallgather: launched here, waited on at first communication
@@ -551,62 +561,72 @@ sim::Task<> Conduit::ring_distribute() {
   const std::uint32_t n = size();
   if (n <= 2) {
     // Neighbors cover the whole job already.
-    ud_table_gate_->open();
+    ud_gate_->open();
     co_return;
   }
   RankId right = (rank_ + 1) % n;
-  RingEntry current{rank_, *ud_table_[rank_]};
+  RankId current = rank_;
   for (std::uint32_t step = 0; step + 1 < n; ++step) {
     std::vector<std::byte> payload;
-    wire::put_int<std::uint32_t>(payload, current.rank);
-    wire::put_int<std::uint16_t>(payload, current.addr.lid);
-    wire::put_int<std::uint32_t>(payload, current.addr.qpn);
-    co_await am_send(right, kRingEntryHandler, std::move(payload));
-    current = co_await ring_entries_->pop();
-    ud_table_[current.rank] = current.addr;
+    wire::put_int<std::uint32_t>(payload, current);
+    wire::put_bytes(payload, value_bytes((*ud_values_)[current]));
+    co_await am_send(right, kRingHopHandler, std::move(payload));
+    current = co_await ring_arrivals_->pop();
+    // Entries arrive in ring order; `ud_reached` counts on it.
+    if (current != (rank_ + n - 1 - ring_hops_) % n) {
+      throw std::logic_error("Conduit: ring hop out of order");
+    }
+    ++ring_hops_;
   }
   stats_.add("ring_bootstrap_hops", n - 1);
-  ud_table_gate_->open();
+  ud_gate_->open();
+}
+
+bool Conduit::ud_reached(RankId dst) const {
+  if (!ud_values_) return false;
+  if (config().pmi_mode != PmiMode::kRing) return true;
+  // Ring: this PE's own entry (0 behind), its PMI neighbors' (1 and n-1
+  // behind), and those forwarded from the left so far (1 … hops behind).
+  const std::uint32_t n = size();
+  const std::uint32_t behind = (rank_ + n - dst) % n;
+  return behind <= std::max(ring_hops_, 1u) || behind == n - 1;
 }
 
 sim::Task<fabric::EndpointAddr> Conduit::resolve_ud(RankId dst) {
-  switch (config().pmi_mode) {
-    case PmiMode::kRing:
-      if (!ud_table_[dst]) {
-        // The ring dissemination fills the table in the background; wait
-        // for completion (first-communication semantics, like PMIX_Wait).
-        sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
-        co_await ud_table_gate_->wait();
-      }
-      co_return *ud_table_[dst];
-    case PmiMode::kNonBlocking:
-      if (!ud_values_) {
-        // The first resolution waits for the round; concurrent ones wait
-        // for it. Every PE of the job then reads the same shared table.
-        sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
-        if (ud_table_gate_) {
-          co_await ud_table_gate_->wait();
-        } else {
-          ud_table_gate_ = std::make_unique<sim::Gate>(engine());
-          ud_values_ = co_await pmi().iallgather_wait(*ud_ticket_);
-          ud_table_gate_->open();
-        }
-      }
-      co_return decode_endpoint((*ud_values_)[dst]);
-    case PmiMode::kBlocking:
-      break;
-  }
-  // One PMI get per peer, cached in the peer's slot.
-  Peer& p = peer(dst);
-  if (!p.ud_addr) {
-    sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
-    auto value = co_await pmi().get(kUdKeyPrefix + std::to_string(dst));
-    if (!value) {
-      throw std::runtime_error("Conduit::resolve_ud: endpoint not published");
+  if (config().pmi_mode == PmiMode::kBlocking) {
+    // One PMI get per peer, cached in the peer's slot.
+    Peer& p = peer(dst);
+    if (!p.ud_addr) {
+      sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
+      const std::string value =
+          co_await published(kUdKeyPrefix + std::to_string(dst));
+      p.ud_addr = decode_endpoint(value);
     }
-    p.ud_addr = decode_endpoint(*value);
+    co_return *p.ud_addr;
   }
-  co_return *p.ud_addr;
+  if (!ud_reached(dst)) {
+    // First-communication semantics, like PMIX_Wait: wait for the ring's
+    // dissemination, or for the iallgather round (the first resolution
+    // waits for it, concurrent ones for the first). Every PE of the job
+    // then reads the same shared table.
+    sim::PhaseTimer timer(engine(), &stats_, "pmi_wait");
+    if (ud_gate_) {
+      co_await ud_gate_->wait();
+    } else {
+      ud_gate_ = std::make_unique<sim::Gate>(engine());
+      ud_values_ = co_await pmi().iallgather_wait(*ud_ticket_);
+      ud_gate_->open();
+    }
+  }
+  co_return decode_endpoint((*ud_values_)[dst]);
+}
+
+sim::Task<std::string> Conduit::published(std::string key) {
+  std::optional<std::string> value = co_await pmi().get(key);
+  if (!value) {
+    throw std::runtime_error("Conduit: " + key + " not published");
+  }
+  co_return std::move(*value);
 }
 
 // ---- accounting ----

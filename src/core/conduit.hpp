@@ -79,7 +79,7 @@ inline constexpr std::uint16_t kBarrierArriveHandler = 0;
 inline constexpr std::uint16_t kBarrierReleaseHandler = 1;
 inline constexpr std::uint16_t kDisconnectNoticeHandler = 2;
 inline constexpr std::uint16_t kDisconnectAckHandler = 3;
-inline constexpr std::uint16_t kRingEntryHandler = 4;   ///< ring bootstrap
+inline constexpr std::uint16_t kRingHopHandler = 4;     ///< ring bootstrap
 inline constexpr std::uint16_t kRendezvousHandler = 5;  ///< RTS/CTS/FIN
 
 /// Which data path a transfer of a given size takes (DESIGN.md §5.17).
@@ -463,16 +463,17 @@ class Conduit {
                             std::vector<std::byte> payload);
   static void open_established(sim::Engine& engine, Peer& peer);
 
-  // UD endpoint resolution through PMI.
+  // UD endpoint exchange through PMI: publish this PE's endpoint, read a
+  // peer's the first time a connection to it is made.
   sim::Task<> publish_ud_endpoint();
   sim::Task<fabric::EndpointAddr> resolve_ud(RankId dst);
-  /// Ring bootstrap: forward the UD endpoint table around the IB ring
-  /// (N-1 hops over the RC connection to the right neighbor).
+  /// True once `dst`'s entry of the shared table has reached this PE.
+  [[nodiscard]] bool ud_reached(RankId dst) const;
+  /// Ring bootstrap: forward the endpoint table around the IB ring (N-1
+  /// hops over the RC connection to the right neighbor).
   sim::Task<> ring_distribute();
-  struct RingEntry {
-    RankId rank;
-    fabric::EndpointAddr addr;
-  };
+  /// The value PMI published under `key`; throws if there is none.
+  sim::Task<std::string> published(std::string key);
 
   // Adaptive connection management (eviction).
   [[nodiscard]] std::uint64_t active_connection_count() const {
@@ -644,17 +645,18 @@ class Conduit {
   PayloadConsumer payload_consumer_{};
   std::unique_ptr<sim::Gate> ready_gate_{};
 
-  // UD endpoint resolution. Ring mode keeps a dense per-PE table: PMIX_Ring
-  // really forwards every entry to every PE over IB. Non-blocking mode reads
-  // the PMI round's one shared table; blocking mode caches each get in the
+  // UD endpoint resolution. Ring and non-blocking modes read the PMI
+  // round's one shared table in place; blocking mode caches each get in the
   // peer's slot (`Peer::ud_addr`).
-  std::vector<std::optional<fabric::EndpointAddr>> ud_table_{};
-  std::shared_ptr<const std::vector<std::string>> ud_values_{};
+  pmi::SharedTable ud_values_{};
   std::optional<pmi::CollectiveTicket> ud_ticket_{};
-  /// Ring: opened when the table is complete. Non-blocking: created by the
-  /// first resolution, opened when the shared table arrived.
-  std::unique_ptr<sim::Gate> ud_table_gate_{};
-  std::unique_ptr<sim::Mailbox<RingEntry>> ring_entries_{};
+  /// Ring: opened when every entry has reached this PE. Non-blocking:
+  /// created by the first resolution, opened when the shared table arrived.
+  std::unique_ptr<sim::Gate> ud_gate_{};
+  /// Ring: ranks whose entries arrived from the left neighbor, in order,
+  /// and how many of them the ring task has taken (rank-1 … rank-hops).
+  std::unique_ptr<sim::Mailbox<RankId>> ring_arrivals_{};
+  std::uint32_t ring_hops_ = 0;
 
   // Flat handler table indexed by handler id (ids are small and dense);
   // dispatch is a bounds check + vector load instead of a map lookup.
@@ -668,7 +670,6 @@ class Conduit {
   std::map<std::uint32_t, std::unique_ptr<BarrierRound>> barrier_rounds_{};
 
   std::unique_ptr<sim::JoinCounter> listeners_done_{};
-  std::uint32_t listener_count_ = 0;
   std::uint64_t pending_evictions_ = 0;
   std::unique_ptr<sim::Trigger> evictions_settled_{};
 

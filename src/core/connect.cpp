@@ -1,6 +1,7 @@
 // Connection establishment: the on-demand two-phase UD handshake (Fig. 4)
 // with retransmission, duplicate suppression and collision resolution, plus
 // the baseline static all-to-all connector and its bulk aggregate model.
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -8,6 +9,25 @@
 #include "core/conduit.hpp"
 
 namespace odcm::core {
+
+namespace {
+constexpr const char* kRcKeyPrefix = "odcm-rc:";
+
+// The static connector's PMI row: the `encode_endpoint` layout of the
+// publisher's lid and its QPN toward rank 0, then its QPNs toward ranks
+// 1 … n-1.
+constexpr std::size_t rc_row_bytes(std::uint32_t ranks) {
+  return sizeof(fabric::Lid) + sizeof(fabric::Qpn) * std::size_t{ranks};
+}
+
+/// The endpoint a row's publisher created for rank `column`.
+fabric::EndpointAddr rc_row_entry(const std::string& row, RankId column) {
+  fabric::EndpointAddr addr;
+  std::memcpy(&addr.lid, row.data(), sizeof(addr.lid));
+  std::memcpy(&addr.qpn, row.data() + rc_row_bytes(column), sizeof(addr.qpn));
+  return addr;
+}
+}  // namespace
 
 void Conduit::notify(ProtocolEvent event) {
   if (job_.observers_.empty()) return;
@@ -621,41 +641,31 @@ sim::Task<> Conduit::static_connect_all() {
     }
   }
 
-  // Publish <lid, qpn[0..n)> and fetch every peer's table.
+  // Publish this PE's row and read, from every peer's row, the endpoint
+  // that peer created for this PE.
   std::vector<fabric::EndpointAddr> remote(n);
   {
     sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");
-    std::string value(2 + 4 * static_cast<std::size_t>(n), '\0');
-    fabric::Lid lid = hca().lid();
-    std::memcpy(value.data(), &lid, 2);
-    for (RankId r = 0; r < n; ++r) {
-      fabric::Qpn qpn = qps[r]->qpn();
-      std::memcpy(value.data() + 2 + 4 * static_cast<std::size_t>(r), &qpn,
-                  4);
+    std::string value = encode_endpoint({hca().lid(), qps[0]->qpn()});
+    for (RankId r = 1; r < n; ++r) {
+      const fabric::Qpn qpn = qps[r]->qpn();
+      value.append(reinterpret_cast<const char*>(&qpn), sizeof(qpn));
     }
     if (config().pmi_mode == PmiMode::kNonBlocking) {
       pmi::CollectiveTicket ticket = pmi().iallgather_start(std::move(value));
       // Read each peer's row in place from the round's shared table.
-      const std::shared_ptr<const std::vector<std::string>> values =
-          co_await pmi().iallgather_wait(ticket);
+      const pmi::SharedTable values = co_await pmi().iallgather_wait(ticket);
       for (RankId r = 0; r < n; ++r) {
-        const std::string& row = (*values)[r];
-        std::memcpy(&remote[r].lid, row.data(), 2);
-        std::memcpy(&remote[r].qpn,
-                    row.data() + 2 + 4 * static_cast<std::size_t>(rank_), 4);
+        remote[r] = rc_row_entry((*values)[r], rank_);
       }
     } else {
-      co_await pmi().put("odcm-rc:" + std::to_string(rank_), std::move(value));
+      co_await pmi().put(kRcKeyPrefix + std::to_string(rank_),
+                         std::move(value));
       co_await pmi().fence();
       for (RankId r = 0; r < n; ++r) {
-        auto peer_value = co_await pmi().get("odcm-rc:" + std::to_string(r));
-        if (!peer_value) {
-          throw std::runtime_error("static connect: missing peer table");
-        }
-        std::memcpy(&remote[r].lid, peer_value->data(), 2);
-        std::memcpy(
-            &remote[r].qpn,
-            peer_value->data() + 2 + 4 * static_cast<std::size_t>(rank_), 4);
+        const std::string row =
+            co_await published(kRcKeyPrefix + std::to_string(r));
+        remote[r] = rc_row_entry(row, rank_);
       }
     }
   }
@@ -682,14 +692,15 @@ sim::Task<> Conduit::static_connect_bulk() {
   }
   {
     sim::PhaseTimer timer(engine(), &stats_, "pmi_exchange");
-    std::string value(2 + 4 * static_cast<std::size_t>(n), 'q');
+    std::string value(rc_row_bytes(n), 'q');
     if (config().pmi_mode == PmiMode::kNonBlocking) {
       pmi::CollectiveTicket ticket = pmi().iallgather_start(std::move(value));
       (void)co_await pmi().iallgather_wait(ticket);
     } else {
       // The row moves into the KVS: no PE keeps a copy across the fence.
       const std::uint64_t value_bytes = value.size();
-      co_await pmi().put("odcm-rc:" + std::to_string(rank_), std::move(value));
+      co_await pmi().put(kRcKeyPrefix + std::to_string(rank_),
+                         std::move(value));
       co_await pmi().fence();
       co_await pmi().charge_gets(n, value_bytes);
     }

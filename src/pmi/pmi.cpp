@@ -17,6 +17,11 @@ void count(sim::MetricsSink* sink, std::string_view name,
   if (sink != nullptr) sink->on_counter(name, delta);
 }
 
+/// Client <-> daemon transfer time of `bytes` over local IPC.
+sim::Time ipc_time(std::uint64_t bytes) {
+  return static_cast<sim::Time>(static_cast<double>(bytes) / kIpcBytesPerNs);
+}
+
 }  // namespace
 
 JobManager::JobManager(sim::Engine& engine, std::uint32_t ranks,
@@ -83,61 +88,27 @@ sim::Time JobManager::allgather_cost(std::uint64_t bytes,
   return 2 * depth * kOobLatency + wire + entries * kAllgatherPerEntry;
 }
 
-JobManager::Round& JobManager::fence_round(std::uint32_t index) {
-  while (fence_rounds_.size() <= index) {
-    fence_rounds_.push_back(std::make_unique<Round>(engine_));
+JobManager::Round& JobManager::round_at(Collective kind,
+                                       std::uint32_t index) {
+  auto& rounds = rounds_[kind];
+  while (rounds.size() <= index) {
+    rounds.push_back(std::make_unique<Round>(engine_));
   }
-  return *fence_rounds_[index];
+  return *rounds[index];
 }
 
-JobManager::Round& JobManager::ring_round(std::uint32_t index) {
-  while (ring_rounds_.size() <= index) {
-    auto round = std::make_unique<Round>(engine_);
-    round->values.resize(ranks_);
-    ring_rounds_.push_back(std::move(round));
+bool JobManager::arrive(Collective kind, Round& round) {
+  if (round.arrived == ranks_) {
+    static constexpr const char* kName[] = {"fence", "allgather", "ring"};
+    throw std::logic_error(std::string("JobManager: ") + kName[kind] +
+                           " round already completed");
   }
-  return *ring_rounds_[index];
-}
-
-void JobManager::arrive_ring(std::uint32_t index, RankId rank,
-                             std::string value) {
-  Round& round = ring_round(index);
-  if (round.completed) {
-    throw std::logic_error("JobManager: ring round already completed");
-  }
-  round.values[rank] = std::move(value);
-  if (++round.arrived < ranks_) {
-    return;
-  }
-  // Constant per-rank data movement: the ring exchange costs one daemon
-  // tree traversal plus per-hop neighbor delivery, independent of N.
-  std::uint64_t bytes = 0;
-  for (const auto& contribution : round.values) bytes += contribution.size();
-  oob_bytes_moved_ += bytes;  // each value moves to exactly two neighbors
-  count(metrics_, "pmi/oob_bytes", static_cast<std::int64_t>(bytes));
-  sim::Time cost = 2 * tree_depth() * kOobLatency + 4 * kOobLatency;
-  engine_.schedule_after(cost, [this, index] {
-    Round& round = ring_round(index);
-    round.completed = true;
-    round.gate.open();
-  });
-}
-
-JobManager::Round& JobManager::allgather_round(std::uint32_t index) {
-  while (allgather_rounds_.size() <= index) {
-    auto round = std::make_unique<Round>(engine_);
-    round->values.resize(ranks_);
-    allgather_rounds_.push_back(std::move(round));
-  }
-  return *allgather_rounds_[index];
+  return ++round.arrived == ranks_;
 }
 
 void JobManager::arrive_fence(std::uint32_t index) {
-  Round& round = fence_round(index);
-  if (round.completed) {
-    throw std::logic_error("JobManager: fence round already completed");
-  }
-  if (++round.arrived < ranks_) {
+  Round& round = round_at(kFence, index);
+  if (!arrive(kFence, round)) {
     return;
   }
   // Last arrival: snapshot the staged entries and run the dissemination.
@@ -151,25 +122,21 @@ void JobManager::arrive_fence(std::uint32_t index) {
   count(metrics_, "pmi/oob_bytes",
         static_cast<std::int64_t>(bytes * 2 * tree_depth()));
   engine_.schedule_after(fence_cost(bytes, entries),
-                         [this, index, flushing] {
+                         [this, &round, flushing] {
                            for (auto& [key, value] : *flushing) {
                              visible_[key] = std::move(value);
                            }
-                           Round& round = fence_round(index);
-                           round.completed = true;
                            ++fences_completed_;
                            round.gate.open();
                          });
 }
 
-void JobManager::arrive_allgather(std::uint32_t index, RankId rank,
-                                  std::string value) {
-  Round& round = allgather_round(index);
-  if (round.completed) {
-    throw std::logic_error("JobManager: allgather round already completed");
-  }
+void JobManager::arrive_gather(Collective kind, std::uint32_t index,
+                               RankId rank, std::string value) {
+  Round& round = round_at(kind, index);
+  round.values.resize(ranks_);
   round.values[rank] = std::move(value);
-  if (++round.arrived < ranks_) {
+  if (!arrive(kind, round)) {
     return;
   }
   std::uint64_t bytes = 0;
@@ -177,31 +144,33 @@ void JobManager::arrive_allgather(std::uint32_t index, RankId rank,
   round.bytes = bytes;
   round.table = std::make_shared<const std::vector<std::string>>(
       std::exchange(round.values, {}));
-  oob_bytes_moved_ += bytes * 2 * tree_depth();
-  count(metrics_, "pmi/oob_bytes",
-        static_cast<std::int64_t>(bytes * 2 * tree_depth()));
-  engine_.schedule_after(allgather_cost(bytes, ranks_),
-                         [this, index] {
-                           Round& round = allgather_round(index);
-                           round.completed = true;
-                           round.gate.open();
-                         });
+  // The ring moves each value to exactly its two neighbors: constant
+  // per-rank data movement, one daemon tree traversal plus per-hop neighbor
+  // delivery, independent of N. The allgather disseminates the whole table
+  // through the tree.
+  const bool ring = kind == kRing;
+  const std::uint64_t moved = ring ? bytes : bytes * 2 * tree_depth();
+  oob_bytes_moved_ += moved;
+  count(metrics_, "pmi/oob_bytes", static_cast<std::int64_t>(moved));
+  const sim::Time cost = ring ? (2 * tree_depth() + 4) * kOobLatency
+                              : allgather_cost(bytes, ranks_);
+  engine_.schedule_after(cost, [&round] { round.gate.open(); });
 }
 
 PmiClient::PmiClient(JobManager& manager, RankId rank)
     : manager_(manager), rank_(rank), node_(manager.node_of(rank)) {}
+
+sim::Task<> PmiClient::on_daemon(sim::Time busy) {
+  sim::Time done = manager_.reserve_daemon(node_, busy);
+  co_await manager_.engine().delay(done - manager_.engine().now());
+}
 
 sim::Task<> PmiClient::put(std::string key, std::string value) {
   count(manager_.metrics_, "pmi/puts");
   count(manager_.metrics_, "pmi/put_bytes",
         static_cast<std::int64_t>(key.size() + value.size()));
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/put");
-  auto busy = kPutOverhead +
-              static_cast<sim::Time>(
-                  static_cast<double>(key.size() + value.size()) /
-                  kIpcBytesPerNs);
-  sim::Time done = manager_.reserve_daemon(node_, busy);
-  co_await manager_.engine().delay(done - manager_.engine().now());
+  co_await on_daemon(kPutOverhead + ipc_time(key.size() + value.size()));
   manager_.staged_bytes_ += key.size() + value.size();
   manager_.staged_[std::move(key)] = std::move(value);
 }
@@ -211,28 +180,19 @@ sim::Task<std::optional<std::string>> PmiClient::get(std::string key) {
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/get");
   // The reply size is not known until the lookup; charge for the key on the
   // request and for the value on the reply.
-  sim::Time done = manager_.reserve_daemon(
-      node_, kGetOverhead +
-                 static_cast<sim::Time>(static_cast<double>(key.size()) /
-                                        kIpcBytesPerNs));
-  co_await manager_.engine().delay(done - manager_.engine().now());
+  co_await on_daemon(kGetOverhead + ipc_time(key.size()));
   auto it = manager_.visible_.find(key);
   if (it == manager_.visible_.end()) {
     co_return std::nullopt;
   }
   std::string value = it->second;
-  co_await manager_.engine().delay(static_cast<sim::Time>(
-      static_cast<double>(value.size()) / kIpcBytesPerNs));
+  co_await manager_.engine().delay(ipc_time(value.size()));
   co_return value;
 }
 
 sim::Task<> PmiClient::charge_gets(std::uint64_t count,
                                    std::uint64_t value_bytes) {
-  auto per_get = kGetOverhead +
-                 static_cast<sim::Time>(static_cast<double>(value_bytes) /
-                                        kIpcBytesPerNs);
-  sim::Time done = manager_.reserve_daemon(node_, count * per_get);
-  co_await manager_.engine().delay(done - manager_.engine().now());
+  co_await on_daemon(count * (kGetOverhead + ipc_time(value_bytes)));
 }
 
 sim::Task<> PmiClient::fence() {
@@ -241,50 +201,42 @@ sim::Task<> PmiClient::fence() {
   manager_.arrive_fence(index);
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_,
                        "pmi/fence_wait");
-  co_await manager_.fence_round(index).gate.wait();
+  co_await manager_.round_at(JobManager::kFence, index).gate.wait();
 }
 
 CollectiveTicket PmiClient::iallgather_start(std::string value) {
   std::uint32_t index = next_allgather_++;
   count(manager_.metrics_, "pmi/iallgathers_started");
-  manager_.arrive_allgather(index, rank_, std::move(value));
+  manager_.arrive_gather(JobManager::kAllgather, index, rank_,
+                         std::move(value));
   return CollectiveTicket{index};
 }
 
-sim::Task<std::pair<std::string, std::string>> PmiClient::ring(
-    std::string value) {
+sim::Task<SharedTable> PmiClient::ring(std::string value) {
   std::uint32_t index = next_ring_++;
   count(manager_.metrics_, "pmi/rings");
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_, "pmi/ring");
-  manager_.arrive_ring(index, rank_, std::move(value));
-  JobManager::Round& round = manager_.ring_round(index);
+  manager_.arrive_gather(JobManager::kRing, index, rank_, std::move(value));
+  JobManager::Round& round = manager_.round_at(JobManager::kRing, index);
   co_await round.gate.wait();
+  // Delivery of the two neighbors' entries over local IPC.
+  const std::vector<std::string>& values = *round.table;
   std::uint32_t n = manager_.ranks();
-  RankId left = (rank_ + n - 1) % n;
-  RankId right = (rank_ + 1) % n;
-  std::uint64_t bytes = round.values[left].size() +
-                        round.values[right].size();
-  sim::Time done = manager_.reserve_daemon(
-      node_, kGetOverhead +
-                 static_cast<sim::Time>(static_cast<double>(bytes) /
-                                        kIpcBytesPerNs));
-  co_await manager_.engine().delay(done - manager_.engine().now());
-  co_return std::make_pair(round.values[left], round.values[right]);
+  co_await on_daemon(kGetOverhead +
+                     ipc_time(values[(rank_ + n - 1) % n].size() +
+                              values[(rank_ + 1) % n].size()));
+  co_return round.table;
 }
 
-sim::Task<std::shared_ptr<const std::vector<std::string>>>
-PmiClient::iallgather_wait(CollectiveTicket ticket) {
+sim::Task<SharedTable> PmiClient::iallgather_wait(CollectiveTicket ticket) {
   sim::PhaseTimer span(manager_.engine(), manager_.metrics_,
                        "pmi/iallgather_wait");
-  JobManager::Round& round = manager_.allgather_round(ticket.round);
+  JobManager::Round& round =
+      manager_.round_at(JobManager::kAllgather, ticket.round);
   co_await round.gate.wait();
   // Bulk delivery of the gathered table over local IPC, serialized on the
   // node daemon.
-  sim::Time done = manager_.reserve_daemon(
-      node_, kGetOverhead +
-                 static_cast<sim::Time>(static_cast<double>(round.bytes) /
-                                        kIpcBytesPerNs));
-  co_await manager_.engine().delay(done - manager_.engine().now());
+  co_await on_daemon(kGetOverhead + ipc_time(round.bytes));
   co_return round.table;
 }
 

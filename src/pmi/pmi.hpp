@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -60,6 +59,10 @@ inline constexpr sim::Time kAllgatherPerEntry = 50 * sim::usec;
 inline constexpr std::uint32_t kDaemonTreeFanout = 8;
 
 class PmiClient;
+
+/// A gather round's values, indexed by rank: one immutable table every
+/// rank of the job shares (like an MPI-3 node-shared window).
+using SharedTable = std::shared_ptr<const std::vector<std::string>>;
 
 /// Ticket identifying an outstanding non-blocking collective round.
 struct CollectiveTicket {
@@ -103,17 +106,18 @@ class JobManager {
  private:
   friend class PmiClient;
 
+  /// One collective round. Gather rounds (iallgather, ring) collect one
+  /// value per rank; their last arrival freezes the values into `table`,
+  /// the one immutable copy every client of the round shares.
   struct Round {
     explicit Round(sim::Engine& engine) : gate(engine) {}
     sim::Gate gate;
     std::uint32_t arrived = 0;
-    bool completed = false;
-    std::vector<std::string> values{};  // ring/iallgather, indexed by rank
-    /// Iallgather only: `values`, frozen into one table every waiter shares
-    /// once the last rank arrived, and its total byte count.
-    std::shared_ptr<const std::vector<std::string>> table{};
-    std::uint64_t bytes = 0;
+    std::vector<std::string> values{};  // indexed by rank until frozen
+    SharedTable table{};
+    std::uint64_t bytes = 0;  // total size of `table`'s values
   };
+  enum Collective : std::uint8_t { kFence, kAllgather, kRing };
 
   /// Depth of the k-ary daemon tree.
   [[nodiscard]] std::uint32_t tree_depth() const;
@@ -129,13 +133,14 @@ class JobManager {
   [[nodiscard]] sim::Time allgather_cost(std::uint64_t bytes,
                                          std::uint64_t entries) const;
 
-  Round& fence_round(std::uint32_t index);
-  Round& allgather_round(std::uint32_t index);
-  Round& ring_round(std::uint32_t index);
+  Round& round_at(Collective kind, std::uint32_t index);
+  /// Count one arrival at `round`; true for the last rank of the job.
+  bool arrive(Collective kind, Round& round);
 
   void arrive_fence(std::uint32_t index);
-  void arrive_allgather(std::uint32_t index, RankId rank, std::string value);
-  void arrive_ring(std::uint32_t index, RankId rank, std::string value);
+  /// Contribute `rank`'s value to gather round `index` (iallgather or ring).
+  void arrive_gather(Collective kind, std::uint32_t index, RankId rank,
+                     std::string value);
 
   sim::Engine& engine_;
   std::uint32_t ranks_;
@@ -149,9 +154,7 @@ class JobManager {
   std::map<std::string, std::string> staged_{};
   std::uint64_t staged_bytes_ = 0;
 
-  std::vector<std::unique_ptr<Round>> fence_rounds_{};
-  std::vector<std::unique_ptr<Round>> allgather_rounds_{};
-  std::vector<std::unique_ptr<Round>> ring_rounds_{};
+  std::vector<std::unique_ptr<Round>> rounds_[3]{};  // indexed by Collective
   std::uint32_t fences_completed_ = 0;
   std::uint64_t oob_bytes_moved_ = 0;
   sim::MetricsSink* metrics_ = nullptr;
@@ -189,22 +192,25 @@ class PmiClient {
   /// §III-E). Returns immediately with a ticket.
   [[nodiscard]] CollectiveTicket iallgather_start(std::string value);
 
-  /// PMIX_Wait for an iallgather: returns all ranks' values, indexed by
-  /// rank, as the round's one immutable table (every rank of the job gets
-  /// the same pointer, like an MPI-3 node-shared window). Delivery of the
-  /// result buffer is charged against the node daemon (bulk IPC), which is
-  /// why it is far cheaper than N gets.
-  [[nodiscard]] sim::Task<std::shared_ptr<const std::vector<std::string>>>
-  iallgather_wait(CollectiveTicket ticket);
+  /// PMIX_Wait for an iallgather: returns all ranks' values as the round's
+  /// one shared table. Delivery of the result buffer is charged against
+  /// the node daemon (bulk IPC), which is why it is far cheaper than N
+  /// gets.
+  [[nodiscard]] sim::Task<SharedTable> iallgather_wait(
+      CollectiveTicket ticket);
 
   /// PMIX_Ring (Chakraborty et al., EuroMPI'14 — the authors' prior
   /// extension, paper ref. [16]): collective that hands each rank only its
   /// ring neighbors' values — constant data movement per rank regardless
-  /// of job size. Returns {left = rank-1, right = rank+1} (wrapping).
-  [[nodiscard]] sim::Task<std::pair<std::string, std::string>> ring(
-      std::string value);
+  /// of job size. Returns the round's one immutable table, like
+  /// `iallgather_wait`; a rank is charged for, and may read, only its
+  /// neighbors' entries left = rank-1 and right = rank+1 (wrapping).
+  [[nodiscard]] sim::Task<SharedTable> ring(std::string value);
 
  private:
+  /// Serialize `busy` on this client's node daemon and wait it out.
+  [[nodiscard]] sim::Task<> on_daemon(sim::Time busy);
+
   JobManager& manager_;
   RankId rank_;
   NodeId node_;

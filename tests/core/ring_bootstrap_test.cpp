@@ -2,6 +2,8 @@
 // endpoint table disseminated over the InfiniBand ring.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/conduit.hpp"
@@ -74,6 +76,68 @@ TEST(RingBootstrap, TinyJobs) {
     if (ranks > 1) {
       for (RankId r = 0; r < ranks; ++r) EXPECT_EQ(received[r], 1);
     }
+  }
+}
+
+TEST(RingBootstrap, FirstContactWaitsOnlyForEntriesNotYetForwarded) {
+  // Right after init a PE holds its own endpoint and its two PMI
+  // neighbors'; every other entry arrives one IB hop at a time from the
+  // left. One PE per node, so every send resolves its peer's endpoint.
+  constexpr std::uint32_t kRanks = 8;
+  struct Waited {
+    bool right = true, left = true, far = false;
+  };
+  // Each PE sends to rank - 1, rank + 1, then rank + `far`, recording
+  // after each send whether it has waited for the exchange.
+  auto first_contacts = [](std::uint32_t far) {
+    JobEnv env(small_job(kRanks, 1, ring_design()));
+    std::vector<Waited> waited(kRanks);
+    env.run([&waited, far](Conduit& c) -> sim::Task<> {
+      c.register_handler(
+          20, [](RankId, std::vector<std::byte>) -> sim::Task<> { co_return; });
+      co_await c.init();
+      auto pmi_wait = [&c] { return c.stats().phases().contains("pmi_wait"); };
+      Waited& w = waited[c.rank()];
+      co_await c.am_send((c.rank() + kRanks - 1) % kRanks, 20, {});
+      w.left = pmi_wait();
+      co_await c.am_send((c.rank() + 1) % kRanks, 20, {});
+      w.right = pmi_wait();
+      co_await c.am_send((c.rank() + far) % kRanks, 20, {});
+      w.far = pmi_wait();
+      co_await c.barrier_global();
+    });
+    return waited;
+  };
+  // rank + 4 is four hops away; rank - 2 is the first entry the left
+  // neighbor forwards beyond its own, not yet arrived by then.
+  for (std::uint32_t far : {4u, kRanks - 2}) {
+    std::vector<Waited> waited = first_contacts(far);
+    for (RankId r = 0; r < kRanks; ++r) {
+      EXPECT_FALSE(waited[r].right) << "rank " << r << " far " << far;
+      EXPECT_FALSE(waited[r].left) << "rank " << r << " far " << far;
+      EXPECT_TRUE(waited[r].far) << "rank " << r << " far " << far;
+    }
+  }
+}
+
+TEST(RingBootstrap, HopDisagreeingWithPmiTableThrows) {
+  // A PE reads endpoints from the job's shared table; a forwarded entry
+  // that disagrees with it is a protocol fault, not an endpoint to adopt.
+  JobEnv env(small_job(4, 1, ring_design()));
+  try {
+    env.run([](Conduit& c) -> sim::Task<> {
+      co_await c.init();
+      if (c.rank() == 0) {
+        std::vector<std::byte> forged;
+        wire::put_int<std::uint32_t>(forged, 2);
+        wire::put_bytes(forged, std::vector<std::byte>(6));  // lid 0, qpn 0
+        co_await c.am_send(1, kRingHopHandler, std::move(forged));
+      }
+    });
+    ADD_FAILURE() << "a forged ring hop was accepted";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("disagrees"), std::string::npos)
+        << error.what();
   }
 }
 

@@ -1,6 +1,9 @@
 // Tests for the PMIX_Ring primitive at the PMI layer.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "pmi/pmi.hpp"
 #include "sim/engine.hpp"
 
@@ -21,10 +24,11 @@ TEST(PmixRing, DeliversBothNeighbors) {
   int failures = 0;
   for (RankId rank = 0; rank < kRanks; ++rank) {
     env.engine.spawn([](JobManager& jm, RankId r, int& bad) -> sim::Task<> {
-      auto [left, right] =
-          co_await jm.client(r).ring("v" + std::to_string(r));
+      auto table = co_await jm.client(r).ring("v" + std::to_string(r));
       RankId expect_left = (r + kRanks - 1) % kRanks;
       RankId expect_right = (r + 1) % kRanks;
+      const std::string& left = (*table)[expect_left];
+      const std::string& right = (*table)[expect_right];
       if (left != "v" + std::to_string(expect_left)) ++bad;
       if (right != "v" + std::to_string(expect_right)) ++bad;
     }(*env.manager, rank, failures));
@@ -36,7 +40,9 @@ TEST(PmixRing, DeliversBothNeighbors) {
 TEST(PmixRing, SingleRankSeesItselfBothSides) {
   Env env(1, 1);
   env.engine.spawn([](JobManager& jm) -> sim::Task<> {
-    auto [left, right] = co_await jm.client(0).ring("only");
+    auto table = co_await jm.client(0).ring("only");
+    const std::string& left = (*table)[0];
+    const std::string& right = (*table)[0];
     EXPECT_EQ(left, "only");
     EXPECT_EQ(right, "only");
   }(*env.manager));
@@ -76,13 +82,46 @@ TEST(PmixRing, CostIndependentOfJobSize) {
   EXPECT_LT(static_cast<double>(large), 1.5 * static_cast<double>(small));
 }
 
+TEST(PmixRing, EveryRankSharesOneFrozenTable) {
+  constexpr std::uint32_t kRanks = 5;
+  Env env(kRanks);
+  std::vector<SharedTable> tables(kRanks);
+  std::uint64_t value_bytes = 0;
+  const std::uint64_t before = env.manager->oob_bytes_moved();
+  for (RankId rank = 0; rank < kRanks; ++rank) {
+    std::string value(rank + 1, static_cast<char>('a' + rank));
+    value_bytes += value.size();
+    env.engine.spawn([](JobManager& jm, RankId r, std::string v,
+                        auto& out) -> sim::Task<> {
+      out = co_await jm.client(r).ring(std::move(v));
+    }(*env.manager, rank, std::move(value), tables[rank]));
+  }
+  env.engine.run();
+  EXPECT_EQ(env.manager->oob_bytes_moved() - before, value_bytes);
+  ASSERT_NE(tables[0], nullptr);
+  for (RankId rank = 1; rank < kRanks; ++rank) {
+    EXPECT_EQ(tables[rank].get(), tables[0].get());
+  }
+  ASSERT_EQ(tables[0]->size(), kRanks);
+  for (RankId rank = 0; rank < kRanks; ++rank) {
+    EXPECT_EQ((*tables[0])[rank],
+              std::string(rank + 1, static_cast<char>('a' + rank)));
+  }
+}
+
 TEST(PmixRing, SuccessiveRoundsIndependent) {
   Env env(3, 3);
   int failures = 0;
   for (RankId rank = 0; rank < 3; ++rank) {
     env.engine.spawn([](JobManager& jm, RankId r, int& bad) -> sim::Task<> {
-      auto [l1, r1] = co_await jm.client(r).ring("x" + std::to_string(r));
-      auto [l2, r2] = co_await jm.client(r).ring("y" + std::to_string(r));
+      const RankId left = (r + 2) % 3;
+      const RankId right = (r + 1) % 3;
+      auto first = co_await jm.client(r).ring("x" + std::to_string(r));
+      auto second = co_await jm.client(r).ring("y" + std::to_string(r));
+      const std::string& l1 = (*first)[left];
+      const std::string& r1 = (*first)[right];
+      const std::string& l2 = (*second)[left];
+      const std::string& r2 = (*second)[right];
       if (l1[0] != 'x' || r1[0] != 'x') ++bad;
       if (l2[0] != 'y' || r2[0] != 'y') ++bad;
     }(*env.manager, rank, failures));
