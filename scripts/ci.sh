@@ -177,6 +177,22 @@ if grep -rnE '(StatSet::|void )add\(const std::string&' src; then
     "sim::StatId or the string_view overload" >&2
   exit 1
 fi
+# The engine's queue is its flat 4-ary heap of 24-byte records.
+if grep -rn 'std::priority_queue' src/sim; then
+  echo "ci.sh: src/sim queues events in a std::priority_queue again" >&2
+  exit 1
+fi
+# One buffer per AM (DESIGN.md §5.19): collectives strip headers in place
+# and forward received buffers; am_send frames the caller's vector.
+if grep -n 'read_rest(' src/shmem/collectives.cpp; then
+  echo "ci.sh: a collective copies a received body out with read_rest" >&2
+  exit 1
+fi
+if grep -n 'packet\.encode()' src/core/conduit.cpp; then
+  echo "ci.sh: the conduit copies an AM into a second buffer; use" \
+    "AmPacket::frame" >&2
+  exit 1
+fi
 
 echo "==> bench guard: one definition per figure, in run_all's registry"
 # bench/ builds exactly four tools; a figure/table/ablation binary beside

@@ -23,13 +23,21 @@ const sim::StatId kCreditsReturned = sim::stat_id("credits_returned");
 
 // ---- credit-based flow control ----
 
-sim::Task<CreditLease> Conduit::acquire_credit(RankId dst) {
+CreditLease Conduit::try_credit(RankId dst) {
   if (config().qp_credits == 0 || shm_routes(dst)) {
-    // Flow control disabled (or a connectionless transport): grant at once,
-    // without suspending, a lease whose release is a no-op, so the default
-    // config's event stream is untouched.
-    co_return CreditLease(*this, dst, 0);
+    // Flow control disabled (or a connectionless transport): grant at once
+    // a lease whose release is a no-op, so the default config's event
+    // stream is untouched.
+    return CreditLease(*this, dst, 0);
   }
+  Peer& p = peer(dst);
+  if (p.credit_pool == 0 || p.phase != Peer::Phase::kConnected) return {};
+  --p.credit_pool;
+  return CreditLease(*this, dst, p.credit_epoch);
+}
+
+sim::Task<CreditLease> Conduit::acquire_credit(RankId dst) {
+  if (CreditLease lease = try_credit(dst)) co_return lease;
   Peer& p = peer(dst);
   const std::uint32_t epoch = p.credit_epoch;
   while (p.credit_pool == 0) {

@@ -213,9 +213,11 @@ void Conduit::set_ready() {
 
 sim::Task<> Conduit::ud_listener() {
   // The "connection manager thread" of Fig. 4.
+  sim::Mailbox<fabric::UdDatagram>& recv = ud_qp_->ud_recv();
   while (true) {
-    auto gram = co_await ud_qp_->ud_recv().pop_or_closed();
-    if (!gram) break;
+    co_await recv.ready();
+    auto gram = recv.try_pop();
+    if (!gram) break;  // closed and drained
     co_await engine().delay(kAmHandlerOverhead);
     ConnectPacket packet = ConnectPacket::decode(*gram->payload);
     fabric::EndpointAddr reply_to{gram->src_lid, gram->src_qpn};
@@ -231,36 +233,37 @@ sim::Task<> Conduit::ud_listener() {
 sim::Task<> Conduit::srq_listener() {
   sim::Mailbox<fabric::RcMessage>& srq = hca().srq(rank_);
   while (true) {
-    auto message = co_await srq.pop_or_closed();
-    if (!message) break;
+    co_await srq.ready();
+    auto message = srq.try_pop();
+    if (!message) break;  // closed and drained
     co_await engine().delay(kAmHandlerOverhead);
     // Consume the delivered buffer in place: the AM payload reuses it
     // instead of being copied out (fast-path allocation churn).
-    co_await dispatch_am(AmPacket::decode_consume(std::move(message->payload)),
-                         message->src_qpn);
+    dispatch_am(AmPacket::decode_consume(std::move(message->payload)),
+                message->src_qpn);
   }
   listeners_done_->finish();
 }
 
-sim::Task<> Conduit::dispatch_am(AmPacket packet, fabric::Qpn src_qpn) {
+void Conduit::dispatch_am(AmPacket packet, fabric::Qpn src_qpn) {
   stats_.add(kAmReceived);
   switch (packet.handler) {
     case kBarrierArriveHandler: {
       wire::Reader reader(packet.payload);
       handle_barrier_arrive(packet.src_rank, reader.read_int<std::uint32_t>());
-      co_return;
+      return;
     }
     case kBarrierReleaseHandler: {
       wire::Reader reader(packet.payload);
       handle_barrier_release(reader.read_int<std::uint32_t>());
-      co_return;
+      return;
     }
     case kDisconnectNoticeHandler:  // adaptive connection management
       handle_disconnect_notice(packet.src_rank, src_qpn);
-      co_return;
+      return;
     case kDisconnectAckHandler:
       handle_disconnect_ack(packet.src_rank);
-      co_return;
+      return;
     case kRingHopHandler: {
       // A forwarded ring entry: a rank, then its published endpoint bytes.
       // PEs read endpoints from the shared table; a hop must agree with it.
@@ -272,7 +275,7 @@ sim::Task<> Conduit::dispatch_am(AmPacket packet, fabric::Qpn src_qpn) {
         throw std::logic_error("Conduit: ring hop disagrees with PMI table");
       }
       ring_arrivals_->push(entry);
-      co_return;
+      return;
     }
     case kRendezvousHandler:  // rendezvous RTS/CTS/FIN (large messages)
       // Runs as its own task: the RTS branch may suspend while the sink
@@ -280,7 +283,7 @@ sim::Task<> Conduit::dispatch_am(AmPacket packet, fabric::Qpn src_qpn) {
       // handler like the user-handler spawn below.
       engine().spawn(
           handle_rendezvous(packet.src_rank, std::move(packet.payload)));
-      co_return;
+      return;
     default:
       break;
   }
@@ -314,19 +317,23 @@ sim::Task<> Conduit::am_send(RankId dst, std::uint16_t handler,
   if (shm_routes(dst)) {
     co_return co_await shm_am_send(dst, handler, std::move(payload));
   }
+  AmPacket::frame(payload, handler, rank_);
   while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
+    // A connected peer with a free credit takes neither the connect nor the
+    // credit task: neither would suspend, so no event moves.
+    fabric::QueuePair* qp = ready_qp(dst);
+    if (qp == nullptr) qp = co_await connected_qp(dst);
     // User-level messages consume a flow-control credit; conduit-internal
     // protocol traffic (barrier, disconnect notice/ack, rendezvous RTS/CTS)
     // is exempt so eviction drains and rendezvous handshakes can always
     // make progress even with the data window exhausted.
     CreditLease credit;
     if (handler >= kFirstUserHandler) {
-      credit = co_await acquire_credit(dst);
+      credit = try_credit(dst);
+      if (!credit) credit = co_await acquire_credit(dst);
       if (!credit) continue;  // connection torn down during the stall
     }
-    AmPacket packet{handler, rank_, std::move(payload)};
-    const fabric::Completion wc = co_await qp->send(packet.encode());
+    const fabric::Completion wc = co_await qp->send(std::move(payload));
     credit.release();
     if (!wc.ok()) {
       throw std::runtime_error("Conduit::am_send: send failed");
@@ -370,9 +377,8 @@ sim::Task<> Conduit::shm_export(fabric::AddressSpace& space,
 }
 
 sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
-                                 std::vector<std::byte> payload) {
-  AmPacket packet{handler, rank_, std::move(payload)};
-  std::vector<std::byte> bytes = packet.encode();
+                                 std::vector<std::byte> bytes) {
+  AmPacket::frame(bytes, handler, rank_);
   co_await engine().delay(
       fabric::kShmAmOverhead + fabric::kShmCopyLatency +
       static_cast<sim::Time>(static_cast<double>(bytes.size()) /
@@ -420,7 +426,16 @@ sim::Task<fabric::QueuePair*> Conduit::connected_qp(RankId dst) {
     throw std::out_of_range("Conduit::connected_qp: bad rank");
   }
   co_await ensure_connected(dst);
-  Peer& p = peer(dst);
+  co_return touch_qp(peer(dst));
+}
+
+fabric::QueuePair* Conduit::ready_qp(RankId dst) {
+  Peer* p = peers_.find(dst);
+  if (p == nullptr || p->phase != Peer::Phase::kConnected) return nullptr;
+  return touch_qp(*p);
+}
+
+fabric::QueuePair* Conduit::touch_qp(Peer& p) {
   // Touch the LRU clock; the list keeps its (last_used, rank) order so
   // victim selection stays O(1).
   if (p.in_lru) {
@@ -428,7 +443,7 @@ sim::Task<fabric::QueuePair*> Conduit::connected_qp(RankId dst) {
   } else {
     p.last_used = engine().now();
   }
-  co_return p.qp;
+  return p.qp;
 }
 
 sim::Task<fabric::Completion> Conduit::rma(RankId dst, RmaOp op) {
@@ -482,10 +497,12 @@ sim::Task<fabric::Completion> Conduit::rma(RankId dst, RmaOp op) {
     }
     // 4. Connect, and take the credit of a single RC op (a fragment stream
     //    takes one per fragment instead).
-    fabric::QueuePair* qp = co_await connected_qp(dst);
+    fabric::QueuePair* qp = ready_qp(dst);
+    if (qp == nullptr) qp = co_await connected_qp(dst);
     CreditLease credit;
     while (tier == BulkTier::kEager) {
-      credit = co_await acquire_credit(dst);
+      credit = try_credit(dst);
+      if (!credit) credit = co_await acquire_credit(dst);
       if (credit) break;
       qp = co_await connected_qp(dst);  // torn down during the stall
     }

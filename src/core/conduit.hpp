@@ -506,6 +506,11 @@ class Conduit {
   /// honor a deferred remote drain, else run the eviction policy.
   void after_established(RankId src);
 
+  /// The QP of a connected `dst` with its LRU clock touched, or null when
+  /// `connected_qp` would have to connect first.
+  fabric::QueuePair* ready_qp(RankId dst);
+  fabric::QueuePair* touch_qp(Peer& p);
+
   // Intra-node shm transport internals.
   [[nodiscard]] fabric::ShmDomain& shm_domain();
   /// Deliver an AM to a same-node peer through its SRQ after charging the
@@ -520,6 +525,9 @@ class Conduit {
   /// Report the rkey an RMA is about to use when a lease pins it.
   void report_rkey_used(RankId dst, const RkeyGrant& grant);
 
+  /// One flow-control credit toward `dst` if it can be had without
+  /// suspending, else an empty lease (acquire_credit then decides).
+  [[nodiscard]] CreditLease try_credit(RankId dst);
   /// Acquire one flow-control credit toward `dst`, suspending while the
   /// window is exhausted. The lease is empty when the connection was torn
   /// down during the stall (the caller loops back through `connected_qp`).
@@ -589,7 +597,7 @@ class Conduit {
   /// `src_qpn` is the sender-side QP the message arrived from (0 for
   /// paths that do not track it); the disconnect-notice handler uses it
   /// to tell connection epochs apart.
-  sim::Task<> dispatch_am(AmPacket packet, fabric::Qpn src_qpn);
+  void dispatch_am(AmPacket packet, fabric::Qpn src_qpn);
   void handle_barrier_arrive(RankId src, std::uint32_t round);
   void handle_barrier_release(std::uint32_t round);
   /// The AM-tree leg of barrier_global, on the one collective tree

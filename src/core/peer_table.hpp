@@ -54,6 +54,9 @@ class PeerTable {
     const std::uint32_t slot = buckets_[bucket(rank)];
     return slot == kNoPeerSlot ? nullptr : &slots_[slot];
   }
+  [[nodiscard]] Peer* find(std::uint32_t rank) noexcept {
+    return const_cast<Peer*>(std::as_const(*this).find(rank));
+  }
 
   /// Every slot in first-touch order.
   [[nodiscard]] const std::deque<Peer>& slots() const noexcept {

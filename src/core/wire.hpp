@@ -173,18 +173,24 @@ struct AmPacket {
   fabric::RankId src_rank = 0;
   std::vector<std::byte> payload{};
 
-  void encode_into(std::vector<std::byte>& out) const {
+  /// Frame `payload` as an AM in place: the header is inserted at its
+  /// front. A sender that reserved `kHeaderSize` spare bytes of capacity
+  /// pays no allocation, so one buffer carries the AM from `am_send` to the
+  /// handler.
+  static void frame(std::vector<std::byte>& payload, std::uint16_t handler,
+                    fabric::RankId src_rank) {
     wire::require_encodable(payload.size());
-    out.clear();
-    out.reserve(kHeaderSize + payload.size());
-    wire::put_int<std::uint16_t>(out, handler);
-    wire::put_int<std::uint32_t>(out, src_rank);
-    wire::put_bytes(out, payload);
+    std::byte header[kHeaderSize];
+    std::memcpy(header, &handler, sizeof(handler));
+    std::memcpy(header + sizeof(handler), &src_rank, sizeof(src_rank));
+    payload.insert(payload.begin(), std::begin(header), std::end(header));
   }
 
   [[nodiscard]] std::vector<std::byte> encode() const {
     std::vector<std::byte> out;
-    encode_into(out);
+    out.reserve(kHeaderSize + payload.size());
+    out.assign(payload.begin(), payload.end());
+    frame(out, handler, src_rank);
     return out;
   }
 

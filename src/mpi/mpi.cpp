@@ -56,9 +56,10 @@ void MpiComm::check_rank(RankId peer, const char* what) const {
 sim::Task<> MpiComm::handle_message(RankId src,
                                     std::vector<std::byte> payload,
                                     bool bounce_copy) {
-  core::wire::Reader reader(payload);
-  auto tag = reader.read_int<std::uint64_t>();
-  Arrival arrival{reader.read_rest(), conduit_.engine().now()};
+  const auto tag = core::wire::Reader(payload).read_int<std::uint64_t>();
+  // Strip the tag in place: the body keeps the delivered buffer.
+  payload.erase(payload.begin(), payload.begin() + sizeof(tag));
+  Arrival arrival{std::move(payload), conduit_.engine().now()};
   if (conduit_.config().tiering_enabled()) {
     // Matched now, visible later: after the eager bounce-buffer copy (the
     // cost rendezvous exists to avoid; its bytes landed by RDMA write), and
@@ -95,7 +96,8 @@ void MpiComm::count_matchboxes(std::size_t live_before) {
 sim::Task<> MpiComm::send_tagged(RankId dst, std::uint64_t tag,
                                  std::span<const std::byte> data) {
   std::vector<std::byte> message;
-  message.reserve(8 + data.size());
+  // Room for the AM header too: am_send frames this buffer in place.
+  message.reserve(core::AmPacket::kHeaderSize + 8 + data.size());
   core::wire::put_int<std::uint64_t>(message, tag);
   message.insert(message.end(), data.begin(), data.end());
   const core::ConduitConfig& cfg = conduit_.config();
@@ -232,9 +234,9 @@ sim::Task<> MpiComm::allgather(std::span<const std::byte> block,
     co_await send_tagged(right, tag, message);
 
     std::vector<std::byte> incoming = co_await recv_tagged(left, tag);
-    core::wire::Reader reader(incoming);
-    auto idx = reader.read_int<std::uint32_t>();
-    std::vector<std::byte> data = reader.read_rest();
+    const auto idx = core::wire::Reader(incoming).read_int<std::uint32_t>();
+    const auto data =
+        std::span<const std::byte>(incoming).subspan(sizeof(idx));
     if (idx >= n || data.size() != len) {
       throw std::runtime_error("MpiComm::allgather: bad chunk");
     }

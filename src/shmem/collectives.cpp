@@ -29,27 +29,44 @@ using detail::kAlltoallKind;
 using detail::kCollectKind;
 using detail::kReduceKind;
 
+namespace {
+
+/// Bytes of a collective message's header: the kind and sequence number
+/// that coll_key packed into the key.
+constexpr std::size_t kCollHeaderSize = 1 + 8;
+
+/// Insert the collective header of `key` in front of `message`, in place.
+void put_coll_header(std::vector<std::byte>& message, std::uint64_t key) {
+  const auto kind = static_cast<std::uint8_t>(key >> 56);
+  const std::uint64_t seq = key & ((1ULL << 56) - 1);
+  std::byte header[kCollHeaderSize];
+  std::memcpy(header, &kind, 1);
+  std::memcpy(header + 1, &seq, sizeof(seq));
+  message.insert(message.begin(), std::begin(header), std::end(header));
+}
+
+/// A collective message holding only its header, with room reserved for
+/// `body_len` more bytes and the AM header `am_send` frames it with: the
+/// message is allocated once, here.
+std::vector<std::byte> coll_header(std::uint64_t key, std::size_t body_len) {
+  std::vector<std::byte> out;
+  out.reserve(core::AmPacket::kHeaderSize + kCollHeaderSize + body_len);
+  put_coll_header(out, key);
+  return out;
+}
+
+}  // namespace
+
 sim::Task<> ShmemPe::handle_coll_data(RankId /*src*/,
                                       std::vector<std::byte> payload) {
   core::wire::Reader reader(payload);
   auto kind = reader.read_int<std::uint8_t>();
   auto seq = reader.read_int<std::uint64_t>();
-  coll_matches_.deliver(coll_key(kind, seq), reader.read_rest());
+  // Strip the header in place: the body keeps the delivered buffer.
+  payload.erase(payload.begin(), payload.begin() + kCollHeaderSize);
+  coll_matches_.deliver(coll_key(kind, seq), std::move(payload));
   co_return;
 }
-
-namespace {
-
-/// Wire header of a collective message: the kind and sequence number that
-/// coll_key packed into `key`.
-std::vector<std::byte> coll_header(std::uint64_t key) {
-  std::vector<std::byte> out;
-  core::wire::put_u8(out, static_cast<std::uint8_t>(key >> 56));
-  core::wire::put_int<std::uint64_t>(out, key & ((1ULL << 56) - 1));
-  return out;
-}
-
-}  // namespace
 
 sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
   const std::uint32_t n = n_pes();
@@ -76,38 +93,41 @@ sim::Task<> ShmemPe::tree_broadcast(std::uint64_t key, RankId root,
     std::copy(data.begin(), data.end(), window.begin());
   }
 
-  std::vector<std::byte> message = coll_header(key);
   auto window = local_window(addr, len);
-  message.insert(message.end(), window.begin(), window.end());
   for (std::uint32_t c = 0; c < tree.child_count(); ++c) {
-    co_await conduit_.am_send(tree.child(c), kCollDataHandler, message);
+    std::vector<std::byte> message = coll_header(key, len);
+    message.insert(message.end(), window.begin(), window.end());
+    co_await conduit_.am_send(tree.child(c), kCollDataHandler,
+                              std::move(message));
   }
 }
 
-sim::Task<> ShmemPe::ring_allgather(std::vector<std::byte> current,
+sim::Task<> ShmemPe::ring_allgather(std::span<const std::byte> mine,
                                     RingSlot slot) {
   const std::uint32_t n = n_pes();
   const std::uint64_t key = coll_key(kCollectKind, collect_seq_++);
   const RankId right = (rank_ + 1) % n;
-  std::uint32_t send_idx = rank_;
+  std::vector<std::byte> message =
+      coll_header(key, sizeof(std::uint32_t) + mine.size());
+  core::wire::put_int<std::uint32_t>(message, rank_);
+  message.insert(message.end(), mine.begin(), mine.end());
   for (std::uint32_t step = 0; step + 1 < n; ++step) {
-    std::vector<std::byte> message = coll_header(key);
-    core::wire::put_int<std::uint32_t>(message, send_idx);
-    message.insert(message.end(), current.begin(), current.end());
     co_await conduit_.am_send(right, kCollDataHandler, std::move(message));
 
     // Forward the chunk as received: `src` and `dest` may overlap, so the
-    // slot it lands in is no source for the next step.
-    std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
-    core::wire::Reader reader(incoming);
-    send_idx = reader.read_int<std::uint32_t>();
-    current = reader.read_rest();
-    if (send_idx >= n) throw std::runtime_error("ShmemPe: bad ring index");
-    std::span<std::byte> target = slot(send_idx);
-    if (current.size() != target.size()) {
+    // slot it lands in is no source for the next step. The received buffer
+    // itself, its header restored, is the next step's message.
+    message = co_await coll_matches_.receive(key);
+    const auto idx = core::wire::Reader(message).read_int<std::uint32_t>();
+    if (idx >= n) throw std::runtime_error("ShmemPe: bad ring index");
+    const auto chunk =
+        std::span<const std::byte>(message).subspan(sizeof(idx));
+    std::span<std::byte> target = slot(idx);
+    if (chunk.size() != target.size()) {
       throw std::runtime_error("ShmemPe: bad ring chunk");
     }
-    std::copy(current.begin(), current.end(), target.begin());
+    std::copy(chunk.begin(), chunk.end(), target.begin());
+    put_coll_header(message, key);
   }
 }
 
@@ -118,12 +138,14 @@ sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
     return local_window(dest + static_cast<std::uint64_t>(idx) * block_len,
                         block_len);
   };
-  // Place the local contribution.
+  // Place the local contribution (`src` may already be this PE's slot).
   auto source = local_window(src, block_len);
   auto mine = slot(rank_);
-  std::copy(source.begin(), source.end(), mine.begin());
+  if (source.data() != mine.data()) {
+    std::copy(source.begin(), source.end(), mine.begin());
+  }
   if (n_pes() == 1) co_return;
-  co_await ring_allgather({source.begin(), source.end()}, slot);
+  co_await ring_allgather(source, slot);
 }
 
 sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
@@ -142,7 +164,7 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
                                   sizeof(std::uint32_t));
     };
     auto mine = length_slot(rank_);
-    co_await ring_allgather({mine.begin(), mine.end()}, length_slot);
+    co_await ring_allgather(mine, length_slot);
   }
 
   std::vector<std::uint64_t> offsets(n, 0);
@@ -159,8 +181,7 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
   if (n == 1) co_return;
 
   // Pass 2: ring-allgather the variable-size blocks.
-  auto first = local_window(src, my_len);
-  co_await ring_allgather({first.begin(), first.end()},
+  co_await ring_allgather(local_window(src, my_len),
                           [&](std::uint32_t idx) {
                             return local_window(dest + offsets[idx],
                                                 lengths[idx]);
@@ -185,7 +206,8 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
   // Rotated send order spreads load (classic alltoall schedule).
   for (std::uint32_t offset = 1; offset < n; ++offset) {
     RankId peer = (rank_ + offset) % n;
-    std::vector<std::byte> message = coll_header(key);
+    std::vector<std::byte> message =
+        coll_header(key, sizeof(std::uint32_t) + block_len);
     core::wire::put_int<std::uint32_t>(message, rank_);
     auto block = local_window(
         src + static_cast<std::uint64_t>(peer) * block_len, block_len);
@@ -195,9 +217,9 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
   }
   for (std::uint32_t received = 0; received + 1 < n; ++received) {
     std::vector<std::byte> incoming = co_await coll_matches_.receive(key);
-    core::wire::Reader reader(incoming);
-    auto idx = reader.read_int<std::uint32_t>();
-    std::vector<std::byte> data = reader.read_rest();
+    const auto idx = core::wire::Reader(incoming).read_int<std::uint32_t>();
+    const auto data =
+        std::span<const std::byte>(incoming).subspan(sizeof(idx));
     if (idx >= n || data.size() != block_len) {
       throw std::runtime_error("ShmemPe::alltoall: bad block");
     }
@@ -234,7 +256,7 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
     combine(local_window(dest, bytes), partial, op);
   }
   if (!tree.is_root()) {
-    std::vector<std::byte> message = coll_header(key);
+    std::vector<std::byte> message = coll_header(key, bytes);
     auto acc = local_window(dest, bytes);
     message.insert(message.end(), acc.begin(), acc.end());
     co_await conduit_.am_send(tree.parent(), kCollDataHandler,

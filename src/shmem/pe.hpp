@@ -323,10 +323,11 @@ class ShmemPe : private core::RkeyHook {
                              std::uint64_t len);
   /// Where the ring's chunk from PE `idx` lands; its size is the chunk's.
   using RingSlot = std::function<std::span<std::byte>(std::uint32_t idx)>;
-  /// The one ring allgather (N-1 steps): this PE sends `current`, its own
+  /// The one ring allgather (N-1 steps): this PE sends `mine`, its own
   /// chunk, to the right neighbour, then forwards each chunk it receives
-  /// after copying it into `slot(idx)`.
-  sim::Task<> ring_allgather(std::vector<std::byte> current, RingSlot slot);
+  /// after copying it into `slot(idx)`. `mine` is read before the first
+  /// suspension only.
+  sim::Task<> ring_allgather(std::span<const std::byte> mine, RingSlot slot);
   /// Folds one received partial into the accumulator (combine_span<T>,
   /// the type-erased core of reduce<T>).
   using Combiner = void (*)(std::span<std::byte> acc,

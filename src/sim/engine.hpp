@@ -1,12 +1,13 @@
 // Deterministic discrete-event engine.
 //
-// The engine owns a priority queue of (time, sequence) events and a virtual
+// The engine owns a priority queue of (time, tie) events and a virtual
 // clock. By default events scheduled for the same time fire in insertion
 // order, which makes every simulation run bit-for-bit reproducible.
 // Coroutine tasks suspend by scheduling their own resumption as events (see
 // `delay`, `sync.hpp`). An event is a small trivially copyable record: most
 // carry the coroutine handle to resume; the few real callbacks live in a
-// free-listed closure slab and the event names their slot.
+// free-listed closure slab and the event names their slot. The queue is a
+// flat 4-ary min-heap of these 24-byte records.
 //
 // Schedule perturbation: a `SchedulePolicy` with the seeded-shuffle tie-break
 // dispatches same-time events in a deterministically permuted order instead,
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -83,8 +83,8 @@ class Engine {
   /// (>= now()). Keyed exactly like `schedule_at`, without a closure.
   void schedule_resume(Time t, std::coroutine_handle<> handle) {
     Event event = stamp(t);
-    event.handle = handle;
-    queue_.push(event);
+    event.target = reinterpret_cast<std::uintptr_t>(handle.address());
+    push(event);
   }
 
   /// Schedule `fn` to run `dt` nanoseconds from now.
@@ -140,29 +140,36 @@ class Engine {
  private:
   friend void detail::finish_root(Engine&, std::exception_ptr) noexcept;
 
-  /// A null `handle` marks a closure event whose callable is
-  /// `closures_[slot]`.
+  /// One queued event. `target` is the address of the coroutine frame to
+  /// resume, or `(slot << 1) | 1` for the closure in `closures_[slot]`
+  /// (frames are at least 2-aligned, so the low bit is free).
+  ///
+  /// `(time, tie)` is unique, so it alone fixes the dispatch order and no
+  /// sequence number is stored: in insertion mode `tie` is the sequence
+  /// number itself, and in shuffle mode it is `mix_seeded(seed, seq)`, a
+  /// bijection of the sequence number (see engine.cpp). Jitter moves
+  /// `time` only.
   struct Event {
     Time time;
-    std::uint64_t tie;  ///< seq (insertion) or hash(seed, seq) (shuffle)
-    std::uint64_t seq;
-    std::coroutine_handle<> handle;
-    std::uint32_t slot;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.tie != b.tie) return a.tie > b.tie;
-      return a.seq > b.seq;  // hash-collision backstop: stay deterministic
+    std::uint64_t tie;
+    std::uintptr_t target;
+
+    [[nodiscard]] bool before(const Event& other) const noexcept {
+      return time != other.time ? time < other.time : tie < other.tie;
     }
   };
+  static_assert(sizeof(Event) == 24);
 
   /// Validate `t`, consume one sequence number and apply the policy's
   /// tie-break and jitter: the key of a new event, closure or resume.
   Event stamp(Time t);
+  void push(const Event& event);
+  Event pop();
   void run_loop();
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_{};
+  /// 4-ary min-heap on `Event::before`: the children of `i` are
+  /// `4i + 1 … 4i + 4`.
+  std::vector<Event> heap_{};
   std::vector<std::function<void()>> closures_{};
   std::vector<std::uint32_t> free_slots_{};
   SchedulePolicy policy_{};

@@ -37,6 +37,9 @@ class Gate {
   void open() {
     if (open_) return;
     open_ = true;
+    if (first_) {
+      engine_->schedule_resume(engine_->now(), std::exchange(first_, {}));
+    }
     for (const Waiter& waiter : waiters_) {
       if (waiter.timed != nullptr) {
         if (waiter.timed->fired) continue;
@@ -92,7 +95,7 @@ class Gate {
   /// the next waiter arrives, so a closed gate retried with `wait_for`
   /// holds at most one stale record.
   [[nodiscard]] std::size_t waiter_count() const noexcept {
-    return waiters_.size();
+    return waiters_.size() + (first_ ? 1 : 0);
   }
 
  private:
@@ -113,11 +116,18 @@ class Gate {
             return w.timed != nullptr && w.timed->fired;
           }));
     }
+    if (waiter.timed == nullptr && !first_ && waiters_.empty()) {
+      first_ = waiter.handle;  // the common lone waiter allocates nothing
+      return;
+    }
     if (waiter.timed != nullptr) ++timed_waiters_;
     waiters_.push_back(std::move(waiter));
   }
 
   Engine* engine_;
+  /// The first waiter, when it is a plain `wait()` and nothing waits yet.
+  /// It is the oldest waiter whenever it is set, so it resumes first.
+  std::coroutine_handle<> first_{};
   std::vector<Waiter> waiters_{};
   bool open_ = false;
   /// Records in `waiters_` with `timed` set; shares the padding after
@@ -179,8 +189,9 @@ class Mailbox {
     wake_one();
   }
 
-  /// Close the mailbox: pending and future `pop_or_closed` calls return
-  /// nullopt once the queue drains. Used to shut down listener loops.
+  /// Close the mailbox: pending and future `ready()` waits complete, and a
+  /// consumer stops once the queue drains. Used to shut down listener
+  /// loops.
   void close() {
     closed_ = true;
     while (!waiters_.empty()) wake_one();
@@ -209,19 +220,11 @@ class Mailbox {
     co_return item;
   }
 
-  /// Awaitable pop that also wakes on close(): returns nullopt when the
-  /// mailbox is closed and drained.
-  [[nodiscard]] Task<std::optional<T>> pop_or_closed() {
-    while (items_.empty() && !closed_) {
-      co_await NonEmptyAwaiter{*this};
-    }
-    if (items_.empty()) {
-      co_return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    co_return item;
-  }
+  /// Awaitable: suspend until an item is queued or the mailbox is closed
+  /// (no suspension if either holds already). It takes no coroutine frame.
+  /// A lone consumer pairs it with `try_pop`, which then finds nothing only
+  /// once the mailbox is closed and drained.
+  [[nodiscard]] auto ready() { return NonEmptyAwaiter{*this}; }
 
  private:
   struct NonEmptyAwaiter {
@@ -253,6 +256,10 @@ class Mailbox {
 /// oldest unexpected item, or is posted. Matching is fixed at that moment,
 /// in order, so two receives for one key never race for an item. A key's
 /// entry is erased once both FIFOs drain: O(in-flight) keys are held.
+///
+/// In steady state matching allocates nothing: posted receives are linked
+/// through themselves, and drained entries and item nodes are kept for
+/// reuse (at most the peak number in flight).
 template <typename Key, typename T>
 class MatchTable {
  public:
@@ -262,22 +269,48 @@ class MatchTable {
     explicit Receive(Engine& engine) : done(engine) {}
     Gate done;
     T item{};
+
+   private:
+    friend class MatchTable;
+    Receive* next = nullptr;  ///< the key's posted FIFO
+    /// Set while a shared receive is posted: the table owns it until the
+    /// match, as a posting that drops its handle still matches.
+    std::shared_ptr<Receive> hold{};
   };
 
   explicit MatchTable(Engine& engine) : engine_(&engine) {}
+  MatchTable(const MatchTable&) = delete;
+  MatchTable& operator=(const MatchTable&) = delete;
+  ~MatchTable() {
+    for (auto& kv : entries_) {
+      for (Receive* r = kv.second.posted_head; r != nullptr;) {
+        Receive* next = r->next;
+        r->hold.reset();  // may free r
+        r = next;
+      }
+    }
+  }
 
   /// Keys with a posted receive or an unexpected item.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
   void deliver(const Key& key, T item) {
-    auto it = entries_.try_emplace(key).first;
-    if (it->second.posted.empty()) {
-      it->second.unexpected.push_back(std::move(item));
+    auto it = entry(key);
+    Entry& e = it->second;
+    if (e.posted_head == nullptr) {
+      if (spare_items_.empty()) {
+        e.unexpected.push_back(std::move(item));
+      } else {
+        e.unexpected.splice(e.unexpected.end(), spare_items_,
+                            spare_items_.begin());
+        e.unexpected.back() = std::move(item);
+      }
       return;
     }
-    std::shared_ptr<Receive> receive = std::move(it->second.posted.front());
-    it->second.posted.pop_front();
-    if (it->second.posted.empty()) entries_.erase(it);
+    Receive* receive = e.posted_head;
+    e.posted_head = receive->next;
+    if (e.posted_head == nullptr) release(it);
+    const std::shared_ptr<Receive> hold = std::move(receive->hold);
     receive->item = std::move(item);
     receive->done.open();
   }
@@ -285,36 +318,81 @@ class MatchTable {
   /// Complete `receive` with the oldest unexpected item for `key`, or post
   /// it for the next delivery.
   void post(const Key& key, std::shared_ptr<Receive> receive) {
-    auto it = entries_.try_emplace(key).first;
-    if (it->second.unexpected.empty()) {
-      it->second.posted.push_back(std::move(receive));
-      return;
-    }
-    receive->item = std::move(it->second.unexpected.front());
-    it->second.unexpected.pop_front();
-    if (it->second.unexpected.empty()) entries_.erase(it);
-    receive->done.open();
+    Receive& r = *receive;
+    r.hold = std::move(receive);
+    post(key, r);
+    if (r.done.is_open()) r.hold.reset();
   }
 
   /// Awaitable receive: post, then suspend until matched (not at all if an
-  /// unexpected item is waiting).
-  [[nodiscard]] Task<T> receive(Key key) {
-    auto receive = std::make_shared<Receive>(*engine_);
-    post(key, receive);
-    co_await receive->done.wait();
-    co_return std::move(receive->item);
+  /// unexpected item is waiting). The receive lives in the awaiting frame,
+  /// so that frame must not be destroyed while the receive is posted.
+  [[nodiscard]] auto receive(Key key) {
+    struct Awaiter {
+      MatchTable& table;
+      Key key;
+      Receive receive;
+      bool await_ready() {
+        table.post(key, receive);
+        return receive.done.is_open();
+      }
+      void await_suspend(std::coroutine_handle<> handle) {
+        receive.done.wait().await_suspend(handle);
+      }
+      T await_resume() { return std::move(receive.item); }
+    };
+    return Awaiter{*this, std::move(key), Receive(*engine_)};
   }
 
  private:
-  /// Lists, not deques: an entry often lives for one item, and an empty
-  /// list allocates nothing.
+  /// An empty item list allocates nothing.
   struct Entry {
-    std::list<std::shared_ptr<Receive>> posted;
+    Receive* posted_head = nullptr;
+    Receive* posted_tail = nullptr;
     std::list<T> unexpected;
   };
+  using Entries = std::map<Key, Entry>;
+
+  void post(const Key& key, Receive& receive) {
+    auto it = entry(key);
+    Entry& e = it->second;
+    if (e.unexpected.empty()) {
+      receive.next = nullptr;
+      if (e.posted_head == nullptr) {
+        e.posted_head = &receive;
+      } else {
+        e.posted_tail->next = &receive;
+      }
+      e.posted_tail = &receive;
+      return;
+    }
+    receive.item = std::move(e.unexpected.front());
+    spare_items_.splice(spare_items_.end(), e.unexpected,
+                        e.unexpected.begin());
+    if (e.unexpected.empty()) release(it);
+    receive.done.open();
+  }
+
+  /// The entry of `key`, reusing a drained entry's node when there is one.
+  typename Entries::iterator entry(const Key& key) {
+    auto it = entries_.lower_bound(key);
+    if (it != entries_.end() && !(key < it->first)) return it;
+    if (spare_entries_.empty()) return entries_.emplace_hint(it, key, Entry{});
+    typename Entries::node_type node = std::move(spare_entries_.back());
+    spare_entries_.pop_back();
+    node.key() = key;
+    return entries_.insert(it, std::move(node));
+  }
+
+  /// Erase a drained entry, keeping its node for the next new key.
+  void release(typename Entries::iterator it) {
+    spare_entries_.push_back(entries_.extract(it));
+  }
 
   Engine* engine_;
-  std::map<Key, Entry> entries_{};
+  Entries entries_{};
+  std::vector<typename Entries::node_type> spare_entries_{};
+  std::list<T> spare_items_{};
 };
 
 /// Join helper: counts down as spawned children finish; `wait()` resumes

@@ -53,6 +53,35 @@ TEST(Collect, ZeroLengthContributionsAllowed) {
   }));
 }
 
+TEST(Collect, BackToBackCallsWithUnequalAndEmptyBlocks) {
+  // Both ring passes of each call forward received buffers; consecutive
+  // calls with different block sizes must not see each other's chunks.
+  constexpr std::uint32_t kRanks = 5;
+  JobEnv env(small_job(kRanks, 2));
+  env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
+    SymAddr src = pe.heap().allocate(8 * kRanks);
+    SymAddr dest = pe.heap().allocate(8 * kRanks * kRanks);
+    for (std::uint32_t call = 0; call < 4; ++call) {
+      // Words per rank: (rank + call) % 3, so some blocks are empty.
+      auto words = [call](RankId r) { return (r + call) % 3; };
+      for (std::uint32_t w = 0; w < words(pe.rank()); ++w) {
+        pe.local_write<std::uint64_t>(src + 8 * w,
+                                      1000 * call + 100 * pe.rank() + w);
+      }
+      co_await pe.collect(dest, src, 8 * words(pe.rank()));
+      std::uint64_t offset = 0;
+      for (RankId r = 0; r < kRanks; ++r) {
+        for (std::uint32_t w = 0; w < words(r); ++w) {
+          EXPECT_EQ(pe.local_read<std::uint64_t>(dest + offset),
+                    1000u * call + 100 * r + w)
+              << "call " << call << " rank " << r << " word " << w;
+          offset += 8;
+        }
+      }
+    }
+  }));
+}
+
 TEST(Collect, SinglePe) {
   JobEnv env(small_job(1, 1));
   env.run(with_init([](ShmemPe& pe) -> sim::Task<> {

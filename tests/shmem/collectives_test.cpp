@@ -134,6 +134,47 @@ TEST(Fcollect, SinglePeTrivial) {
   }));
 }
 
+TEST(Fcollect, TwoPes) {
+  JobEnv env(small_job(2, 1));
+  env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
+    SymAddr src = pe.heap().allocate(8);
+    SymAddr dest = pe.heap().allocate(16);
+    for (int round = 0; round < 3; ++round) {
+      pe.local_write<std::uint64_t>(src, 10 * round + pe.rank());
+      co_await pe.fcollect(dest, src, 8);
+      EXPECT_EQ(pe.local_read<std::uint64_t>(dest), 10u * round);
+      EXPECT_EQ(pe.local_read<std::uint64_t>(dest + 8), 10u * round + 1);
+    }
+  }));
+}
+
+TEST(Fcollect, SourceInsideDestIsThePesOwnSlot) {
+  // In-place fcollect: each PE's block already sits in its own slot of
+  // `dest`. Every chunk the ring forwards is the buffer as received, so
+  // the slots it lands in never feed a later step.
+  constexpr std::uint32_t kRanks = 6;
+  constexpr std::uint32_t kBlock = 24;
+  JobEnv env(small_job(kRanks, 3));
+  env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
+    SymAddr dest = pe.heap().allocate(kBlock * kRanks);
+    for (int round = 0; round < 2; ++round) {
+      SymAddr mine = dest + pe.rank() * kBlock;
+      for (std::uint32_t w = 0; w < kBlock / 8; ++w) {
+        pe.local_write<std::uint64_t>(mine + 8 * w,
+                                      1000 * round + 10 * pe.rank() + w);
+      }
+      co_await pe.fcollect(dest, mine, kBlock);
+      for (RankId r = 0; r < kRanks; ++r) {
+        for (std::uint32_t w = 0; w < kBlock / 8; ++w) {
+          EXPECT_EQ(pe.local_read<std::uint64_t>(dest + r * kBlock + 8 * w),
+                    1000u * round + 10 * r + w)
+              << "round " << round << " slot " << r << " word " << w;
+        }
+      }
+    }
+  }));
+}
+
 TEST(Reduce, SumInt64) {
   constexpr std::uint32_t kRanks = 6;
   JobEnv env(small_job(kRanks, 3));

@@ -127,6 +127,59 @@ TEST(Gate, TimedOutWaitersDoNotAccumulate) {
             (std::vector<std::string>{"first", "retrier", "last"}));
 }
 
+TEST(Gate, InlineFirstWaiterThenTimedAndPlainResumeInArrivalOrder) {
+  // The first plain waiter is held inline, later ones in the waiter list;
+  // open() must still resume everyone in the order they arrived.
+  Engine engine;
+  Gate gate(engine);
+  std::vector<std::string> woken;
+  auto plain = [](Gate& g, std::vector<std::string>& log,
+                  std::string name) -> Task<> {
+    co_await g.wait();
+    log.push_back(name);
+  };
+  auto timed = [](Gate& g, std::vector<std::string>& log,
+                  std::string name) -> Task<> {
+    EXPECT_TRUE(co_await g.wait_for(1'000));
+    log.push_back(name);
+  };
+  engine.spawn(plain(gate, woken, "inline"));
+  engine.spawn(timed(gate, woken, "timed1"));
+  engine.spawn(plain(gate, woken, "plain2"));
+  engine.spawn(timed(gate, woken, "timed2"));
+  engine.spawn(plain(gate, woken, "plain3"));
+  engine.schedule_at(10, [&] {
+    EXPECT_EQ(gate.waiter_count(), 5u);
+    gate.open();
+    EXPECT_EQ(gate.waiter_count(), 0u);
+  });
+  engine.run();
+  EXPECT_EQ(woken, (std::vector<std::string>{"inline", "timed1", "plain2",
+                                             "timed2", "plain3"}));
+}
+
+TEST(Gate, TimedFirstWaiterKeepsItsPlaceAheadOfPlainOnes) {
+  // A plain waiter that arrives after a timed one must not jump ahead of
+  // it into the inline slot.
+  Engine engine;
+  Gate gate(engine);
+  std::vector<std::string> woken;
+  engine.spawn([](Gate& g, std::vector<std::string>& log) -> Task<> {
+    EXPECT_TRUE(co_await g.wait_for(1'000));
+    log.push_back("timed");
+  }(gate, woken));
+  engine.spawn([](Gate& g, std::vector<std::string>& log) -> Task<> {
+    co_await g.wait();
+    log.push_back("plain");
+  }(gate, woken));
+  engine.schedule_at(10, [&] {
+    EXPECT_EQ(gate.waiter_count(), 2u);
+    gate.open();
+  });
+  engine.run();
+  EXPECT_EQ(woken, (std::vector<std::string>{"timed", "plain"}));
+}
+
 TEST(Trigger, NotifyAllWakesOnlyCurrentWaiters) {
   Engine engine;
   Trigger trigger(engine);
